@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Informational timing harness for polar-profile computations.
 
-The costs of very large parameters (universal polynomials flooding memory
-for two-digit ranks, multi-minute runs around 7 x 8) depend entirely on the
-host; nothing here gates the test suite.  This script just records what the
-current machine does.
+The costs of large parameters (universal polynomials flooding memory for
+two-digit ranks, seconds per cell around 7 x 8 and beyond) depend entirely
+on the host; nothing here gates the test suite.  This script just records
+what the current machine does.  perfbench/ is the checked benchmark.
 
 Usage:
     python3 scripts/benchmark.py                 # quick default set
@@ -28,9 +28,9 @@ def fmt_values(values, limit=6):
 
 
 def run_cell(m, n, r):
-    started = time.time()
+    started = time.perf_counter()
     prof = compute_polar_profile(m, n, r)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(f"  ({m:2d},{n:2d},{r}) {elapsed:8.2f}s  {fmt_values(prof.values)}")
     return elapsed
 

@@ -60,7 +60,11 @@ def _warn(msg: str):
 
 def _parse_entry(key: str, raw) -> PolarProfile:
     m, n, r = (int(x) for x in key.split(","))
+    if not 0 <= r <= m <= n:
+        raise ValueError(f"key {key} outside 0 <= r <= m <= n")
     values = tuple(int(v) for v in raw["values"])
+    if len(values) != (m + n) * r - 2 * r * r + 1:
+        raise ValueError(f"entry {key} has {len(values)} values, not (m+n)r - 2r^2 + 1")
     signs = tuple(int(s) for s in raw["raw_signs"])
     if len(values) != len(signs) or any(s not in (-1, 1) for s in signs):
         raise ValueError("malformed signs")

@@ -25,7 +25,6 @@ from .errors import ConsistencyError, DomainError
 from .partitions import (
     IntPolynomial,
     as_partition,
-    box_complement,
     conjugate,
     fits_in_box,
     gaussian_binomial,
@@ -68,6 +67,16 @@ class GrassSpec:
         return partitions_in_box(self.r, self.cols, weight)
 
 
+def _reduced(cls, spec, coords: dict):
+    """``cls(spec, coords)`` for internal results whose keys are already
+    reduced into the box(es): drops zero coefficients but skips the key
+    validation the public constructors do."""
+    obj = cls.__new__(cls)
+    obj.spec = spec
+    obj.coords = {k: c for k, c in coords.items() if c}
+    return obj
+
+
 @dataclass(eq=True)
 class GrassClass:
     """Element of H*(Grass(r, m)) in the Schubert basis.
@@ -104,9 +113,6 @@ class GrassClass:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def is_homogeneous(self) -> bool:
-        return len({weight(k) for k in self.coords}) <= 1
 
     def degree(self) -> int | None:
         """Common Chern degree of a homogeneous class, None for zero."""
@@ -195,7 +201,8 @@ def _h_monomials(mu: tuple):
 @lru_cache(maxsize=None)
 def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     """Structure constants of the product of two Schubert classes inside the
-    rows x cols box, as a tuple of (partition, coefficient)."""
+    rows x cols box, as a tuple of (partition, coefficient).  Callers pass
+    the smaller partition second, so both orders share one cache entry."""
     if weight(lam) + weight(mu) > rows * cols:
         return ()
     if len(mu) > len(lam):
@@ -216,18 +223,24 @@ def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     return tuple((nu, c) for nu, c in sorted(total.items()) if c)
 
 
+def _mul_into(acc: dict, a: GrassClass, b: GrassClass, scale: int = 1) -> dict:
+    """Add scale * a * b into the coordinate dict ``acc``, truncating terms
+    that leave the box; zero coefficients may remain in ``acc``."""
+    rows, cols = a.spec.r, a.spec.cols
+    for lam, c1 in a.coords.items():
+        c1 *= scale
+        for mu, c2 in b.coords.items():
+            c = c1 * c2
+            for nu, sc in _mul_basis(rows, cols, *((lam, mu) if lam >= mu else (mu, lam))):
+                acc[nu] = acc.get(nu, 0) + c * sc
+    return acc
+
+
 def mul(a: GrassClass, b: GrassClass) -> GrassClass:
     """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched ring specs {a.spec} and {b.spec}")
-    rows, cols = a.spec.r, a.spec.cols
-    data = {}
-    for lam, c1 in a.coords.items():
-        for mu, c2 in b.coords.items():
-            c = c1 * c2
-            for nu, sc in _mul_basis(rows, cols, lam, mu):
-                data[nu] = data.get(nu, 0) + c * sc
-    return GrassClass(a.spec, data)
+    return _reduced(GrassClass, a.spec, _mul_into({}, a, b))
 
 
 def integrate(a: GrassClass) -> int:
@@ -264,25 +277,6 @@ def chern_list_sub(spec: GrassSpec) -> list:
 def chern_list_quot(spec: GrassSpec) -> list:
     """Total Chern class of the quotient bundle as [1, c_1(Q), ..., c_{m-r}(Q)]."""
     return [GrassClass.unit(spec)] + [chern_quot(spec, k) for k in range(1, spec.cols + 1)]
-
-
-def dual_pairing(a: GrassClass, b: GrassClass) -> int:
-    """integrate(a * b), evaluated through the complement pairing.
-
-    The Schubert basis is self-dual up to box complement, a fact certified
-    against mul/integrate by the test suite; this is the cheap path used by
-    the integral evaluations.
-    """
-    spec = a.spec
-    if spec != b.spec:
-        raise ValueError("mismatched ring specs")
-    total = 0
-    for lam, c in a.coords.items():
-        comp = box_complement(lam, spec.r, spec.cols)
-        c2 = b.coords.get(comp)
-        if c2:
-            total += c * c2
-    return total
 
 
 def poincare(spec: GrassSpec) -> IntPolynomial:

@@ -8,8 +8,8 @@ and d = (m+n)r - r^2 the dimension of the germ,
     signed value at k = (-1)^(d-1) * integral over G of
                         s_k(Q1 (x) Q2) * s_(K-k)(S1 (x) S2),
 
-Segre classes taken as the degreewise inverses of the Chern classes of the
-tautological pairs.  The published values are the absolute values; the
+with Segre classes s(E) = c(-E) and the integral read off by the
+box-complement pairing.  The published values are the absolute values; the
 signed integrals strictly alternate in k, and that alternation is verified
 on every profile rather than assumed.  A failure means a convention bug and
 aborts with a diagnostic instead of silently flipping signs.
@@ -24,8 +24,7 @@ from .tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
     ProdSpec,
-    integrate_prod,
-    mul_prod,
+    pair_prod,
     segre_tensor,
 )
 
@@ -77,7 +76,7 @@ def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:
     s_sub = segre_tensor(spec, SUB_TENSOR, big_k)
     prefactor = (-1) ** (d - 1)
     signed = [
-        prefactor * integrate_prod(mul_prod(s_quot[k], s_sub[big_k - k]))
+        prefactor * pair_prod(s_quot[k], s_sub[big_k - k])
         for k in range(big_k + 1)
     ]
     if signed[0] == 0:

@@ -1,9 +1,9 @@
 """Characteristic classes of tensor bundles on a product of two Grassmannians.
 
 The product ring H*(Grass(r, n) x Grass(r, m)) is handled factorwise in the
-Schubert basis.  The classes the polar integrals consume are the Chern and
-Segre classes of the two tensor bundles built from the tautological pairs:
-the product of the subbundles (rank r^2) and the product of the quotient
+Schubert basis.  The classes the polar integrals consume are the Segre
+classes of the two tensor bundles built from the tautological pairs: the
+product of the subbundles (rank r^2) and the product of the quotient
 bundles (rank (n-r)(m-r)).
 
 Two independent routes compute the Chern series and both are kept:
@@ -11,17 +11,18 @@ Two independent routes compute the Chern series and both are kept:
 * the production path works entirely inside the finite product ring.  Power
   sums of the factor bundles come from the Newton identities, power sums of
   a tensor product are binomial convolutions, and the Newton identities are
-  run backwards to recover Chern classes.  Every intermediate value is fully
-  reduced into the Schubert basis, so nothing grows beyond the ring's rank;
-  the one division (by k in the k-th Newton step) is checked to be exact.
+  run backwards to recover Chern classes, or, on the negated power sums, the
+  Segre classes s(E) = c(-E).  Every intermediate value is fully reduced
+  into the Schubert basis, so nothing grows beyond the ring's rank; the one
+  division (by k in the k-th Newton step) is checked to be exact.
 
 * the validator expands the product of (1 + a_i + b_j) over formal Chern
   roots once per rank pair and degree, rewrites it in elementary symmetric
   terms, memoizes that universal polynomial, and evaluates it on the factor
   Chern classes.  This route blows up combinatorially for large ranks and is
-  only used at small scale to certify the production path.
+  only used at small scale to certify the production path; the identity
+  c * s = 1 certifies the Segre series against the Chern series.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -33,10 +34,12 @@ from .grass_ring import (
     GrassClass,
     GrassSpec,
     _mul_basis,
+    _mul_into,
+    _reduced,
     chern_list_quot,
     chern_list_sub,
 )
-from .partitions import as_partition, conjugate, weight
+from .partitions import as_partition, box_complement, conjugate
 
 SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
@@ -125,14 +128,6 @@ class ProdClass:
     def is_zero(self):
         return not self.coords
 
-    def degree(self) -> int | None:
-        degs = {weight(l) + weight(m) for l, m in self.coords}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("class is not homogeneous")
-        return degs.pop()
-
     def __add__(self, other):
         if not isinstance(other, ProdClass) or other.spec != self.spec:
             return NotImplemented
@@ -163,30 +158,56 @@ class ProdClass:
         return f"<ProdClass r={self.spec.r} n={self.spec.n} m={self.spec.m}: {terms or '0'}>"
 
 
+def _mul_prod_into(acc: dict, a: ProdClass, b: ProdClass, scale: int = 1) -> dict:
+    """Add scale * a * b into the coordinate dict ``acc``, factorwise, with
+    truncation outside either box; zero coefficients may remain in ``acc``."""
+    r = a.spec.r
+    cols1, cols2 = a.spec.n - r, a.spec.m - r
+    for (l1, m1), c1 in a.coords.items():
+        c1 *= scale
+        for (l2, m2), c2 in b.coords.items():
+            left = _mul_basis(r, cols1, l1, l2) if l1 >= l2 else _mul_basis(r, cols1, l2, l1)
+            if not left:
+                continue
+            right = _mul_basis(r, cols2, m1, m2) if m1 >= m2 else _mul_basis(r, cols2, m2, m1)
+            c = c1 * c2
+            for lam, cl in left:
+                cl *= c
+                for mu, cm in right:
+                    key = (lam, mu)
+                    acc[key] = acc.get(key, 0) + cl * cm
+    return acc
+
+
 def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
     """Factorwise product with truncation outside either box."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
-    r = a.spec.r
-    cols1, cols2 = a.spec.factor1.cols, a.spec.factor2.cols
-    data = {}
-    for (l1, m1), c1 in a.coords.items():
-        for (l2, m2), c2 in b.coords.items():
-            c = c1 * c2
-            left = _mul_basis(r, cols1, l1, l2)
-            if not left:
-                continue
-            right = _mul_basis(r, cols2, m1, m2)
-            for lam, cl in left:
-                for mu, cm in right:
-                    key = (lam, mu)
-                    data[key] = data.get(key, 0) + c * cl * cm
-    return ProdClass(a.spec, data)
+    return _reduced(ProdClass, a.spec, _mul_prod_into({}, a, b))
 
 
 def integrate_prod(a: ProdClass) -> int:
     """Coefficient of the (box, box) class."""
     return a.coords.get(a.spec.box, 0)
+
+
+def pair_prod(a: ProdClass, b: ProdClass) -> int:
+    """integrate_prod(mul_prod(a, b)) by the box-complement pairing.
+
+    The Schubert basis of each factor is self-dual up to box complement, so
+    only b's coefficient at the factorwise complement of each key of a
+    contributes.
+    """
+    if a.spec != b.spec:
+        raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
+    r = a.spec.r
+    cols1, cols2 = a.spec.n - r, a.spec.m - r
+    total = 0
+    for (lam, mu), c in a.coords.items():
+        c2 = b.coords.get((box_complement(lam, r, cols1), box_complement(mu, r, cols2)))
+        if c2:
+            total += c * c2
+    return total
 
 
 @dataclass(frozen=True)
@@ -210,17 +231,12 @@ class CharSeries:
 
 
 def _factor_chern(spec: ProdSpec, bundle: str):
-    """Chern class lists and ranks of the two factor bundles being tensored."""
+    """Chern class lists [1, c_1, ..., c_rank] of the two factor bundles
+    being tensored; a list's length is its bundle's rank plus one."""
     if bundle == SUB_TENSOR:
-        return (
-            chern_list_sub(spec.factor1), spec.r,
-            chern_list_sub(spec.factor2), spec.r,
-        )
+        return chern_list_sub(spec.factor1), chern_list_sub(spec.factor2)
     if bundle == QUOT_TENSOR:
-        return (
-            chern_list_quot(spec.factor1), spec.factor1.cols,
-            chern_list_quot(spec.factor2), spec.factor2.cols,
-        )
+        return chern_list_quot(spec.factor1), chern_list_quot(spec.factor2)
     raise ValueError(f"unknown bundle tag {bundle!r}")
 
 
@@ -232,33 +248,42 @@ def _newton_power_sums(chern: list, up_to: int) -> list:
     """
     spec = chern[0].spec
     rank = len(chern) - 1
-    ps = [rank * GrassClass.unit(spec)]
+    ps = [_reduced(GrassClass, spec, {(): rank})]
     for k in range(1, up_to + 1):
-        acc = GrassClass.zero(spec)
-        for i in range(1, k):
-            if i <= rank:
-                term = chern[i] * ps[k - i]
-                acc = acc + (term if (i % 2 == 1) else -term)
+        acc = {}
+        for i in range(1, min(k, rank + 1)):
+            _mul_into(acc, chern[i], ps[k - i], 1 if i % 2 else -1)
         if k <= rank:
-            acc = acc + ((-1) ** (k - 1) * k) * chern[k]
-        ps.append(acc)
+            _mul_into(acc, chern[k], chern[0], (-1) ** (k - 1) * k)
+        ps.append(_reduced(GrassClass, spec, acc))
     return ps
 
 
-def _divide_exact(cls: ProdClass, k: int) -> ProdClass:
-    coords = {}
-    for key, c in cls.coords.items():
-        if c % k:
+def _newton_solve(series: list, power: list, up_to: int, sign: int):
+    """Extend a Chern (sign 1) or Segre (sign -1) series through degree up_to.
+
+    Newton's identities k c_k = sum_{i=1..k} (-1)^(i-1) c_{k-i} p_i give the
+    Chern classes from the power sums p_i; since s(E) = c(-E) and
+    p_i(-E) = -p_i(E), the same recursion on the negated power sums gives
+    the Segre classes.  The division by k is checked to be exact.
+    """
+    spec = series[0].spec
+    while len(series) <= up_to:
+        k = len(series)
+        acc = {}
+        for i in range(1, k + 1):
+            _mul_prod_into(acc, series[k - i], power[i], sign if i % 2 else -sign)
+        if any(c % k for c in acc.values()):
             raise ConsistencyError(
-                f"inexact division by {k} while solving the Newton identities on {cls.spec}"
+                f"inexact division by {k} while solving the Newton identities on {spec}"
             )
-        coords[key] = c // k
-    return ProdClass(cls.spec, coords)
+        series.append(_reduced(ProdClass, spec, {key: c // k for key, c in acc.items()}))
 
 
 class _SeriesState:
-    """Incrementally extended Chern/Segre data for one (spec, bundle).
+    """Incrementally extended Chern and Segre series for one (spec, bundle).
 
+    Both are solved independently from the shared tensor-bundle power sums.
     Completed entries are immutable ProdClass values; extension only appends,
     so concurrent readers of finished degrees are safe and re-running an
     extension is idempotent.
@@ -268,58 +293,40 @@ class _SeriesState:
         self.spec = spec
         self.bundle = bundle
         self.power = []  # tensor-bundle power sums, from degree 0
-        self.chern = [ProdClass.unit(spec)]
-        self.segre = [ProdClass.unit(spec)]
-        self._factor_ps = None  # (list on factor1, list on factor2)
+        self.series = {"chern": [ProdClass.unit(spec)], "segre": [ProdClass.unit(spec)]}
 
-    def _ensure_factor_power_sums(self, up_to: int):
-        c1, _, c2, _ = _factor_chern(self.spec, self.bundle)
-        if self._factor_ps is None or len(self._factor_ps[0]) <= up_to:
-            self._factor_ps = (
-                _newton_power_sums(c1, up_to),
-                _newton_power_sums(c2, up_to),
-            )
-
-    def extend_chern(self, up_to: int):
-        if len(self.chern) > up_to:
-            return
-        self._ensure_factor_power_sums(up_to)
-        ps1, ps2 = self._factor_ps
-        while len(self.power) <= up_to:
-            k = len(self.power)
-            acc = ProdClass.zero(self.spec)
-            for i in range(k + 1):
-                piece = ProdClass.tensor(self.spec, ps1[i], ps2[k - i])
-                acc = acc + comb(k, i) * piece
-            self.power.append(acc)
-        while len(self.chern) <= up_to:
-            k = len(self.chern)
-            acc = ProdClass.zero(self.spec)
-            for i in range(1, k + 1):
-                term = mul_prod(self.chern[k - i], self.power[i])
-                acc = acc + (term if (i % 2 == 1) else -term)
-            self.chern.append(_divide_exact(acc, k))
-
-    def extend_segre(self, up_to: int):
-        self.extend_chern(up_to)
-        while len(self.segre) <= up_to:
-            k = len(self.segre)
-            acc = ProdClass.zero(self.spec)
-            for j in range(1, k + 1):
-                acc = acc + mul_prod(self.chern[j], self.segre[k - j])
-            self.segre.append(-acc)
+    def extend(self, flavor: str, up_to: int) -> list:
+        if len(self.power) <= up_to:
+            c1, c2 = _factor_chern(self.spec, self.bundle)
+            ps1, ps2 = _newton_power_sums(c1, up_to), _newton_power_sums(c2, up_to)
+            while len(self.power) <= up_to:
+                # p_k(E (x) F) = sum_i C(k, i) p_i(E) p_{k-i}(F)
+                k = len(self.power)
+                acc = {}
+                for i in range(k + 1):
+                    for lam, ca in ps1[i].coords.items():
+                        for mu, cb in ps2[k - i].coords.items():
+                            acc[(lam, mu)] = acc.get((lam, mu), 0) + comb(k, i) * ca * cb
+                self.power.append(_reduced(ProdClass, self.spec, acc))
+        series = self.series[flavor]
+        _newton_solve(series, self.power, up_to, 1 if flavor == "chern" else -1)
+        return series
 
 
+# Only the most recent spec's two states are kept: a profile consumes both
+# series of one spec, and keeping every spec's series would grow peak memory
+# across a table.
 _SERIES: dict = {}
 
 
 def _state(spec: ProdSpec, bundle: str) -> _SeriesState:
     if bundle not in _BUNDLES:
         raise ValueError(f"unknown bundle tag {bundle!r}")
-    key = (spec, bundle)
-    if key not in _SERIES:
-        _SERIES[key] = _SeriesState(spec, bundle)
-    return _SERIES[key]
+    if (spec, bundle) not in _SERIES:
+        if any(other != spec for other, _ in _SERIES):
+            _SERIES.clear()
+        _SERIES[(spec, bundle)] = _SeriesState(spec, bundle)
+    return _SERIES[(spec, bundle)]
 
 
 def _clamp(spec: ProdSpec, up_to: int) -> int:
@@ -334,30 +341,24 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     Requests above dim G are clamped: every class vanishes there anyway.
     """
     up_to = _clamp(spec, up_to)
-    st = _state(spec, bundle)
-    st.extend_chern(up_to)
-    return CharSeries(spec, "chern", bundle, tuple(st.chern[: up_to + 1]))
+    terms = _state(spec, bundle).extend("chern", up_to)
+    return CharSeries(spec, "chern", bundle, tuple(terms[: up_to + 1]))
 
 
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
-    """Segre series of the tensor bundle: the degreewise inverse of Chern.
+    """Segre series s = c(-E) of the tensor bundle, truncated at ``up_to``.
 
-    s_0 = 1 and sum_{j=0..k} c_j s_{k-j} = 0 for k >= 1, solved inside the
-    product ring.
+    Solved by Newton's identities on the negated power sums, without building
+    the Chern series; requests above dim G are clamped as in chern_tensor.
     """
     up_to = _clamp(spec, up_to)
-    st = _state(spec, bundle)
-    st.extend_segre(up_to)
-    return CharSeries(spec, "segre", bundle, tuple(st.segre[: up_to + 1]))
+    terms = _state(spec, bundle).extend("segre", up_to)
+    return CharSeries(spec, "segre", bundle, tuple(terms[: up_to + 1]))
 
 
 # ---------------------------------------------------------------------------
 # validator: universal polynomials from formal Chern roots
 # ---------------------------------------------------------------------------
-
-def _mono_deg(expo):
-    return sum(expo)
-
 
 @lru_cache(maxsize=None)
 def _tensor_root_expansion(p: int, q: int, up_to: int):
@@ -369,7 +370,7 @@ def _tensor_root_expansion(p: int, q: int, up_to: int):
             nxt = {}
             for expo, c in poly.items():
                 nxt[expo] = nxt.get(expo, 0) + c
-                if _mono_deg(expo) < up_to:
+                if sum(expo) < up_to:
                     for pos in (i, p + j):
                         bumped = expo[:pos] + (expo[pos] + 1,) + expo[pos + 1:]
                         nxt[bumped] = nxt.get(bumped, 0) + c
@@ -429,7 +430,7 @@ def universal_tensor_chern(p: int, q: int, k: int):
     if p == 0 or q == 0:
         return ()
     full = _tensor_root_expansion(p, q, k)
-    f = {e: c for e, c in full.items() if _mono_deg(e) == k and c}
+    f = {e: c for e, c in full.items() if sum(e) == k and c}
     out = []
     while f:
         lead = max(f)
@@ -458,7 +459,8 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     production series at small scale.
     """
     up_to = _clamp(spec, up_to)
-    c1, p, c2, q = _factor_chern(spec, bundle)
+    c1, c2 = _factor_chern(spec, bundle)
+    p, q = len(c1) - 1, len(c2) - 1
     unit1, unit2 = GrassClass.unit(spec.factor1), GrassClass.unit(spec.factor2)
     terms = []
     for k in range(up_to + 1):

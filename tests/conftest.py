@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from detlinks.grass_ring import GrassClass, GrassSpec
 from detlinks.partitions import partitions_in_box
+from detlinks.tensor_calculus import ProdClass, ProdSpec
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -35,3 +36,35 @@ def spec_with_classes(draw, count=2, max_m=6, max_coeff=4):
         )
         classes.append(GrassClass(spec, dict(zip(basis, coeffs))))
     return spec, classes
+
+
+def _prod_class(draw, spec, deg, max_coeff):
+    f1, f2 = spec.factor1, spec.factor2
+    basis = [
+        (lam, mu)
+        for d1 in range(deg + 1)
+        for lam in partitions_in_box(f1.r, f1.cols, d1)
+        for mu in partitions_in_box(f2.r, f2.cols, deg - d1)
+    ]
+    coeffs = draw(
+        st.lists(
+            st.integers(min_value=-max_coeff, max_value=max_coeff),
+            min_size=len(basis),
+            max_size=len(basis),
+        )
+    )
+    return ProdClass(spec, dict(zip(basis, coeffs)))
+
+
+@st.composite
+def prod_spec_with_classes(draw, count=2, complementary=False, max_n=5, max_coeff=4):
+    """A product-ring spec plus ``count`` random homogeneous classes on it;
+    with ``complementary`` the two classes have degrees adding up to dim."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=n))
+    r = draw(st.integers(min_value=0, max_value=m))
+    spec = ProdSpec(r, n, m)
+    degs = [draw(st.integers(min_value=0, max_value=spec.dim)) for _ in range(count)]
+    if complementary:
+        degs = [degs[0], spec.dim - degs[0]]
+    return spec, [_prod_class(draw, spec, d, max_coeff) for d in degs]

@@ -190,6 +190,32 @@ class TestCache:
         assert code == 4
         assert "consistency" in err
 
+    def test_truncated_entry_rejected(self, capsys):
+        # a hand edit that keeps two values must not change the link numbers
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["3,4,2"] = {"values": ["7", "16"], "raw_signs": [1, -1]}
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                             "--codim", "5")
+        assert code == 0
+        assert "warning" in err
+        assert "| 5 | -7 |" in out
+
+    def test_out_of_domain_key_rejected(self, capsys):
+        run(capsys, "polar", "--m", "2", "--n", "2", "--r", "1", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        size = (99 + 1) * 5 - 2 * 5 * 5 + 1  # well formed but for the domain
+        payload["entries"]["99,1,5"] = {"values": ["1"] * size,
+                                        "raw_signs": [(-1) ** k for k in range(size)]}
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert "warning" in err
+        assert "99,1,5" not in out
+
     def test_cache_subcommands(self, capsys):
         run(capsys, "polar", "--m", "2", "--n", "2", "--r", "1", "--format", "csv")
         code, out, _ = run(capsys, "cache", "show")

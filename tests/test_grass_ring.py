@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from detlinks.errors import DomainError
 from detlinks.grass_ring import (
@@ -10,7 +10,6 @@ from detlinks.grass_ring import (
     chern_sub,
     chern_list_quot,
     chern_list_sub,
-    dual_pairing,
     grassmann_relations,
     integrate,
     mul,
@@ -19,9 +18,9 @@ from detlinks.grass_ring import (
     presentation_h,
     schubert_to_presentation,
 )
-from detlinks.partitions import box_complement, gaussian_binomial, weight
+from detlinks.partitions import box_complement, fits_in_box, gaussian_binomial, weight
 
-from conftest import spec_with_classes
+from conftest import partition_tuples, spec_with_classes
 
 
 def sigma(spec, *parts):
@@ -62,6 +61,24 @@ class TestMul:
     def test_associative(self, data):
         _, (a, b, c) = data
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+    @settings(deadline=None, max_examples=40)
+    @given(spec_with_classes(count=2))
+    def test_results_are_canonical(self, data):
+        _, (a, b) = data
+        got = mul(a, b)
+        assert got == GrassClass(got.spec, dict(got.coords))
+        assert all(got.coords.values())
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 4), st.integers(0, 4), partition_tuples(max_part=6, max_len=5))
+    def test_public_constructor_checks_the_box(self, r, cols, lam):
+        spec = GrassSpec(r, r + cols)
+        if fits_in_box(lam, r, cols):
+            assert GrassClass(spec, {lam: 1}).coords == {lam: 1}
+        else:
+            with pytest.raises(ValueError):
+                GrassClass(spec, {lam: 1})
 
 
 class TestChern:
@@ -123,12 +140,6 @@ class TestIntegrate:
     def test_non_top_class_integrates_to_zero(self):
         spec = GrassSpec(2, 4)
         assert integrate(sigma(spec, 1)) == 0
-
-    @settings(deadline=None, max_examples=40)
-    @given(spec_with_classes(count=2))
-    def test_dual_pairing_matches_integral(self, data):
-        _, (a, b) = data
-        assert dual_pairing(a, b) == integrate(mul(a, b))
 
 
 class TestPoincarePairing:

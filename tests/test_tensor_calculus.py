@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from detlinks import tensor_calculus
 from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassClass, GrassSpec, mul
+from detlinks.partitions import fits_in_box
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -11,9 +14,12 @@ from detlinks.tensor_calculus import (
     chern_tensor_via_roots,
     integrate_prod,
     mul_prod,
+    pair_prod,
     segre_tensor,
     universal_tensor_chern,
 )
+
+from conftest import partition_tuples, prod_spec_with_classes
 
 P23 = ProdSpec(1, 3, 2)  # Grass(1,3) x Grass(1,2): the projective plane times a line
 
@@ -55,6 +61,51 @@ class TestProductRing:
     def test_invalid_spec_order(self):
         with pytest.raises(DomainError):
             ProdSpec(1, 2, 3)  # needs m <= n
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(
+        prod_spec_with_classes(count=2, complementary=True),
+        prod_spec_with_classes(count=2),
+    ))
+    def test_pair_prod_matches_integral(self, data):
+        _, (a, b) = data
+        assert pair_prod(a, b) == integrate_prod(mul_prod(a, b))
+
+
+def assert_canonical(cls):
+    """Trusted results must equal their re-validated form, with no zeros."""
+    assert cls == ProdClass(cls.spec, dict(cls.coords))
+    assert all(cls.coords.values())
+
+
+class TestTrustedResults:
+    @settings(deadline=None, max_examples=40)
+    @given(prod_spec_with_classes(count=2))
+    def test_mul_prod_results(self, data):
+        _, (a, b) = data
+        assert_canonical(mul_prod(a, b))
+
+    @settings(deadline=None, max_examples=15)
+    @given(prod_spec_with_classes(count=0))
+    def test_series_terms(self, data):
+        spec, _ = data
+        for bundle in (SUB_TENSOR, QUOT_TENSOR):
+            for series in (chern_tensor(spec, bundle, spec.dim),
+                           segre_tensor(spec, bundle, spec.dim)):
+                for term in series.terms:
+                    assert_canonical(term)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
+           partition_tuples(max_part=6, max_len=4), partition_tuples(max_part=6, max_len=4))
+    def test_public_constructor_checks_both_boxes(self, r, cols1, cols2, lam, mu):
+        spec = ProdSpec(r, r + max(cols1, cols2), r + min(cols1, cols2))
+        f1, f2 = spec.factor1, spec.factor2
+        if fits_in_box(lam, r, f1.cols) and fits_in_box(mu, r, f2.cols):
+            assert ProdClass(spec, {(lam, mu): 1}).coords == {(lam, mu): 1}
+        else:
+            with pytest.raises(ValueError):
+                ProdClass(spec, {(lam, mu): 1})
 
 
 class TestChernTensor:
@@ -110,6 +161,23 @@ class TestSegreTensor:
                     for j in range(k + 1):
                         acc = acc + mul_prod(c[j], s[k - j])
                     assert acc.is_zero(), (spec, bundle, k)
+
+
+class TestSeriesMemo:
+    def test_eviction_round_trip(self):
+        a, b, c = ProdSpec(2, 4, 3), ProdSpec(1, 5, 5), ProdSpec(2, 5, 4)
+        first = segre_tensor(a, QUOT_TENSOR, a.dim)
+        for spec in (b, c):
+            segre_tensor(spec, QUOT_TENSOR, spec.dim)
+        assert {key[0] for key in tensor_calculus._SERIES} == {c}
+        assert segre_tensor(a, QUOT_TENSOR, a.dim) == first
+
+    def test_segre_does_not_build_chern(self):
+        spec = ProdSpec(2, 5, 3)
+        segre_tensor(P23, SUB_TENSOR, P23.dim)  # evict any earlier state of spec
+        segre_tensor(spec, SUB_TENSOR, spec.dim)
+        state = tensor_calculus._SERIES[(spec, SUB_TENSOR)]
+        assert state.series["chern"] == [ProdClass.unit(spec)]
 
 
 class TestPullbackDegeneration:
