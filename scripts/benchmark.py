@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Informational timing harness for polar-profile computations.
 
-The costs of large parameters (universal polynomials flooding memory for
-two-digit ranks, seconds per cell around 7 x 8 and beyond) depend entirely
-on the host; nothing here gates the test suite.  This script just records
-what the current machine does.  perfbench/ is the checked benchmark.
+Times compute_polar_profile (Bott localization over the torus fixed points)
+on the (m, m+1, m-1) family and on the hardest tabulated cells (7,8,3),
+(7,8,4) and (6,12,3), each well under a second on a current desktop core.
+Costs depend entirely on the host; nothing here gates the test suite.  This
+script just records what the current machine does.  perfbench/ is the
+checked benchmark.
 
 Usage:
-    python3 scripts/benchmark.py                 # quick default set
+    python3 scripts/benchmark.py                 # default set
     python3 scripts/benchmark.py --max-hb 7      # Hilbert-Burch family up to m
     python3 scripts/benchmark.py --cell 7,8,4    # one explicit (m, n, r)
 """
@@ -20,6 +22,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from detlinks.polar import compute_polar_profile  # noqa: E402
+
+
+HARD_CELLS = ["7,8,3", "7,8,4", "6,12,3"]
 
 
 def fmt_values(values, limit=6):
@@ -47,7 +52,7 @@ def main(argv=None):
     total = 0.0
     for m in range(2, args.max_hb + 1):
         total += run_cell(m, m + 1, m - 1)
-    for text in args.cell:
+    for text in HARD_CELLS + args.cell:
         m, n, r = (int(x) for x in text.split(","))
         total += run_cell(m, n, r)
     print(f"total: {total:.2f}s")

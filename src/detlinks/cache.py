@@ -4,7 +4,8 @@ Values are stored as decimal strings: profiles outgrow 64-bit integers well
 within the parameter ranges users ask for, and a text format keeps the file
 portable and diffable.  A version mismatch or any schema violation makes the
 whole file be ignored (with a warning); cached digits are only ever
-re-checked against a fresh computation when a verify pass asks for it.
+re-checked, through the independent Schubert route, when a verify pass
+asks for it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,7 +103,8 @@ def cache_load(path: Path | None = None) -> CacheFile:
 
 
 def cache_store(cache: CacheFile, path: Path | None = None):
-    """Atomically write the cache; I/O trouble is reported, never fatal."""
+    """Atomically write the cache through a temp file of its own, so that
+    concurrent writers never share one; I/O trouble is reported, never fatal."""
     path = path or cache_path()
     payload = {
         "version": cache.version,
@@ -112,10 +116,17 @@ def cache_store(cache: CacheFile, path: Path | None = None):
             for key, prof in sorted(cache.entries.items())
         },
     }
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         _warn(f"could not write cache {path}: {exc}")
+    finally:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)

@@ -26,7 +26,7 @@ from .cache import CacheFile, cache_load, cache_path, cache_store
 from .errors import ConsistencyError, DomainError
 from .grass_ring import GrassSpec, grassmann_relations, poincare
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
-from .polar import PolarProfile, compute_polar_profile
+from .polar import PolarProfile, certify_polar_profile, compute_polar_profile
 
 FORMATS = ("csv", "md", "json")
 
@@ -73,15 +73,16 @@ def _csv(header: list, rows: list) -> str:
 # profile gathering through the persistent cache
 # ---------------------------------------------------------------------------
 
-def _compute_cell(cell) -> PolarProfile:
-    m, n, r = cell
-    return compute_polar_profile(m, n, r)
+def _compute_cell(cell, verify: bool = False) -> PolarProfile:
+    route = certify_polar_profile if verify else compute_polar_profile
+    return route(*cell)
 
 
 def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     """Fetch profiles for the requested cells, consulting and updating the
-    persistent cache.  With verify=True every cached cell is recomputed and
-    compared; a mismatch is a consistency failure."""
+    persistent cache.  With verify=True every cell is recomputed through
+    the independent Schubert route and compared with its cache entry; a
+    mismatch is a consistency failure."""
     cells = list(dict.fromkeys(cells))
     cache = cache_load()
     need = [c for c in cells if verify or cache.get(*c) is None]
@@ -89,11 +90,12 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     if need:
         if jobs > 1 and len(need) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for cell, prof in zip(need, pool.map(_compute_cell, need)):
+                profiles = pool.map(_compute_cell, need, [verify] * len(need))
+                for cell, prof in zip(need, profiles):
                     computed[cell] = prof
         else:
             for cell in need:
-                computed[cell] = _compute_cell(cell)
+                computed[cell] = _compute_cell(cell, verify)
     out = {}
     dirty = False
     for cell in cells:
@@ -359,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=FORMATS, default="md")
         p.add_argument("--verify", action="store_true",
-                       help="recompute every cached profile this command touches")
+                       help="recompute every profile this command touches through the "
+                       "independent Schubert route and check it against the cache")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for independent table cells")
 

@@ -608,13 +608,6 @@ class QuotientRingOracle:
         """Ranks of the graded pieces for degrees 0..dim."""
         return tuple(len(self._pieces[d][2]) for d in range(self.spec.dim + 1))
 
-    def standard_monomials(self, d: int) -> tuple:
-        if d < 0:
-            return ()
-        if d not in self._pieces:
-            return ()
-        return self._pieces[d][2]
-
     def _reduce_vector(self, d, vec):
         monos, basis, standard = self._pieces[d]
         v = list(vec)
@@ -645,20 +638,6 @@ class QuotientRingOracle:
             vec = [terms.get(e, 0) for e in monos]
             out.update(self._reduce_vector(d, vec))
         return out
-
-    def multiply(self, e1: tuple, e2: tuple) -> dict:
-        """Normal form of the product of two monomials."""
-        prod = tuple(a + b for a, b in zip(e1, e2))
-        poly = PresentationPoly(self.spec.r, {prod: 1})
-        return self.reduce_poly(poly)
-
-    def structure_constants(self, d1: int, d2: int) -> dict:
-        """Multiplication table between the standard monomials of two degrees."""
-        table = {}
-        for e1 in self.standard_monomials(d1):
-            for e2 in self.standard_monomials(d2):
-                table[(e1, e2)] = self.multiply(e1, e2)
-        return table
 
 
 def oracle_quotient_ring(spec: GrassSpec) -> QuotientRingOracle:

@@ -125,10 +125,6 @@ class IntPolynomial:
         self.coeffs = {d: c for d, c in data.items() if c}
 
     @classmethod
-    def from_list(cls, dense):
-        return cls(enumerate(dense))
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 

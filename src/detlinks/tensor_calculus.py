@@ -4,11 +4,13 @@ The product ring H*(Grass(r, n) x Grass(r, m)) is handled factorwise in the
 Schubert basis.  The classes the polar integrals consume are the Segre
 classes of the two tensor bundles built from the tautological pairs: the
 product of the subbundles (rank r^2) and the product of the quotient
-bundles (rank (n-r)(m-r)).
+bundles (rank (n-r)(m-r)).  Polar profiles are computed by torus
+localization in ``polar``; this module is the Schubert route that certifies
+them (``polar.certify_polar_profile``, ``--verify``).
 
 Two independent routes compute the Chern series and both are kept:
 
-* the production path works entirely inside the finite product ring.  Power
+* the Newton path works entirely inside the finite product ring.  Power
   sums of the factor bundles come from the Newton identities, power sums of
   a tensor product are binomial convolutions, and the Newton identities are
   run backwards to recover Chern classes, or, on the negated power sums, the
@@ -20,7 +22,7 @@ Two independent routes compute the Chern series and both are kept:
   roots once per rank pair and degree, rewrites it in elementary symmetric
   terms, memoizes that universal polynomial, and evaluates it on the factor
   Chern classes.  This route blows up combinatorially for large ranks and is
-  only used at small scale to certify the production path; the identity
+  only used at small scale to certify the Newton path; the identity
   c * s = 1 certifies the Segre series against the Chern series.
 """
 from __future__ import annotations
@@ -456,7 +458,7 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     """Validator route: evaluate the universal polynomials on the factors.
 
     Slow and memory-hungry for large ranks; meant for cross-checking the
-    production series at small scale.
+    Newton series at small scale.
     """
     up_to = _clamp(spec, up_to)
     c1, c2 = _factor_chern(spec, bundle)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from detlinks import cli
 from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
 from detlinks.polar import PolarProfile
@@ -140,6 +141,28 @@ class TestCache:
         loaded = cache_load(path)
         assert loaded.entries == cache.entries
 
+    def test_store_uses_a_private_temp_file(self, tmp_path):
+        # another writer's temp file at the old fixed name must survive
+        sentinel = tmp_path / "polar_profiles.tmp"
+        sentinel.write_text("another writer's half-written cache")
+        cache = CacheFile()
+        cache.put(PolarProfile(2, 3, 1, (3, 4, 3, 0), (-1, 1, -1, 1)))
+        path = tmp_path / "polar_profiles.json"
+        cache_store(cache, path)
+        assert sentinel.read_text() == "another writer's half-written cache"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "polar_profiles.json", "polar_profiles.tmp"]
+        assert cache_load(path).entries == cache.entries
+
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr("detlinks.cache.os.replace", refuse)
+        cache_store(CacheFile(), tmp_path / "polar_profiles.json")
+        assert "could not write cache" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_populated_by_commands(self, capsys):
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
         cache = cache_load()
@@ -189,6 +212,18 @@ class TestCache:
                            "--format", "csv", "--verify")
         assert code == 4
         assert "consistency" in err
+
+    def test_verify_recomputes_through_the_certifier(self, capsys, monkeypatch):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
+
+        def production_route(m, n, r):
+            raise AssertionError("--verify must not rerun the production route")
+
+        monkeypatch.setattr(cli, "compute_polar_profile", production_route)
+        code, out, _ = run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2",
+                           "--format", "csv", "--verify")
+        assert code == 0
+        assert "3,4,2,2,27" in out
 
     def test_truncated_entry_rejected(self, capsys):
         # a hand edit that keeps two values must not change the link numbers

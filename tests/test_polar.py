@@ -1,8 +1,10 @@
 import pytest
 
-from detlinks.errors import DomainError
+from detlinks import polar
+from detlinks.errors import ConsistencyError, DomainError
 from detlinks.polar import (
     PolarProfile,
+    certify_polar_profile,
     compute_polar_profile,
     duality_check,
     euler_obstruction,
@@ -155,3 +157,33 @@ class TestAgainstPublishedRows:
     def test_hilbert_burch_rows(self, m):
         expected = ref.padded_profile(ref.HILBERT_BURCH[m], m, m + 1, m - 1)
         assert polar_profile(m, m + 1, m - 1).values == expected
+
+
+class TestRoutesAgree:
+    """Bott localization (production) against the Schubert route (certifier)."""
+
+    CELLS = [
+        (m, n, r) for m in range(1, 6) for n in range(m, 9) for r in range(1, m + 1)
+    ] + [(6, 7, r) for r in range(1, 6)]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)
+    def test_values_and_signs(self, cell):
+        bott, schubert = compute_polar_profile(*cell), certify_polar_profile(*cell)
+        assert bott.values == schubert.values
+        assert bott.raw_signs == schubert.raw_signs
+
+    def test_corrupted_fixed_point_is_caught(self, monkeypatch):
+        h_series = polar._h_series
+        calls = []
+
+        def corrupted(seed, roots, top):
+            h = h_series(seed, roots, top)
+            calls.append(None)
+            if len(calls) == 1:
+                h[top] += 1  # the first fixed point's quotient series
+            return h
+
+        monkeypatch.setattr(polar, "_h_series", corrupted)
+        with pytest.raises(ConsistencyError, match="not divisible"):
+            compute_polar_profile(3, 4, 2)
+        assert len(calls) == 2 * 6 * 3  # two series at each of C(4,2) C(3,2) points
