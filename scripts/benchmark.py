@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Informational timing harness for polar-profile computations.
 
-Times compute_polar_profile (Bott localization over the torus fixed points)
-on the (m, m+1, m-1) family and on the hardest tabulated cells (7,8,3),
-(7,8,4) and (6,12,3), each well under a second on a current desktop core.
+Times compute_polar_profile (Bott localization: a revolving-door walk over
+the torus fixed points, halved by their mirror symmetry) on the (m, m+1, m-1)
+family and on the hardest tabulated cells (7,8,3), (7,8,4) and (6,12,3),
+each a fraction of a second on a current desktop core.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.

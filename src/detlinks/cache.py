@@ -2,10 +2,12 @@
 
 Values are stored as decimal strings: profiles outgrow 64-bit integers well
 within the parameter ranges users ask for, and a text format keeps the file
-portable and diffable.  A version mismatch or any schema violation makes the
-whole file be ignored (with a warning); cached digits are only ever
-re-checked, through the independent Schubert route, when a verify pass
-asks for it.
+portable and diffable.  A version mismatch or a malformed file makes the
+whole file be ignored (with a warning); an entry whose key lies outside
+0 <= r <= m <= n, whose length is not (m+n)r - 2r^2 + 1, or whose raw_signs
+do not strictly alternate is dropped alone (with a warning naming it).
+Cached digits are only ever re-checked, through the independent Schubert
+route, when a verify pass asks for it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .polar import PolarProfile
+from .polar import PolarProfile, alternating_signs
 
 CACHE_VERSION = 1
 CACHE_ENV = "DETLINKS_CACHE"
@@ -69,15 +71,19 @@ def _parse_entry(key: str, raw) -> PolarProfile:
     if len(values) != (m + n) * r - 2 * r * r + 1:
         raise ValueError(f"entry {key} has {len(values)} values, not (m+n)r - 2r^2 + 1")
     signs = tuple(int(s) for s in raw["raw_signs"])
-    if len(values) != len(signs) or any(s not in (-1, 1) for s in signs):
-        raise ValueError("malformed signs")
+    if len(signs) != len(values) or signs[0] not in (-1, 1):
+        raise ValueError(f"entry {key} has malformed raw_signs")
+    if signs != alternating_signs(signs[0], len(signs)):
+        raise ValueError(f"raw_signs of entry {key} do not strictly alternate")
     if any(v < 0 for v in values):
-        raise ValueError("negative value")
-    return PolarProfile(m, n, r, values, signs)
+        raise ValueError(f"entry {key} has a negative value")
+    return PolarProfile(m, n, r, values, alternating_signs(signs[0], len(signs)))
 
 
 def cache_load(path: Path | None = None) -> CacheFile:
-    """Load the cache; any corruption means an empty cache plus a warning."""
+    """Load the cache.  An unreadable, version-mismatched or malformed file
+    means an empty cache plus a warning; an entry that fails its checks is
+    dropped alone, with a warning naming its key."""
     path = path or cache_path()
     if not path.exists():
         return CacheFile()
@@ -93,12 +99,16 @@ def cache_load(path: Path | None = None) -> CacheFile:
                 f"(current is {CACHE_VERSION})"
             )
             return CacheFile()
-        entries = {}
-        for key, val in raw["entries"].items():
-            entries[key] = _parse_entry(key, val)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        items = raw["entries"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
         _warn(f"ignoring malformed cache {path}: {exc}")
         return CacheFile()
+    entries = {}
+    for key, val in items:
+        try:
+            entries[key] = _parse_entry(key, val)
+        except (KeyError, TypeError, ValueError) as exc:
+            _warn(f"dropping cache entry {key!r} of {path}: {exc}")
     return CacheFile(version=CACHE_VERSION, entries=entries)
 
 

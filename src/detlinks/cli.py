@@ -45,6 +45,16 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 class _UsageError(Exception):
     """Flag combinations argparse cannot express declaratively."""
 
@@ -363,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true",
                        help="recompute every profile this command touches through the "
                        "independent Schubert route and check it against the cache")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes for independent table cells")
 
     p_polar = sub.add_parser("polar", help="polar multiplicity tables")

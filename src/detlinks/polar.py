@@ -14,6 +14,13 @@ sums Bott's residue formula over the torus fixed points of G in exact
 integers; ``certify_polar_profile`` (certifier) pairs the Segre series of
 both tensor bundles in the Schubert basis (``tensor_calculus``).
 
+The Bott sum uses the weights 2j - (n-1) on C^n and -(2l - (m-1)) on C^m,
+which the reflection j -> n-1-j, l -> m-1-l negates, so mirrored fixed
+points contribute alike and only about half of the second factor's points
+are visited.  For each of those, the first factor's points are walked in
+revolving-door order, one swap at a time, and the two h-series of the
+tensor roots are updated instead of rebuilt at every point.
+
 The published values are the absolute values; the signed integrals strictly
 alternate in k, and that alternation is verified on every profile rather
 than assumed.  A failure means a convention bug and aborts with a diagnostic
@@ -23,7 +30,8 @@ instead of silently flipping signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, pairwise, zip_longest
 from math import lcm, prod
 
 from .errors import ConsistencyError, DomainError
@@ -63,29 +71,53 @@ class PolarProfile:
         return self.values[k] if k <= self.k_max else 0
 
 
+@lru_cache(maxsize=None)
+def alternating_signs(first: int, size: int) -> tuple:
+    """The strictly alternating sign pattern of length size starting at
+    first; cached, so that profiles share one tuple per pattern."""
+    return tuple(first * (-1) ** k for k in range(size))
+
+
 def _validate_params(m: int, n: int, r: int):
     if not (0 <= r <= m <= n):
         raise DomainError(f"need 0 <= r <= m <= n, got m={m}, n={n}, r={r}")
 
 
-def _fixed_points(size: int, r: int, sign: int) -> list:
-    """(sub indices, quotient indices, tangent Euler class) at every torus
-    fixed point of Grass(r, size) when C^size has weights sign * j.  The
-    tangent space Hom(S, Q) has weights sign * (j - i), i in S, j in Q."""
-    points = []
-    for sub in combinations(range(size), r):
-        quot = [j for j in range(size) if j not in sub]
-        points.append((sub, quot, prod(sign * (j - i) for i in sub for j in quot)))
-    return points
+def _revolving_door(n: int, r: int) -> list:
+    """The r-subsets of range(n) in revolving-door order: consecutive subsets
+    differ by one swap.  R(n, r) is R(n-1, r) followed by the reversed
+    R(n-1, r-1) with n-1 appended (Knuth, TAOCP 7.2.1.3)."""
+    if r == 0:
+        return [()]
+    if r == n:
+        return [tuple(range(n))]
+    return _revolving_door(n - 1, r) + [
+        sub + (n - 1,) for sub in reversed(_revolving_door(n - 1, r - 1))
+    ]
 
 
-def _h_series(seed: int, roots: list, top: int) -> list:
-    """seed * h_k(roots) for k = 0..top: the series seed / prod (1 - x t)."""
-    h = [seed] + [0] * top
-    for x in roots:
-        prev = seed
-        for k in range(1, top + 1):
-            prev = h[k] = h[k] + x * prev
+def _euler(sub, weights) -> int:
+    """Tangent Euler class at the fixed point ``sub`` of a Grassmannian whose
+    space has the given weights: Hom(S, Q) has weights w_j - w_i, i in S,
+    j in Q."""
+    quot = [w for j, w in enumerate(weights) if j not in sub]
+    return prod(w - weights[i] for i in sub for w in quot)
+
+
+def _reweight(h: list, removed, added) -> list:
+    """h * prod(1 - a t) / prod(1 - b t), a in removed, b in added, in
+    Z[t]/t^len(h); one pass per (a, b) pair.  Truncated multiplication by
+    1 - x t undoes division by it exactly, so the result stays integral."""
+    for a, b in zip_longest(removed, added, fillvalue=0):
+        if a == b:
+            continue
+        out = []
+        prev = new = 0
+        for cur in h:
+            new = cur - a * prev + b * new
+            out.append(new)
+            prev = cur
+        h = out
     return h
 
 
@@ -93,26 +125,65 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
     """integral of s_k(Q1 (x) Q2) * s_(K-k)(S1 (x) S2) over G, k = 0..K, by
     Bott's residue formula.
 
-    The torus weights are j on C^n and -l on C^m, so every tensor root is
-    the integer j - l; zero roots contribute a factor 1 and are skipped.
-    A fixed point (I, J) contributes (-1)^K h_k(quotient roots) times
-    h_(K-k)(sub roots) over e_I * e_J, since s_k = (-1)^k h_k.  The sum runs
-    over the common denominator L1 * L2, the lcms of the Euler classes on
-    each factor, and the final division is checked to be exact.
+    The torus weights are x_j = 2j - (n-1) on C^n and y_l = -(2l - (m-1))
+    on C^m, so the tensor roots are the integers x_j + y_l; zero roots are
+    factors 1.  At a fixed point (I, J) the tangent weights are x_j - x_i
+    (i in I, j not in I) and y_l - y_i (i in J, l not in J): the second
+    factor follows its own weights -(2l - (m-1)), not 2l - (m-1).  The
+    point contributes (-1)^K h_k(quotient roots) h_(K-k)(sub roots) over
+    e_I * e_J, since s_k = (-1)^k h_k.
+
+    The reflection j -> n-1-j, l -> m-1-l negates every root and tangent
+    weight, which leaves each contribution unchanged (both sides have
+    degree K), so J runs over the subsets up to the mirror, counted twice
+    unless J is its own mirror.  For each J, I walks the revolving-door
+    order and both h-series stay running series: a swap of I changes m - r
+    quotient and r sub roots on each side, applied by ``_reweight``.  e_I
+    is computed once per walk.  The sum runs over the common denominator
+    L1 * L2, the lcms of the Euler classes on each factor, and the final
+    division is checked to be exact.
     """
     big_k = (m + n) * r - 2 * r * r
-    first, second = _fixed_points(n, r, 1), _fixed_points(m, r, -1)
-    l1 = lcm(*(euler for _, _, euler in first))
-    l2 = lcm(*(euler for _, _, euler in second))
+    xs = [2 * j - (n - 1) for j in range(n)]
+    ys = [(m - 1) - 2 * l for l in range(m)]
+    walk = _revolving_door(n, r)
+    e1 = [_euler(sub, xs) for sub in walk]
+    l1 = lcm(*e1)
+    # the weights leaving and entering S1 on the way to each subset of the walk
+    swaps = [None] + [
+        (xs[(set(prev) - set(sub)).pop()], xs[(set(sub) - set(prev)).pop()])
+        for prev, sub in pairwise(walk)
+    ]
+    moves = list(zip(swaps, [l1 // e for e in e1]))
+    sub1 = [xs[i] for i in walk[0]]
+    quot1 = [x for i, x in enumerate(xs) if i not in walk[0]]
+    halves = []  # (J, 2 unless J is its own mirror) for J up to the mirror
+    for sub in combinations(range(m), r):
+        mirror = tuple(m - 1 - l for l in reversed(sub))
+        if sub <= mirror:
+            halves.append((sub, 1 if sub == mirror else 2))
+    e2 = [_euler(sub, ys) for sub, _ in halves]
+    l2 = lcm(*e2)
+    unit = [1] + [0] * big_k
     totals = [0] * (big_k + 1)
-    for sub1, quot1, e1 in first:
-        w1 = l1 // e1
-        for sub2, quot2, e2 in second:
-            hq = _h_series(
-                w1 * (l2 // e2), [j - l for j in quot1 for l in quot2 if j != l], big_k
-            )
-            hs = _h_series(1, [i - l for i in sub1 for l in sub2 if i != l], big_k)
-            totals = [t + a * b for t, a, b in zip(totals, hq, reversed(hs))]
+    for (sub, count), e in zip(halves, e2):
+        sub2 = [ys[l] for l in sub]
+        quot2 = [y for l, y in enumerate(ys) if l not in sub]
+        hq = _reweight(unit, (), [x + y for x in quot1 for y in quot2])
+        hs = _reweight(unit, (), [x + y for x in sub1 for y in sub2])
+        acc = [0] * (big_k + 1)
+        for swap, w1 in moves:
+            if swap:
+                x_out, x_in = swap
+                hq = _reweight(
+                    hq, [x_in + y for y in quot2], [x_out + y for y in quot2]
+                )
+                hs = _reweight(
+                    hs, [x_out + y for y in sub2], [x_in + y for y in sub2]
+                )
+            acc = [t + w1 * a * b for t, a, b in zip(acc, hq, reversed(hs))]
+        w2 = count * (l2 // e)
+        totals = [t + w2 * a for t, a in zip(totals, acc)]
     denom = l1 * l2
     if any(total % denom for total in totals):
         raise ConsistencyError(
@@ -149,8 +220,7 @@ def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
             f"vanishing multiplicity for (m, n, r) = ({m}, {n}, {r}); "
             "the zeroth polar value must be positive"
         )
-    phase = 1 if signed[0] > 0 else -1
-    signs = tuple(phase * (-1) ** k for k in range(len(signed)))
+    signs = alternating_signs(1 if signed[0] > 0 else -1, len(signed))
     for k, v in enumerate(signed):
         if v and (1 if v > 0 else -1) != signs[k]:
             raise ConsistencyError(

@@ -65,6 +65,13 @@ class TestPolarCommand:
         assert code == 0
         assert out.splitlines()[0] == "m,n,r,k,e"
 
+    @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["polar", "--m", "2", "--n", "3", "--r", "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestEulerCommand:
     def test_worked_examples(self, capsys):
@@ -250,6 +257,29 @@ class TestCache:
         assert code == 0
         assert "warning" in err
         assert "99,1,5" not in out
+
+    def test_bad_entry_dropped_alone(self, capsys, monkeypatch):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        size = len(payload["entries"]["3,4,1"]["raw_signs"])
+        payload["entries"]["3,4,1"]["raw_signs"] = [1] * size
+        path.write_text(json.dumps(payload))
+        # a store after the bad entry is dropped keeps the good ones
+        code, _, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1")
+        assert code == 0
+        assert "'3,4,1'" in err and "alternate" in err
+        assert sorted(cache_load().entries) == ["2,3,1", "3,4,2"]
+
+        def production_route(m, n, r):
+            raise AssertionError("a good cache entry must be served, not recomputed")
+
+        monkeypatch.setattr(cli, "compute_polar_profile", production_route)
+        code, out, err = run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2",
+                             "--format", "csv")
+        assert code == 0
+        assert err == ""
+        assert "3,4,2,2,27" in out
 
     def test_cache_subcommands(self, capsys):
         run(capsys, "polar", "--m", "2", "--n", "2", "--r", "1", "--format", "csv")

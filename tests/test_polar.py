@@ -1,3 +1,5 @@
+from itertools import combinations, pairwise
+
 import pytest
 
 from detlinks import polar
@@ -164,7 +166,10 @@ class TestRoutesAgree:
 
     CELLS = [
         (m, n, r) for m in range(1, 6) for n in range(m, 9) for r in range(1, m + 1)
-    ] + [(6, 7, r) for r in range(1, 6)]
+    ] + [(6, 7, r) for r in range(1, 6)] + [
+        # long cells, where the revolving-door walk does most of its work
+        (2, 12, 1), (3, 12, 2), (3, 20, 2), (4, 12, 3),
+    ]
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)
     def test_values_and_signs(self, cell):
@@ -172,18 +177,42 @@ class TestRoutesAgree:
         assert bott.values == schubert.values
         assert bott.raw_signs == schubert.raw_signs
 
-    def test_corrupted_fixed_point_is_caught(self, monkeypatch):
-        h_series = polar._h_series
-        calls = []
+    @pytest.mark.parametrize("cell, degree", [
+        ((7, 8, 3), 116424), ((7, 8, 4), 24696), ((6, 12, 3), 572572),
+    ])
+    def test_closed_form_degree_of_the_hard_cells(self, cell, degree):
+        # prod_{i < m-r} C(n+i, r) / C(r+i, r)
+        assert compute_polar_profile(*cell).values[0] == degree
 
-        def corrupted(seed, roots, top):
-            h = h_series(seed, roots, top)
+    def test_corrupted_fixed_point_is_caught(self, monkeypatch):
+        reweight = polar._reweight
+        calls, bumped = [], []
+
+        def corrupted(h, removed, added):
             calls.append(None)
-            if len(calls) == 1:
-                h[top] += 1  # the first fixed point's quotient series
+            if bumped and h is bumped[-1]:
+                h[-1] -= 1  # the next swap takes the bump back out
+                bumped.append(None)
+            h = reweight(h, removed, added)
+            if removed and not bumped:
+                h[-1] += 1  # the second fixed point of the first walk
+                bumped.append(h)
             return h
 
-        monkeypatch.setattr(polar, "_h_series", corrupted)
+        monkeypatch.setattr(polar, "_reweight", corrupted)
         with pytest.raises(ConsistencyError, match="not divisible"):
             compute_polar_profile(3, 4, 2)
-        assert len(calls) == 2 * 6 * 3  # two series at each of C(4,2) C(3,2) points
+        assert len(bumped) == 2 and bumped[-1] is None  # one point only
+        # J in {0,1}, {0,2} up to the mirror; per J, two series built at the
+        # first of the C(4,2) = 6 points and both updated at each later one
+        assert len(calls) == 2 * (2 + 2 * 5)
+
+
+class TestRevolvingDoor:
+    @pytest.mark.parametrize("n", range(11))
+    def test_each_subset_once_by_single_swaps(self, n):
+        for r in range(n + 1):
+            walk = polar._revolving_door(n, r)
+            assert sorted(walk) == list(combinations(range(n), r))
+            for prev, sub in pairwise(walk):
+                assert len(set(prev) ^ set(sub)) == 2
