@@ -3,9 +3,10 @@
 Values are stored as decimal strings: profiles outgrow 64-bit integers well
 within the parameter ranges users ask for, and a text format keeps the file
 portable and diffable.  A version mismatch or a malformed file makes the
-whole file be ignored (with a warning); an entry whose key lies outside
-0 <= r <= m <= n, whose length is not (m+n)r - 2r^2 + 1, or whose raw_signs
-do not strictly alternate is dropped alone (with a warning naming it).
+whole file be ignored (with a warning); an entry whose key is not the
+canonical "m,n,r" or lies outside 0 <= r <= m <= n, whose length is not
+(m+n)r - 2r^2 + 1, or whose raw_signs do not strictly alternate is dropped
+alone (with a warning naming it).
 Cached digits are only ever re-checked, through the independent Schubert
 route, when a verify pass asks for it.
 """
@@ -65,6 +66,8 @@ def _warn(msg: str):
 
 def _parse_entry(key: str, raw) -> PolarProfile:
     m, n, r = (int(x) for x in key.split(","))
+    if key != CacheFile.key(m, n, r):
+        raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     if not 0 <= r <= m <= n:
         raise ValueError(f"key {key} outside 0 <= r <= m <= n")
     values = tuple(int(v) for v in raw["values"])

@@ -99,7 +99,7 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     computed = {}
     if need:
         if jobs > 1 and len(need) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(need))) as pool:
                 profiles = pool.map(_compute_cell, need, [verify] * len(need))
                 for cell, prof in zip(need, profiles):
                     computed[cell] = prof

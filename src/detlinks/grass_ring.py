@@ -1,14 +1,16 @@
 """Integral cohomology of a Grassmannian, three ways.
 
-The production representation is the Schubert basis: an element of
-H*(Grass(r, m)) is a sparse map from partitions inside the r x (m - r)
-box to integers, with multiplication by iterated Pieri steps (a general
-basis element is first expanded through single-row classes by the
-Giambelli determinant).  Degrees are Chern degrees: the class indexed by
-a partition of weight w lives in cohomological degree 2w.
+The main representation is the Schubert basis: an element of
+H*(Grass(r, m)) is a ``GrassClass``, the ``partitions.SparseElement``
+whose keys are partitions inside the r x (m - r) box, with multiplication
+by iterated Pieri steps (a general basis element is first expanded through
+single-row classes by the Giambelli determinant).  Degrees are Chern
+degrees: the class indexed by a partition of weight w lives in
+cohomological degree 2w.
 
 Alongside it live the polynomial presentation Z[x_1..x_r]/J (the x_i are
-the Chern classes of the tautological subbundle, deg x_i = i) and a
+the Chern classes of the tautological subbundle, deg x_i = i; its
+polynomials are the same sparse type keyed by exponent tuples) and a
 brute-force oracle that builds that quotient degree by degree with exact
 integer row reduction.  The oracle certifies the Pieri/Giambelli route;
 neither side trusts the other.
@@ -16,7 +18,7 @@ neither side trusts the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -24,6 +26,7 @@ from math import comb
 from .errors import ConsistencyError, DomainError
 from .partitions import (
     IntPolynomial,
+    SparseElement,
     as_partition,
     conjugate,
     fits_in_box,
@@ -67,41 +70,21 @@ class GrassSpec:
         return partitions_in_box(self.r, self.cols, weight)
 
 
-def _reduced(cls, spec, coords: dict):
-    """``cls(spec, coords)`` for internal results whose keys are already
-    reduced into the box(es): drops zero coefficients but skips the key
-    validation the public constructors do."""
-    obj = cls.__new__(cls)
-    obj.spec = spec
-    obj.coords = {k: c for k, c in coords.items() if c}
-    return obj
-
-
-@dataclass(eq=True)
-class GrassClass:
+class GrassClass(SparseElement):
     """Element of H*(Grass(r, m)) in the Schubert basis.
 
-    ``coords`` maps partitions in the box to integers; zero coefficients
-    are never stored.  Instances are immutable by convention: every
-    operation returns a fresh class.
+    ``spec`` is a GrassSpec; ``coords`` maps partitions in the box to
+    integers.
     """
 
-    spec: GrassSpec
-    coords: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        clean = {}
-        for lam, c in self.coords.items():
-            lam = as_partition(lam)
-            if not fits_in_box(lam, self.spec.r, self.spec.cols):
-                raise ValueError(f"{lam} does not fit the {self.spec.r}x{self.spec.cols} box")
-            if c:
-                clean[lam] = clean.get(lam, 0) + c
-        self.coords = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def zero(cls, spec):
-        return cls(spec, {})
+    @staticmethod
+    def _key(spec, lam):
+        lam = as_partition(lam)
+        if not fits_in_box(lam, spec.r, spec.cols):
+            raise ValueError(f"{lam} does not fit the {spec.r}x{spec.cols} box")
+        return lam
 
     @classmethod
     def unit(cls, spec):
@@ -110,9 +93,6 @@ class GrassClass:
     @classmethod
     def schubert(cls, spec, lam):
         return cls(spec, {as_partition(lam): 1})
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     def degree(self) -> int | None:
         """Common Chern degree of a homogeneous class, None for zero."""
@@ -123,28 +103,8 @@ class GrassClass:
             raise ValueError("class is not homogeneous")
         return degs.pop()
 
-    def __add__(self, other):
-        if not isinstance(other, GrassClass) or other.spec != self.spec:
-            return NotImplemented
-        data = dict(self.coords)
-        for k, c in other.coords.items():
-            data[k] = data.get(k, 0) + c
-        return GrassClass(self.spec, data)
-
-    def __neg__(self):
-        return GrassClass(self.spec, {k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GrassClass(self.spec, {k: c * other for k, c in self.coords.items()})
-        if isinstance(other, GrassClass):
-            return mul(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _mul(self, other):
+        return mul(self, other)
 
     def __repr__(self):
         terms = " + ".join(f"{c}*s{list(k)}" for k, c in sorted(self.coords.items()))
@@ -240,7 +200,7 @@ def mul(a: GrassClass, b: GrassClass) -> GrassClass:
     """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched ring specs {a.spec} and {b.spec}")
-    return _reduced(GrassClass, a.spec, _mul_into({}, a, b))
+    return GrassClass._trusted(a.spec, _mul_into({}, a, b))
 
 
 def integrate(a: GrassClass) -> int:
@@ -288,31 +248,25 @@ def poincare(spec: GrassSpec) -> IntPolynomial:
 # polynomial presentation
 # ---------------------------------------------------------------------------
 
-class PresentationPoly:
+class PresentationPoly(SparseElement):
     """Integer polynomial in the subbundle Chern generators x_1..x_r.
 
-    Terms are exponent tuples of length ``nvars``; the weighted degree
-    convention is deg x_i = i, matching Chern degrees.
+    The spec is the number of variables; keys are exponent tuples of that
+    length.  The weighted degree convention is deg x_i = i, matching Chern
+    degrees.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for expo, c in items:
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != nvars or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
-                if c:
-                    data[expo] = data.get(expo, 0) + int(c)
-        self.terms = {k: v for k, v in data.items() if v}
+        super().__init__(nvars, terms)
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
+    @staticmethod
+    def _key(nvars, expo):
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != nvars or any(e < 0 for e in expo):
+            raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
+        return expo
 
     @classmethod
     def constant(cls, nvars, c):
@@ -326,83 +280,40 @@ class PresentationPoly:
         expo = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return cls(nvars, {expo: 1})
 
-    def is_zero(self):
-        return not self.terms
-
     @staticmethod
     def _wdeg(expo):
         return sum((i + 1) * e for i, e in enumerate(expo))
 
     def weighted_degree(self) -> int | None:
         """Common weighted degree; None for zero, error if inhomogeneous."""
-        degs = {self._wdeg(e) for e in self.terms}
+        degs = {self._wdeg(e) for e in self.coords}
         if not degs:
             return None
         if len(degs) > 1:
             raise ValueError("polynomial is not weighted-homogeneous")
         return degs.pop()
 
-    def __add__(self, other):
-        if not isinstance(other, PresentationPoly) or other.nvars != self.nvars:
-            return NotImplemented
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            data[e] = data.get(e, 0) + c
-        return PresentationPoly(self.nvars, data)
-
-    def __neg__(self):
-        return PresentationPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PresentationPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, PresentationPoly) or other.nvars != self.nvars:
+    def _mul(self, other):
+        if other.spec != self.spec:
             return NotImplemented
         data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.coords.items():
+            for e2, c2 in other.coords.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 data[e] = data.get(e, 0) + c1 * c2
-        return PresentationPoly(self.nvars, data)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PresentationPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self._trusted(self.spec, data)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         def mono(e):
-            factors = []
-            for i, p in enumerate(e):
-                if p == 1:
-                    factors.append(f"x{i + 1}")
-                elif p > 1:
-                    factors.append(f"x{i + 1}^{p}")
-            return "*".join(factors)
+            return "*".join(
+                f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}" for i, p in enumerate(e) if p
+            )
 
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (self._wdeg(t), t), reverse=True):
-            c = self.terms[e]
-            m = mono(e)
-            if not m:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(m)
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
-        return " + ".join(parts).replace("+ -", "- ")
+        order = sorted(self.coords, key=lambda t: (self._wdeg(t), t), reverse=True)
+        return self._render((mono(e), self.coords[e]) for e in order)
 
     def __repr__(self):
-        return f"PresentationPoly({self.nvars}, {self.terms!r})"
+        return f"PresentationPoly({self.spec}, {self.coords!r})"
 
 
 def presentation_h(r: int, n_max: int) -> list:
@@ -589,7 +500,7 @@ class QuotientRingOracle:
                     continue
                 for u in _weighted_monomials(spec.r, d - gd):
                     row = [0] * len(monos)
-                    for e, c in g.terms.items():
+                    for e, c in g.coords.items():
                         prod = tuple(a + b for a, b in zip(e, u))
                         row[index[prod]] = c
                     rows.append(row)
@@ -622,10 +533,10 @@ class QuotientRingOracle:
 
     def reduce_poly(self, poly: PresentationPoly) -> dict:
         """Normal form of a polynomial: map standard monomial -> coefficient."""
-        if poly.nvars != self.spec.r:
+        if poly.spec != self.spec.r:
             raise ValueError("variable count does not match the spec")
         buckets = {}
-        for e, c in poly.terms.items():
+        for e, c in poly.coords.items():
             d = PresentationPoly._wdeg(e)
             buckets.setdefault(d, {})[e] = c
         out = {}

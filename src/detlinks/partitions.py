@@ -5,6 +5,12 @@ Every cohomology basis downstream is indexed by partitions inside an
 decreasing positive integers with trailing zeros dropped.  Tuples hash and
 compare fast, which matters because they key every sparse ring element in
 the package.
+
+Every such element (a Schubert-basis class, a product-ring class, a
+presentation polynomial, a Poincare polynomial) is one ``SparseElement``
+subclass: a spec plus a map from keys to nonzero integers.  The base
+class owns the additive structure and scaling; a subclass supplies its key
+check and its product.
 """
 
 from __future__ import annotations
@@ -102,46 +108,137 @@ def partitions_in_box(rows: int, cols: int, weight: int | None = None) -> list:
     return out
 
 
-class IntPolynomial:
+class SparseElement:
+    """Sparse integer combination of keys over a ring spec.
+
+    ``coords`` maps keys to integers; zero coefficients are never stored.
+    The constructor passes every key through the subclass hook
+    ``_key(spec, key)``, which returns the normalized key or raises
+    ValueError, then merges duplicate keys and drops zeros.  Internal
+    results whose keys are known to be valid are built by ``_trusted``,
+    which skips that check.  Subclasses supply the product as ``_mul``.
+    Instances are immutable by convention: every operation returns a fresh
+    element.
+    """
+
+    __slots__ = ("spec", "coords")
+    __hash__ = None
+
+    def __init__(self, spec, coords=None):
+        data = {}
+        if coords:
+            items = coords.items() if isinstance(coords, dict) else coords
+            for key, c in items:
+                key = self._key(spec, key)
+                if c:
+                    data[key] = data.get(key, 0) + int(c)
+        self.spec = spec
+        self.coords = {k: c for k, c in data.items() if c}
+
+    @classmethod
+    def _trusted(cls, spec, coords: dict):
+        """``cls(spec, coords)`` for keys already valid: drops zero
+        coefficients but skips the key check."""
+        obj = cls.__new__(cls)
+        obj.spec = spec
+        obj.coords = {k: c for k, c in coords.items() if c}
+        return obj
+
+    @classmethod
+    def zero(cls, spec=None):
+        return cls._trusted(spec, {})
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.spec != self.spec:
+            return NotImplemented
+        data = dict(self.coords)
+        for k, c in other.coords.items():
+            data[k] = data.get(k, 0) + c
+        return self._trusted(self.spec, data)
+
+    def __neg__(self):
+        return self._trusted(self.spec, {k: -c for k, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._trusted(self.spec, {k: c * other for k, c in self.coords.items()})
+        if type(other) is type(self):
+            return self._mul(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        return type(other) is type(self) and (self.spec, self.coords) == (other.spec, other.coords)
+
+    @staticmethod
+    def _render(terms) -> str:
+        """Join (monomial, coefficient) pairs as "c*mono" with signs folded
+        in; the empty monomial is the constant term."""
+        parts = []
+        for mono, c in terms:
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class IntPolynomial(SparseElement):
     """Sparse univariate polynomial with exact integer coefficients.
 
     Just enough ring structure for Poincare polynomials: addition,
-    multiplication, evaluation, degree dilation.  Zero coefficients are
-    never stored.
+    multiplication, evaluation, degree dilation.  Keys are degrees; the
+    spec is always None.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for d, c in items:
-                d = int(d)
-                if d < 0:
-                    raise ValueError("negative degree")
-                if c:
-                    data[d] = data.get(d, 0) + int(c)
-        self.coeffs = {d: c for d, c in data.items() if c}
+        super().__init__(None, coeffs)
+
+    @staticmethod
+    def _key(spec, d):
+        d = int(d)
+        if d < 0:
+            raise ValueError("negative degree")
+        return d
+
+    @property
+    def coeffs(self) -> dict:
+        """Read-only alias of ``coords``: degree -> coefficient."""
+        return self.coords
 
     @classmethod
     def one(cls):
         return cls({0: 1})
 
     def coefficient(self, d: int) -> int:
-        return self.coeffs.get(d, 0)
+        return self.coords.get(d, 0)
 
     def coefficients_list(self) -> list:
         """Dense coefficient list, constant term first."""
-        if not self.coeffs:
+        if not self.coords:
             return [0]
-        top = max(self.coeffs)
-        return [self.coeffs.get(d, 0) for d in range(top + 1)]
+        top = max(self.coords)
+        return [self.coords.get(d, 0) for d in range(top + 1)]
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
+        return max(self.coords) if self.coords else -1
 
     def is_palindromic(self) -> bool:
         lst = self.coefficients_list()
@@ -151,72 +248,35 @@ class IntPolynomial:
         """Substitute t -> t**k."""
         if k < 1:
             raise ValueError("stretch factor must be positive")
-        return IntPolynomial({d * k: c for d, c in self.coeffs.items()})
+        return IntPolynomial({d * k: c for d, c in self.coords.items()})
 
     def __call__(self, x):
-        return sum(c * x**d for d, c in self.coeffs.items())
+        return sum(c * x**d for d, c in self.coords.items())
 
-    def __add__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        data = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            data[d] = data.get(d, 0) + c
-        return IntPolynomial(data)
-
-    def __neg__(self):
-        return IntPolynomial({d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial({d: c * other for d, c in self.coeffs.items()})
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
+    def _mul(self, other):
         data = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        for d1, c1 in self.coords.items():
+            for d2, c2 in other.coords.items():
                 d = d1 + d2
                 data[d] = data.get(d, 0) + c1 * c2
-        return IntPolynomial(data)
-
-    __rmul__ = __mul__
+        return self._trusted(None, data)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coeffs == ({0: other} if other else {})
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.coords == ({0: other} if other else {})
+        return super().__eq__(other)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.coords)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            c = self.coeffs[d]
-            if d == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if d == 1 else f"t^{d}"
-                if c == 1:
-                    parts.append(t)
-                elif c == -1:
-                    parts.append(f"-{t}")
-                else:
-                    parts.append(f"{c}*{t}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return self._render(
+            ("" if d == 0 else "t" if d == 1 else f"t^{d}", self.coords[d])
+            for d in sorted(self.coords)
+        )
 
     def __repr__(self):
-        return f"IntPolynomial({self.coeffs!r})"
+        return f"IntPolynomial({self.coords!r})"
 
 
 def gaussian_binomial(m: int, r: int) -> IntPolynomial:

@@ -1,12 +1,14 @@
 """Characteristic classes of tensor bundles on a product of two Grassmannians.
 
 The product ring H*(Grass(r, n) x Grass(r, m)) is handled factorwise in the
-Schubert basis.  The classes the polar integrals consume are the Segre
-classes of the two tensor bundles built from the tautological pairs: the
-product of the subbundles (rank r^2) and the product of the quotient
-bundles (rank (n-r)(m-r)).  Polar profiles are computed by torus
-localization in ``polar``; this module is the Schubert route that certifies
-them (``polar.certify_polar_profile``, ``--verify``).
+Schubert basis; its elements are ``ProdClass``, the
+``partitions.SparseElement`` keyed by pairs of partitions.  The classes
+the polar integrals consume are the Segre classes of the two tensor
+bundles built from the tautological pairs: the product of the subbundles
+(rank r^2) and the product of the quotient bundles (rank (n-r)(m-r)).
+Polar profiles are computed by torus localization in ``polar``; this
+module is the Schubert route that certifies them
+(``polar.certify_polar_profile``, ``--verify``).
 
 Two independent routes compute the Chern series and both are kept:
 
@@ -16,7 +18,9 @@ Two independent routes compute the Chern series and both are kept:
   run backwards to recover Chern classes, or, on the negated power sums, the
   Segre classes s(E) = c(-E).  Every intermediate value is fully reduced
   into the Schubert basis, so nothing grows beyond the ring's rank; the one
-  division (by k in the k-th Newton step) is checked to be exact.
+  division (by k in the k-th Newton step) is checked to be exact.  Each
+  call computes its series afresh and nothing is memoized: the certifier
+  asks once for each (spec, bundle).
 
 * the validator expands the product of (1 + a_i + b_j) over formal Chern
   roots once per rank pair and degree, rewrites it in elementary symmetric
@@ -27,7 +31,7 @@ Two independent routes compute the Chern series and both are kept:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -37,15 +41,13 @@ from .grass_ring import (
     GrassSpec,
     _mul_basis,
     _mul_into,
-    _reduced,
     chern_list_quot,
     chern_list_sub,
 )
-from .partitions import as_partition, box_complement, conjugate
+from .partitions import SparseElement, as_partition, box_complement, conjugate
 
 SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
-_BUNDLES = (SUB_TENSOR, QUOT_TENSOR)
 
 
 @dataclass(frozen=True)
@@ -83,30 +85,16 @@ class ProdSpec:
         return (self.factor1.box, self.factor2.box)
 
 
-@dataclass(eq=True)
-class ProdClass:
-    """Element of the product ring: sparse map (partition, partition) -> int."""
+class ProdClass(SparseElement):
+    """Element of the product ring: ``spec`` is a ProdSpec and ``coords`` a
+    sparse map (partition, partition) -> int."""
 
-    spec: ProdSpec
-    coords: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        f1, f2 = self.spec.factor1, self.spec.factor2
-        clean = {}
-        for (lam, mu), c in self.coords.items():
-            lam, mu = as_partition(lam), as_partition(mu)
-            if len(lam) > f1.r or (lam and lam[0] > f1.cols):
-                raise ValueError(f"{lam} outside the first factor box of {self.spec}")
-            if len(mu) > f2.r or (mu and mu[0] > f2.cols):
-                raise ValueError(f"{mu} outside the second factor box of {self.spec}")
-            if c:
-                key = (lam, mu)
-                clean[key] = clean.get(key, 0) + c
-        self.coords = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def zero(cls, spec):
-        return cls(spec, {})
+    @staticmethod
+    def _key(spec, key):
+        lam, mu = key
+        return GrassClass._key(spec.factor1, lam), GrassClass._key(spec.factor2, mu)
 
     @classmethod
     def unit(cls, spec):
@@ -127,31 +115,8 @@ class ProdClass:
                 coords[(lam, mu)] = ca * cb
         return cls(spec, coords)
 
-    def is_zero(self):
-        return not self.coords
-
-    def __add__(self, other):
-        if not isinstance(other, ProdClass) or other.spec != self.spec:
-            return NotImplemented
-        data = dict(self.coords)
-        for k, c in other.coords.items():
-            data[k] = data.get(k, 0) + c
-        return ProdClass(self.spec, data)
-
-    def __neg__(self):
-        return ProdClass(self.spec, {k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ProdClass(self.spec, {k: c * other for k, c in self.coords.items()})
-        if isinstance(other, ProdClass):
-            return mul_prod(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _mul(self, other):
+        return mul_prod(self, other)
 
     def __repr__(self):
         terms = " + ".join(
@@ -185,7 +150,7 @@ def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
     """Factorwise product with truncation outside either box."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
-    return _reduced(ProdClass, a.spec, _mul_prod_into({}, a, b))
+    return ProdClass._trusted(a.spec, _mul_prod_into({}, a, b))
 
 
 def integrate_prod(a: ProdClass) -> int:
@@ -250,28 +215,39 @@ def _newton_power_sums(chern: list, up_to: int) -> list:
     """
     spec = chern[0].spec
     rank = len(chern) - 1
-    ps = [_reduced(GrassClass, spec, {(): rank})]
+    ps = [GrassClass._trusted(spec, {(): rank})]
     for k in range(1, up_to + 1):
         acc = {}
         for i in range(1, min(k, rank + 1)):
             _mul_into(acc, chern[i], ps[k - i], 1 if i % 2 else -1)
         if k <= rank:
             _mul_into(acc, chern[k], chern[0], (-1) ** (k - 1) * k)
-        ps.append(_reduced(GrassClass, spec, acc))
+        ps.append(GrassClass._trusted(spec, acc))
     return ps
 
 
-def _newton_solve(series: list, power: list, up_to: int, sign: int):
-    """Extend a Chern (sign 1) or Segre (sign -1) series through degree up_to.
+def _tensor_series(spec: ProdSpec, bundle: str, up_to: int, sign: int) -> tuple:
+    """Chern (sign 1) or Segre (sign -1) series of a tensor bundle through
+    degree up_to, computed afresh on every call.
 
-    Newton's identities k c_k = sum_{i=1..k} (-1)^(i-1) c_{k-i} p_i give the
-    Chern classes from the power sums p_i; since s(E) = c(-E) and
-    p_i(-E) = -p_i(E), the same recursion on the negated power sums gives
-    the Segre classes.  The division by k is checked to be exact.
+    The tensor power sums are binomial convolutions of the factor power
+    sums, p_k(E (x) F) = sum_i C(k, i) p_i(E) p_{k-i}(F).  Newton's
+    identities k c_k = sum_{i=1..k} (-1)^(i-1) c_{k-i} p_i give the Chern
+    classes from them; since s(E) = c(-E) and p_i(-E) = -p_i(E), the same
+    recursion on the negated power sums gives the Segre classes.  The
+    division by k is checked to be exact.
     """
-    spec = series[0].spec
-    while len(series) <= up_to:
-        k = len(series)
+    c1, c2 = _factor_chern(spec, bundle)
+    ps1, ps2 = _newton_power_sums(c1, up_to), _newton_power_sums(c2, up_to)
+    power = [None]  # p_0 never enters the recursion
+    series = [ProdClass.unit(spec)]
+    for k in range(1, up_to + 1):
+        acc = {}
+        for i in range(k + 1):
+            for lam, ca in ps1[i].coords.items():
+                for mu, cb in ps2[k - i].coords.items():
+                    acc[(lam, mu)] = acc.get((lam, mu), 0) + comb(k, i) * ca * cb
+        power.append(ProdClass._trusted(spec, acc))
         acc = {}
         for i in range(1, k + 1):
             _mul_prod_into(acc, series[k - i], power[i], sign if i % 2 else -sign)
@@ -279,56 +255,8 @@ def _newton_solve(series: list, power: list, up_to: int, sign: int):
             raise ConsistencyError(
                 f"inexact division by {k} while solving the Newton identities on {spec}"
             )
-        series.append(_reduced(ProdClass, spec, {key: c // k for key, c in acc.items()}))
-
-
-class _SeriesState:
-    """Incrementally extended Chern and Segre series for one (spec, bundle).
-
-    Both are solved independently from the shared tensor-bundle power sums.
-    Completed entries are immutable ProdClass values; extension only appends,
-    so concurrent readers of finished degrees are safe and re-running an
-    extension is idempotent.
-    """
-
-    def __init__(self, spec: ProdSpec, bundle: str):
-        self.spec = spec
-        self.bundle = bundle
-        self.power = []  # tensor-bundle power sums, from degree 0
-        self.series = {"chern": [ProdClass.unit(spec)], "segre": [ProdClass.unit(spec)]}
-
-    def extend(self, flavor: str, up_to: int) -> list:
-        if len(self.power) <= up_to:
-            c1, c2 = _factor_chern(self.spec, self.bundle)
-            ps1, ps2 = _newton_power_sums(c1, up_to), _newton_power_sums(c2, up_to)
-            while len(self.power) <= up_to:
-                # p_k(E (x) F) = sum_i C(k, i) p_i(E) p_{k-i}(F)
-                k = len(self.power)
-                acc = {}
-                for i in range(k + 1):
-                    for lam, ca in ps1[i].coords.items():
-                        for mu, cb in ps2[k - i].coords.items():
-                            acc[(lam, mu)] = acc.get((lam, mu), 0) + comb(k, i) * ca * cb
-                self.power.append(_reduced(ProdClass, self.spec, acc))
-        series = self.series[flavor]
-        _newton_solve(series, self.power, up_to, 1 if flavor == "chern" else -1)
-        return series
-
-
-# Only the most recent spec's two states are kept: a profile consumes both
-# series of one spec, and keeping every spec's series would grow peak memory
-# across a table.
-_SERIES: dict = {}
-
-
-def _state(spec: ProdSpec, bundle: str) -> _SeriesState:
-    if bundle not in _BUNDLES:
-        raise ValueError(f"unknown bundle tag {bundle!r}")
-    if (spec, bundle) not in _SERIES:
-        if any(other != spec for other, _ in _SERIES):
-            _SERIES.clear()
-        _SERIES[(spec, bundle)] = _SeriesState(spec, bundle)
-    return _SERIES[(spec, bundle)]
+        series.append(ProdClass._trusted(spec, {key: c // k for key, c in acc.items()}))
+    return tuple(series)
 
 
 def _clamp(spec: ProdSpec, up_to: int) -> int:
@@ -343,8 +271,7 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     Requests above dim G are clamped: every class vanishes there anyway.
     """
     up_to = _clamp(spec, up_to)
-    terms = _state(spec, bundle).extend("chern", up_to)
-    return CharSeries(spec, "chern", bundle, tuple(terms[: up_to + 1]))
+    return CharSeries(spec, "chern", bundle, _tensor_series(spec, bundle, up_to, 1))
 
 
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
@@ -354,8 +281,7 @@ def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     the Chern series; requests above dim G are clamped as in chern_tensor.
     """
     up_to = _clamp(spec, up_to)
-    terms = _state(spec, bundle).extend("segre", up_to)
-    return CharSeries(spec, "segre", bundle, tuple(terms[: up_to + 1]))
+    return CharSeries(spec, "segre", bundle, _tensor_series(spec, bundle, up_to, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,29 @@ class TestPolarCommand:
         assert code == 0
         assert out.splitlines()[0] == "m,n,r,k,e"
 
+    def test_jobs_pool_sized_by_the_cells(self, capsys, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1",
+                           "--jobs", "4", "--format", "csv")
+        assert code == 0
+        assert sizes == [2]
+        assert "2,3,1,0,3" in out
+
     @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +303,19 @@ class TestCache:
         assert code == 0
         assert err == ""
         assert "3,4,2,2,27" in out
+
+    def test_non_canonical_key_dropped(self, capsys):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["03,4,2"] = payload["entries"]["3,4,2"]
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert "'03,4,2'" in err and "canonical" in err
+        assert "03,4,2" not in out and "3,4,2" in out
+        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        assert sorted(json.loads(path.read_text())["entries"]) == ["2,3,1", "3,4,2"]
 
     def test_cache_subcommands(self, capsys):
         run(capsys, "polar", "--m", "2", "--n", "2", "--r", "1", "--format", "csv")

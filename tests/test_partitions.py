@@ -1,8 +1,11 @@
+import doctest
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from detlinks import partitions
+from detlinks.grass_ring import GrassClass, GrassSpec, PresentationPoly
 from detlinks.partitions import (
     IntPolynomial,
     as_partition,
@@ -12,8 +15,19 @@ from detlinks.partitions import (
     partitions_in_box,
     weight,
 )
+from detlinks.tensor_calculus import ProdClass, ProdSpec
 
 from conftest import partition_tuples
+
+# name -> (constructor taking (spec, coords), spec, another spec or None,
+#          three valid keys, a key the constructor must reject)
+SPARSE_CASES = {
+    "GrassClass": (GrassClass, GrassSpec(2, 4), GrassSpec(2, 5), [(1,), (2, 1), (1, 1)], (3,)),
+    "ProdClass": (ProdClass, ProdSpec(1, 3, 2), ProdSpec(1, 4, 2),
+                  [((1,), ()), ((2,), (1,)), ((), (1,))], ((), (2,))),
+    "PresentationPoly": (PresentationPoly, 2, 3, [(1, 0), (0, 2), (3, 1)], (1, -1)),
+    "IntPolynomial": (lambda spec, coords: IntPolynomial(coords), None, None, [0, 2, 5], -1),
+}
 
 
 def test_as_partition_strips_zeros():
@@ -108,3 +122,30 @@ def test_intpolynomial_arithmetic():
 def test_intpolynomial_drops_zero_coefficients():
     p = IntPolynomial({5: 0, 1: 2})
     assert p.coeffs == {1: 2}
+
+
+@pytest.mark.parametrize("name", list(SPARSE_CASES))
+def test_shared_sparse_arithmetic(name):
+    make, spec, other_spec, (k1, k2, k3), bad_key = SPARSE_CASES[name]
+    a = make(spec, {k1: 2, k2: -3})
+    b = make(spec, {k2: 1, k3: 4})
+    assert (a + (-a)).is_zero() and a + (-a) == type(a).zero(spec)
+    assert a - b == a + (-1) * b
+    assert (0 * a).is_zero() and (a * 0).is_zero()
+    assert make(spec, [(k2, -3), (k1, 2)]) == a
+    assert make(spec, [(k1, 2), (k1, 3), (k2, 0), (k3, 1), (k3, -1)]).coords == {k1: 5}
+    for other_name, (other_make, spec2, *_) in SPARSE_CASES.items():
+        if other_name != name:
+            assert make(spec, {}) != other_make(spec2, {})
+    if other_spec is not None:
+        assert make(spec, {}) != make(other_spec, {})
+    with pytest.raises(ValueError):
+        make(spec, {bad_key: 1})
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_docstring_examples_run():
+    results = doctest.testmod(partitions)
+    assert results.failed == 0
+    assert results.attempted >= 4

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlinks import tensor_calculus
 from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassClass, GrassSpec, mul
 from detlinks.partitions import fits_in_box
@@ -161,23 +160,6 @@ class TestSegreTensor:
                     for j in range(k + 1):
                         acc = acc + mul_prod(c[j], s[k - j])
                     assert acc.is_zero(), (spec, bundle, k)
-
-
-class TestSeriesMemo:
-    def test_eviction_round_trip(self):
-        a, b, c = ProdSpec(2, 4, 3), ProdSpec(1, 5, 5), ProdSpec(2, 5, 4)
-        first = segre_tensor(a, QUOT_TENSOR, a.dim)
-        for spec in (b, c):
-            segre_tensor(spec, QUOT_TENSOR, spec.dim)
-        assert {key[0] for key in tensor_calculus._SERIES} == {c}
-        assert segre_tensor(a, QUOT_TENSOR, a.dim) == first
-
-    def test_segre_does_not_build_chern(self):
-        spec = ProdSpec(2, 5, 3)
-        segre_tensor(P23, SUB_TENSOR, P23.dim)  # evict any earlier state of spec
-        segre_tensor(spec, SUB_TENSOR, spec.dim)
-        state = tensor_calculus._SERIES[(spec, SUB_TENSOR)]
-        assert state.series["chern"] == [ProdClass.unit(spec)]
 
 
 class TestPullbackDegeneration:
