@@ -94,6 +94,8 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     the independent Schubert route and compared with its cache entry; a
     mismatch is a consistency failure."""
     cells = list(dict.fromkeys(cells))
+    if not cells:
+        return {}
     cache = cache_load()
     need = [c for c in cells if verify or cache.get(*c) is None]
     computed = {}
@@ -194,17 +196,15 @@ def cmd_polar(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _seed_strata(m: int, n: int, s: int, verify: bool, jobs: int):
-    cells = [(m, n, rank) for rank in range(1, s)]
-    if cells:
-        _gather_profiles(cells, verify, jobs)
+    _gather_profiles([(m, n, rank) for rank in range(1, s)], verify, jobs)
 
 
 def cmd_euler(args) -> int:
     if args.hilbert_burch:
         if args.max_m is None:
             raise _UsageError("--hilbert-burch needs --max-m")
-        for m in range(2, args.max_m + 1):
-            _seed_strata(m, m + 1, m, args.verify, args.jobs)
+        cells = [(m, m + 1, r) for m in range(2, args.max_m + 1) for r in range(1, m)]
+        _gather_profiles(cells, args.verify, args.jobs)
         rows = links_mod.hilbert_burch_chi_table(args.max_m)
         ms = list(range(1, args.max_m + 1))
         if args.format == "csv":

@@ -21,6 +21,15 @@ are visited.  For each of those, the first factor's points are walked in
 revolving-door order, one swap at a time, and the two h-series of the
 tensor roots are updated instead of rebuilt at every point.
 
+Two classical facts shrink the sum.  The polar classes of the rank <= r
+locus are nonzero exactly in degrees k <= kappa = 2r(m - r), its dimension
+minus its dual defect (Holme, Manuscripta Math. 61, 1988), so only those
+integrals are summed and the rest are zero.  Its dual variety is the
+rank <= m - r locus (Kleiman, Tangency and duality, 1986), and the integrals
+at rank r are those at rank m - r read backwards from kappa, so ranks above
+m/2 are summed at the far smaller dual rank.  The certifier evaluates every
+integral at rank r directly, so the two routes agreeing checks both facts.
+
 The published values are the absolute values; the signed integrals strictly
 alternate in k, and that alternation is verified on every profile rather
 than assumed.  A failure means a convention bug and aborts with a diagnostic
@@ -32,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, pairwise, zip_longest
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .errors import ConsistencyError, DomainError
 from .tensor_calculus import (
@@ -142,8 +151,17 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
     is computed once per walk.  The sum runs over the common denominator
     L1 * L2, the lcms of the Euler classes on each factor, and the final
     division is checked to be exact.
+
+    Only k <= kappa = 2r(m - r) is summed, the nonvanishing range (Holme);
+    the quotient series stop there, the sub series still reach K.  For
+    2r > m the integrals are the dual rank's, reversed (Kleiman): at
+    k <= kappa the value at rank r equals the value at rank m - r and
+    position kappa - k, with the same sign; r = m folds onto [1].
     """
     big_k = (m + n) * r - 2 * r * r
+    kappa = 2 * r * (m - r)
+    if 2 * r > m:
+        return _bott_integrals(m, n, m - r)[kappa::-1] + [0] * (big_k - kappa)
     xs = [2 * j - (n - 1) for j in range(n)]
     ys = [(m - 1) - 2 * l for l in range(m)]
     walk = _revolving_door(n, r)
@@ -164,14 +182,13 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
             halves.append((sub, 1 if sub == mirror else 2))
     e2 = [_euler(sub, ys) for sub, _ in halves]
     l2 = lcm(*e2)
-    unit = [1] + [0] * big_k
-    totals = [0] * (big_k + 1)
+    totals = [0] * (kappa + 1)
     for (sub, count), e in zip(halves, e2):
         sub2 = [ys[l] for l in sub]
         quot2 = [y for l, y in enumerate(ys) if l not in sub]
-        hq = _reweight(unit, (), [x + y for x in quot1 for y in quot2])
-        hs = _reweight(unit, (), [x + y for x in sub1 for y in sub2])
-        acc = [0] * (big_k + 1)
+        hq = _reweight([1] + [0] * kappa, (), [x + y for x in quot1 for y in quot2])
+        hs = _reweight([1] + [0] * big_k, (), [x + y for x in sub1 for y in sub2])
+        acc = [0] * (kappa + 1)
         for swap, w1 in moves:
             if swap:
                 x_out, x_in = swap
@@ -190,7 +207,8 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
             f"Bott sums for (m, n, r) = ({m}, {n}, {r}) are not divisible by their "
             f"denominator {denom}: {totals}"
         )
-    return [(-1) ** big_k * (total // denom) for total in totals]
+    sign = (-1) ** big_k
+    return [sign * (total // denom) for total in totals] + [0] * (big_k - kappa)
 
 
 def _schubert_integrals(m: int, n: int, r: int) -> list:
@@ -203,9 +221,30 @@ def _schubert_integrals(m: int, n: int, r: int) -> list:
     return [pair_prod(s_quot[k], s_sub[big_k - k]) for k in range(big_k + 1)]
 
 
+def _check_closed_forms(m: int, n: int, r: int, values):
+    """The zeroth value is the degree prod_i C(n+i, r) / C(r+i, r), i < m-r;
+    the alternating sum is C(m, r); values[k] is nonzero exactly for
+    k <= 2r(m - r)."""
+    degree = prod(comb(n + i, r) for i in range(m - r)) // prod(
+        comb(r + i, r) for i in range(m - r)
+    )
+    kappa = 2 * r * (m - r)
+    for ok, what in [
+        (values[0] == degree, f"zeroth value is not the degree {degree}"),
+        (sum((-1) ** k * v for k, v in enumerate(values)) == comb(m, r),
+         f"alternating sum is not C(m, r) = {comb(m, r)}"),
+        (all((v != 0) == (k <= kappa) for k, v in enumerate(values)),
+         f"nonzero values are not exactly k <= {kappa}"),
+    ]:
+        if not ok:
+            raise ConsistencyError(
+                f"polar profile of (m, n, r) = ({m}, {n}, {r}): {what}: {values}"
+            )
+
+
 def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
-    """Normalize one route's integrals: prefactor, positivity of the zeroth
-    value and strict sign alternation.
+    """Normalize one route's integrals: prefactor, the closed forms of
+    ``_check_closed_forms`` and strict sign alternation.
 
     The degenerate r = 0 germ is the reduced origin and gets profile (1).
     """
@@ -215,11 +254,8 @@ def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
     d = (m + n) * r - r * r
     prefactor = (-1) ** (d - 1)
     signed = [prefactor * v for v in integrals(m, n, r)]
-    if signed[0] == 0:
-        raise ConsistencyError(
-            f"vanishing multiplicity for (m, n, r) = ({m}, {n}, {r}); "
-            "the zeroth polar value must be positive"
-        )
+    values = tuple(abs(v) for v in signed)
+    _check_closed_forms(m, n, r, values)
     signs = alternating_signs(1 if signed[0] > 0 else -1, len(signed))
     for k, v in enumerate(signed):
         if v and (1 if v > 0 else -1) != signs[k]:
@@ -227,7 +263,7 @@ def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
                 f"raw polar integrals for ({m}, {n}, {r}) do not alternate in sign "
                 f"at k={k}: {signed}"
             )
-    return PolarProfile(m, n, r, tuple(abs(v) for v in signed), signs)
+    return PolarProfile(m, n, r, values, signs)
 
 
 def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:

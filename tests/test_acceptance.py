@@ -5,7 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and the
 per-criterion timings.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -331,7 +336,6 @@ class TestCriterion8Properties:
 
     def test_benchmark_harness_is_available(self):
         import importlib.util
-        from pathlib import Path
 
         script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
         assert script.exists()
@@ -340,3 +344,19 @@ class TestCriterion8Properties:
         spec.loader.exec_module(module)
         assert hasattr(module, "main")
         print("[acceptance] criterion 8g (benchmark harness, informational): PASS")
+
+    def test_reproduced_tables_unchanged(self, tmp_path):
+        # the digest perfbench/expected.json records as sweep_total
+        digest = "e552350b46b81fc7d84188d4f0f787ee55eaf958b79828af53da64ae6f5b0087"
+
+        def body():
+            script = Path(__file__).parent.parent / "scripts" / "reproduce_tables.py"
+            env = dict(os.environ, DETLINKS_CACHE=str(tmp_path))
+            done = subprocess.run(
+                [sys.executable, str(script)], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            assert len(done.stdout) == 6951
+            assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+        check("8h", "reproduce_tables.py output byte-identical", 120, body)

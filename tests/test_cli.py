@@ -112,6 +112,29 @@ class TestEulerCommand:
         assert "| 2 | 0 | 2 | 17 |" in out
         assert "| 3 | 0 | 2 | -7 |" in out
 
+    def test_hilbert_burch_loads_and_stores_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("cache_load", "cache_store"):
+            def counted(*args, _real=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, out, _ = run(capsys, "euler", "--hilbert-burch", "--max-m", "4")
+        assert code == 0
+        assert calls == ["cache_load", "cache_store"]
+        assert out == (
+            "| d \\ m | 1 | 2 | 3 | 4 |\n"
+            "| --- | --- | --- | --- | --- |\n"
+            "| 0 | 1 | 3 | 6 | 10 |\n"
+            "| 1 | 0 | -1 | -10 | -30 |\n"
+            "| 2 | 0 | 2 | 17 | 75 |\n"
+            "| 3 | 0 | 2 | -7 | -101 |\n"
+        )
+        assert sorted(cache_load().entries) == [
+            CacheFile.key(m, m + 1, r) for m in range(2, 5) for r in range(1, m)
+        ]
+
     def test_codim_out_of_range_is_exit_3(self, capsys):
         code, _, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
                            "--codim", "99")

@@ -169,6 +169,9 @@ class TestRoutesAgree:
     ] + [(6, 7, r) for r in range(1, 6)] + [
         # long cells, where the revolving-door walk does most of its work
         (2, 12, 1), (3, 12, 2), (3, 20, 2), (4, 12, 3),
+        # cells where the fold onto rank m - r and the truncation at
+        # 2r(m - r) do the work
+        (3, 25, 2), (4, 14, 3), (5, 9, 4), (5, 10, 3), (6, 8, 5), (6, 9, 4),
     ]
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)
@@ -201,11 +204,91 @@ class TestRoutesAgree:
 
         monkeypatch.setattr(polar, "_reweight", corrupted)
         with pytest.raises(ConsistencyError, match="not divisible"):
-            compute_polar_profile(3, 4, 2)
+            compute_polar_profile(4, 5, 2)
         assert len(bumped) == 2 and bumped[-1] is None  # one point only
-        # J in {0,1}, {0,2} up to the mirror; per J, two series built at the
-        # first of the C(4,2) = 6 points and both updated at each later one
-        assert len(calls) == 2 * (2 + 2 * 5)
+        # J in {0,1}, {0,2}, {0,3}, {1,2} up to the mirror; per J, two series
+        # built at the first of the C(5,2) = 10 points and both updated at
+        # each later one
+        assert len(calls) == 4 * (2 + 2 * 9)
+
+    @pytest.mark.parametrize("cell", [(3, 4, 2), (4, 6, 3), (5, 7, 4), (5, 8, 3)],
+                             ids=lambda c: "%d,%d,%d" % c)
+    def test_high_rank_walks_the_dual_rank(self, monkeypatch, cell):
+        m, n, r = cell
+        walks = []
+        door = polar._revolving_door
+
+        def spy(size, rank):
+            walks.append((size, rank))
+            return door(size, rank)
+
+        monkeypatch.setattr(polar, "_revolving_door", spy)
+        compute_polar_profile(m, n, r)
+        # the recursion asks for walks on fewer elements; the only walk of
+        # C^n is the dual rank's
+        assert [w for w in walks if w[0] == n] == [(n, m - r)]
+        assert all(rank <= m - r for _, rank in walks)
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 5) for n in range(m, 7)])
+    def test_certifier_rank_duality(self, m, n):
+        # the certifier sums every degree at rank r itself, so this checks the
+        # vanishing range and the rank duality without the production shortcut
+        for r in range(1, m):
+            kappa = 2 * r * (m - r)
+            here = certify_polar_profile(m, n, r).values
+            dual = certify_polar_profile(m, n, m - r).values
+            assert here[: kappa + 1] == dual[kappa::-1]
+            assert not any(here[kappa + 1:])
+
+
+class TestClosedFormChecks:
+    """Each closed form checked in ``polar._profile`` fires on its own."""
+
+    def test_hold_on_every_small_cell(self):
+        for m in range(1, 7):
+            for n in range(m, 9):
+                for r in range(m + 1):
+                    values = compute_polar_profile(m, n, r).values
+                    polar._check_closed_forms(m, n, r, values)
+
+    def test_dual_integrals_not_reversed(self, monkeypatch):
+        # (3,4,2) gets the rank-1 integrals (10, 24, 27, 16, 6) front to back:
+        # same alternating sum and nonzero range, wrong degree
+        bott = polar._bott_integrals
+        monkeypatch.setattr(
+            polar, "_bott_integrals", lambda m, n, r: bott(m, n, m - r)[:5] + [0, 0]
+        )
+        with pytest.raises(ConsistencyError, match="not the degree 6"):
+            compute_polar_profile(3, 4, 2)
+
+    # (2,4,1) has no fold and integrals of size (4, 6, 4, 0, 0)
+    def _corrupt(self, monkeypatch, edit):
+        bott = polar._bott_integrals
+        monkeypatch.setattr(
+            polar, "_bott_integrals", lambda m, n, r: edit(bott(m, n, r))
+        )
+        return pytest.raises(ConsistencyError)
+
+    def test_value_bumped_by_two(self, monkeypatch):
+        def bump(values):
+            values[1] += 2 if values[1] > 0 else -2  # signs still alternate
+            return values
+
+        with self._corrupt(monkeypatch, bump) as exc:
+            compute_polar_profile(2, 4, 1)
+        assert "alternating sum is not C(m, r) = 2" in str(exc.value)
+
+    def test_trailing_nonzero(self, monkeypatch):
+        def extend(values):
+            # two trailing values of alternating sign and equal size leave
+            # the alternating sum alone
+            sign = -1 if values[2] > 0 else 1
+            values[3:5] = [sign, -sign]
+            return values
+
+        with self._corrupt(monkeypatch, extend) as exc:
+            compute_polar_profile(2, 4, 1)
+        assert "nonzero values are not exactly k <= 2" in str(exc.value)
 
 
 class TestRevolvingDoor:
