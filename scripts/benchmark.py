@@ -2,9 +2,11 @@
 """Informational timing harness for polar-profile computations.
 
 Times compute_polar_profile (Bott localization: a revolving-door walk over
-the torus fixed points, halved by their mirror symmetry) on the (m, m+1, m-1)
-family and on the hardest tabulated cells (7,8,3), (7,8,4) and (6,12,3),
-each a fraction of a second on a current desktop core.
+the torus fixed points, halved by their mirror symmetry) and, next to it,
+certify_polar_profile (the Schubert route behind --verify: Lascoux classes
+paired by box complement) on the (m, m+1, m-1) family and on the hardest
+tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
+on a current desktop core.  A cell whose two routes disagree is reported.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -22,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from detlinks.polar import compute_polar_profile  # noqa: E402
+from detlinks.polar import certify_polar_profile, compute_polar_profile  # noqa: E402
 
 
 HARD_CELLS = ["7,8,3", "7,8,4", "6,12,3"]
@@ -33,12 +35,20 @@ def fmt_values(values, limit=6):
     return f"({shown}, ...)" if len(values) > limit else f"({shown})"
 
 
-def run_cell(m, n, r):
+def timed(route, m, n, r):
     started = time.perf_counter()
-    prof = compute_polar_profile(m, n, r)
-    elapsed = time.perf_counter() - started
-    print(f"  ({m:2d},{n:2d},{r}) {elapsed:8.2f}s  {fmt_values(prof.values)}")
-    return elapsed
+    prof = route(m, n, r)
+    return prof, time.perf_counter() - started
+
+
+def run_cell(m, n, r):
+    """Time both routes on one cell; returns (compute seconds, certify seconds)."""
+    prof, compute_s = timed(compute_polar_profile, m, n, r)
+    cert, certify_s = timed(certify_polar_profile, m, n, r)
+    agree = "" if cert == prof else "  ROUTES DISAGREE"
+    print(f"  ({m:2d},{n:2d},{r}) {compute_s:8.2f}s {certify_s:8.2f}s"
+          f"  {fmt_values(prof.values)}{agree}")
+    return compute_s, certify_s
 
 
 def main(argv=None):
@@ -50,13 +60,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     print("polar-profile timings (informational):")
-    total = 0.0
-    for m in range(2, args.max_hb + 1):
-        total += run_cell(m, m + 1, m - 1)
-    for text in HARD_CELLS + args.cell:
-        m, n, r = (int(x) for x in text.split(","))
-        total += run_cell(m, n, r)
-    print(f"total: {total:.2f}s")
+    print(f"  {'cell':9s} {'compute':>9s} {'certify':>9s}  values")
+    cells = [(m, m + 1, m - 1) for m in range(2, args.max_hb + 1)]
+    cells += [tuple(int(x) for x in text.split(",")) for text in HARD_CELLS + args.cell]
+    times = [run_cell(*cell) for cell in cells]
+    print(f"total: compute {sum(t[0] for t in times):.2f}s, "
+          f"certify {sum(t[1] for t in times):.2f}s")
     return 0
 
 

@@ -7,8 +7,12 @@ whole file be ignored (with a warning); an entry whose key is not the
 canonical "m,n,r" or lies outside 0 <= r <= m <= n, whose length is not
 (m+n)r - 2r^2 + 1, or whose raw_signs do not strictly alternate is dropped
 alone (with a warning naming it).
-Cached digits are only ever re-checked, through the independent Schubert
-route, when a verify pass asks for it.
+The command line checks every cell it serves from the cache against the
+closed forms of ``polar._check_closed_forms`` (the degree, the alternating
+sum C(m, r) and the nonzero range) and drops and recomputes an entry that
+fails, with a warning naming it.  An edit that keeps every one of these
+invariants is caught only by a verify pass, which recomputes the digits
+through the independent Schubert route.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class CacheFile:
         self.entries[self.key(profile.m, profile.n, profile.r)] = profile
 
 
-def _warn(msg: str):
+def warn(msg: str):
     print(f"detlinks: warning: {msg}", file=sys.stderr)
 
 
@@ -93,25 +97,25 @@ def cache_load(path: Path | None = None) -> CacheFile:
     try:
         raw = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        _warn(f"ignoring unreadable cache {path}: {exc}")
+        warn(f"ignoring unreadable cache {path}: {exc}")
         return CacheFile()
     try:
         if raw["version"] != CACHE_VERSION:
-            _warn(
+            warn(
                 f"ignoring cache {path} with version {raw['version']} "
                 f"(current is {CACHE_VERSION})"
             )
             return CacheFile()
         items = raw["entries"].items()
     except (KeyError, TypeError, AttributeError) as exc:
-        _warn(f"ignoring malformed cache {path}: {exc}")
+        warn(f"ignoring malformed cache {path}: {exc}")
         return CacheFile()
     entries = {}
     for key, val in items:
         try:
             entries[key] = _parse_entry(key, val)
         except (KeyError, TypeError, ValueError) as exc:
-            _warn(f"dropping cache entry {key!r} of {path}: {exc}")
+            warn(f"dropping cache entry {key!r} of {path}: {exc}")
     return CacheFile(version=CACHE_VERSION, entries=entries)
 
 
@@ -138,7 +142,7 @@ def cache_store(cache: CacheFile, path: Path | None = None):
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
-        _warn(f"could not write cache {path}: {exc}")
+        warn(f"could not write cache {path}: {exc}")
     finally:
         if tmp is not None:
             with suppress(OSError):

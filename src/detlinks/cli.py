@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import links as links_mod
 from . import polar as polar_mod
-from .cache import CacheFile, cache_load, cache_path, cache_store
+from .cache import CacheFile, cache_load, cache_path, cache_store, warn
 from .errors import ConsistencyError, DomainError
 from .grass_ring import GrassSpec, grassmann_relations, poincare
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
@@ -90,13 +90,23 @@ def _compute_cell(cell, verify: bool = False) -> PolarProfile:
 
 def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     """Fetch profiles for the requested cells, consulting and updating the
-    persistent cache.  With verify=True every cell is recomputed through
-    the independent Schubert route and compared with its cache entry; a
-    mismatch is a consistency failure."""
+    persistent cache.  A served entry that fails the closed forms of
+    ``polar._check_closed_forms`` is dropped with a warning and recomputed.
+    With verify=True every cell is recomputed through the independent
+    Schubert route and compared with its cache entry; a mismatch is a
+    consistency failure."""
     cells = list(dict.fromkeys(cells))
     if not cells:
         return {}
     cache = cache_load()
+    for cell in cells:
+        cached = cache.get(*cell)
+        if not verify and cached is not None:
+            try:
+                polar_mod._check_closed_forms(*cell, cached.values)
+            except ConsistencyError as exc:
+                warn(f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
+                del cache.entries[CacheFile.key(*cell)]
     need = [c for c in cells if verify or cache.get(*c) is None]
     computed = {}
     if need:
@@ -294,12 +304,7 @@ def cmd_ring(args) -> int:
     basis = spec.basis()
     relations = grassmann_relations(spec)
     if args.format == "csv":
-        ranks = {}
-        for lam in basis:
-            deg = 2 * sum(lam)
-            ranks[deg] = ranks.get(deg, 0) + 1
-        rows = [(d, ranks.get(d, 0)) for d in range(2 * spec.dim + 1)]
-        _emit(_csv(["degree", "rank"], rows))
+        _emit(_csv(["degree", "rank"], enumerate(poly.coefficients_list())))
     elif args.format == "json":
         payload = {
             "kind": "ring",

@@ -94,15 +94,6 @@ class GrassClass(SparseElement):
     def schubert(cls, spec, lam):
         return cls(spec, {as_partition(lam): 1})
 
-    def degree(self) -> int | None:
-        """Common Chern degree of a homogeneous class, None for zero."""
-        degs = {weight(k) for k in self.coords}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("class is not homogeneous")
-        return degs.pop()
-
     def _mul(self, other):
         return mul(self, other)
 
@@ -183,24 +174,18 @@ def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     return tuple((nu, c) for nu, c in sorted(total.items()) if c)
 
 
-def _mul_into(acc: dict, a: GrassClass, b: GrassClass, scale: int = 1) -> dict:
-    """Add scale * a * b into the coordinate dict ``acc``, truncating terms
-    that leave the box; zero coefficients may remain in ``acc``."""
-    rows, cols = a.spec.r, a.spec.cols
-    for lam, c1 in a.coords.items():
-        c1 *= scale
-        for mu, c2 in b.coords.items():
-            c = c1 * c2
-            for nu, sc in _mul_basis(rows, cols, *((lam, mu) if lam >= mu else (mu, lam))):
-                acc[nu] = acc.get(nu, 0) + c * sc
-    return acc
-
-
 def mul(a: GrassClass, b: GrassClass) -> GrassClass:
     """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched ring specs {a.spec} and {b.spec}")
-    return GrassClass._trusted(a.spec, _mul_into({}, a, b))
+    rows, cols = a.spec.r, a.spec.cols
+    acc = {}
+    for lam, c1 in a.coords.items():
+        for mu, c2 in b.coords.items():
+            c = c1 * c2
+            for nu, sc in _mul_basis(rows, cols, *((lam, mu) if lam >= mu else (mu, lam))):
+                acc[nu] = acc.get(nu, 0) + c * sc
+    return GrassClass._trusted(a.spec, acc)
 
 
 def integrate(a: GrassClass) -> int:

@@ -17,8 +17,8 @@ from math import comb
 
 from .errors import ConsistencyError, DomainError
 from .grass_ring import GrassSpec, poincare
-from .partitions import IntPolynomial, partitions_in_box
-from .polar import polar_profile
+from .partitions import IntPolynomial
+from .polar import euler_obstruction, polar_profile
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,7 @@ def euler_complex_link(spec: DetSpec, i: int) -> int:
         da = _stratum_dim(spec, rank)
         if i + 1 > da:
             continue
-        profile = polar_profile(spec.m, spec.n, rank)
-        inner = 0
-        for j in range(i + 1, da + 1):
-            inner += (-1) ** (da - j) * profile.value(da - j)
-        total += inner * egz_factor(spec, rank)
+        total += euler_obstruction(spec.m, spec.n, rank, i + 1) * egz_factor(spec, rank)
     return total
 
 
@@ -119,14 +115,7 @@ def euler_step(spec: DetSpec, i: int) -> int:
 
 def grass_betti(r: int, m: int) -> tuple:
     """Betti numbers of Grass(r, m) in cohomological degrees 0..2r(m-r)."""
-    spec = GrassSpec(r, m)
-    out = []
-    for deg in range(2 * spec.dim + 1):
-        if deg % 2:
-            out.append(0)
-        else:
-            out.append(len(partitions_in_box(spec.r, spec.cols, deg // 2)))
-    return tuple(out)
+    return tuple(poincare(GrassSpec(r, m)).coefficients_list())
 
 
 @dataclass(frozen=True)
@@ -188,10 +177,7 @@ def poincare_unitary(n: int) -> IntPolynomial:
     """Poincare polynomial of the unitary group U(n): prod (1 + t^(2i-1))."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    out = IntPolynomial.one()
-    for i in range(1, n + 1):
-        out = out * IntPolynomial({0: 1, 2 * i - 1: 1})
-    return out
+    return poincare_stiefel(n, n)
 
 
 def poincare_stiefel(r: int, n: int) -> IntPolynomial:

@@ -235,11 +235,6 @@ class IntPolynomial(SparseElement):
         top = max(self.coords)
         return [self.coords.get(d, 0) for d in range(top + 1)]
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(self.coords) if self.coords else -1
-
     def is_palindromic(self) -> bool:
         lst = self.coefficients_list()
         return lst == lst[::-1]

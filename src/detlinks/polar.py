@@ -12,7 +12,10 @@ with Segre classes s(E) = c(-E).  Two independent routes evaluate the
 integrals and share one normalizer: ``compute_polar_profile`` (production)
 sums Bott's residue formula over the torus fixed points of G in exact
 integers; ``certify_polar_profile`` (certifier) pairs the Segre series of
-both tensor bundles in the Schubert basis (``tensor_calculus``).
+both tensor bundles in the Schubert basis by box complement.  Those series
+come in closed form from Lascoux's class c(S1 (x) Q2) times a power of one
+factor's Chern class (``tensor_calculus``), with no torus weights and no
+fixed points, so the routes share nothing but the normalizer.
 
 The Bott sum uses the weights 2j - (n-1) on C^n and -(2l - (m-1)) on C^m,
 which the reflection j -> n-1-j, l -> m-1-l negates, so mirrored fixed
@@ -212,8 +215,8 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
 
 
 def _schubert_integrals(m: int, n: int, r: int) -> list:
-    """The same integrals from the Segre series of both tensor bundles in
-    the Schubert basis, paired by box complement."""
+    """The same integrals from the Lascoux Segre series of both tensor
+    bundles in the Schubert basis, paired by box complement."""
     spec = ProdSpec(r, n, m)
     big_k = spec.dim
     s_quot = segre_tensor(spec, QUOT_TENSOR, big_k)
@@ -292,8 +295,9 @@ def polar_profile(m: int, n: int, r: int) -> PolarProfile:
 def seed_profile(profile: PolarProfile):
     """Install an externally cached profile into the in-memory memo.
 
-    Persisted values are trusted as-is; recomputation happens only through
-    an explicit verify pass.
+    Installed as given: the command line checks a served profile against
+    ``_check_closed_forms`` before it seeds it, and recomputes it through
+    the certifier only on a verify pass.
     """
     _PROFILES[(profile.m, profile.n, profile.r)] = profile
 

@@ -10,24 +10,31 @@ Polar profiles are computed by torus localization in ``polar``; this
 module is the Schubert route that certifies them
 (``polar.certify_polar_profile``, ``--verify``).
 
-Two independent routes compute the Chern series and both are kept:
+All four series come in closed form from two finite classes:
 
-* the Newton path works entirely inside the finite product ring.  Power
-  sums of the factor bundles come from the Newton identities, power sums of
-  a tensor product are binomial convolutions, and the Newton identities are
-  run backwards to recover Chern classes, or, on the negated power sums, the
-  Segre classes s(E) = c(-E).  Every intermediate value is fully reduced
-  into the Schubert basis, so nothing grows beyond the ring's rank; the one
-  division (by k in the k-th Newton step) is checked to be exact.  Each
-  call computes its series afresh and nothing is memoized: the certifier
-  asks once for each (spec, bundle).
+* Lascoux's formula (C. R. Acad. Sci. Paris 286, 1978; Macdonald,
+  Symmetric Functions and Hall Polynomials, I.4 Ex. 5): for roots x of S1
+  (rank r) and y of a bundle F of rank f,
 
-* the validator expands the product of (1 + a_i + b_j) over formal Chern
-  roots once per rank pair and degree, rewrites it in elementary symmetric
-  terms, memoizes that universal polynomial, and evaluates it on the factor
-  Chern classes.  This route blows up combinatorially for large ranks and is
-  only used at small scale to certify the Newton path; the identity
-  c * s = 1 certifies the Segre series against the Chern series.
+      prod (1 + x_i + y_j) = sum over mu in lam in (f^r) of
+          det[C(lam_i + r - i, mu_j + r - j)] * s_mu(x) * s_nu(y),
+
+  with nu = (r - lam'_f, ..., r - lam'_1), not conjugated.  In the Schubert
+  basis s_mu(S1) = (-1)^|mu| sigma_mu, s_nu(S2) = (-1)^|nu| sigma_nu and
+  s_nu(Q2) = sigma_nu', the class at ``box_complement(lam, r, m - r)``;
+  classes outside a box vanish.  This gives c(S1 (x) S2) and c(S1 (x) Q2).
+
+* S + Q is trivial on each factor, so c(Q1 (x) Q2) = c(S1 (x) S2) c(Q1)^m
+  c(Q2)^n, s(Q1 (x) Q2) = c(S1 (x) Q2) c(S2)^n and s(S1 (x) S2) =
+  c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor and multiplies each
+  distinct key of the Lascoux class on that factor once.  Nothing is
+  recursive or memoized.
+
+The validator expands the product of (1 + a_i + b_j) over formal Chern
+roots into a universal polynomial in the factor Chern classes, memoized
+per rank pair and degree; it blows up with the ranks and certifies the
+Chern series at small scale.  The Bott route in ``polar`` certifies the
+Segre series through the polar integrals.
 """
 from __future__ import annotations
 
@@ -40,11 +47,18 @@ from .grass_ring import (
     GrassClass,
     GrassSpec,
     _mul_basis,
-    _mul_into,
     chern_list_quot,
     chern_list_sub,
+    mul,
 )
-from .partitions import SparseElement, as_partition, box_complement, conjugate
+from .partitions import (
+    SparseElement,
+    as_partition,
+    box_complement,
+    conjugate,
+    partitions_in_box,
+    weight,
+)
 
 SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
@@ -75,10 +89,6 @@ class ProdSpec:
     @property
     def dim(self) -> int:
         return self.factor1.dim + self.factor2.dim
-
-    @property
-    def rank(self) -> int:
-        return self.factor1.rank * self.factor2.rank
 
     @property
     def box(self) -> tuple:
@@ -125,13 +135,14 @@ class ProdClass(SparseElement):
         return f"<ProdClass r={self.spec.r} n={self.spec.n} m={self.spec.m}: {terms or '0'}>"
 
 
-def _mul_prod_into(acc: dict, a: ProdClass, b: ProdClass, scale: int = 1) -> dict:
-    """Add scale * a * b into the coordinate dict ``acc``, factorwise, with
-    truncation outside either box; zero coefficients may remain in ``acc``."""
+def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
+    """Factorwise product with truncation outside either box."""
+    if a.spec != b.spec:
+        raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
     r = a.spec.r
     cols1, cols2 = a.spec.n - r, a.spec.m - r
+    acc = {}
     for (l1, m1), c1 in a.coords.items():
-        c1 *= scale
         for (l2, m2), c2 in b.coords.items():
             left = _mul_basis(r, cols1, l1, l2) if l1 >= l2 else _mul_basis(r, cols1, l2, l1)
             if not left:
@@ -143,14 +154,7 @@ def _mul_prod_into(acc: dict, a: ProdClass, b: ProdClass, scale: int = 1) -> dic
                 for mu, cm in right:
                     key = (lam, mu)
                     acc[key] = acc.get(key, 0) + cl * cm
-    return acc
-
-
-def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
-    """Factorwise product with truncation outside either box."""
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
-    return ProdClass._trusted(a.spec, _mul_prod_into({}, a, b))
+    return ProdClass._trusted(a.spec, acc)
 
 
 def integrate_prod(a: ProdClass) -> int:
@@ -207,56 +211,84 @@ def _factor_chern(spec: ProdSpec, bundle: str):
     raise ValueError(f"unknown bundle tag {bundle!r}")
 
 
-def _newton_power_sums(chern: list, up_to: int) -> list:
-    """Power sums p_0..p_up_to of a bundle from its Chern classes.
-
-    p_0 is rank * unit; then p_k = sum_{i<k} (-1)^(i-1) c_i p_{k-i}
-    + (-1)^(k-1) k c_k with c_i = 0 beyond the rank.
-    """
-    spec = chern[0].spec
-    rank = len(chern) - 1
-    ps = [GrassClass._trusted(spec, {(): rank})]
-    for k in range(1, up_to + 1):
-        acc = {}
-        for i in range(1, min(k, rank + 1)):
-            _mul_into(acc, chern[i], ps[k - i], 1 if i % 2 else -1)
-        if k <= rank:
-            _mul_into(acc, chern[k], chern[0], (-1) ** (k - 1) * k)
-        ps.append(GrassClass._trusted(spec, acc))
-    return ps
+def _det(rows) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; each division is exact."""
+    a, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(a) - 1):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
-def _tensor_series(spec: ProdSpec, bundle: str, up_to: int, sign: int) -> tuple:
-    """Chern (sign 1) or Segre (sign -1) series of a tensor bundle through
-    degree up_to, computed afresh on every call.
+def _lascoux(spec: ProdSpec, bundle: str) -> ProdClass:
+    """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
+    by Lascoux's finite formula in the conventions of the module docstring."""
+    r, cols1, cols2 = spec.r, spec.n - spec.r, spec.m - spec.r
+    f = r if bundle == SUB_TENSOR else cols2
+    coords = {}
+    for lam in partitions_in_box(r, f):
+        if bundle == SUB_TENSOR:
+            nu = box_complement(conjugate(lam), r, r)
+            if nu and nu[0] > cols2:
+                continue
+            sign = (-1) ** weight(nu)
+        else:
+            nu, sign = box_complement(lam, r, f), 1
+        padded = lam + (0,) * (r - len(lam))
+        rows = [p + r - i for i, p in enumerate(padded, 1)]
+        for mu in partitions_in_box(r, min(padded[0] if r else 0, cols1)):
+            if all(a <= b for a, b in zip(mu, padded)):
+                cols = [p + r - j for j, p in enumerate(mu + (0,) * (r - len(mu)), 1)]
+                d = _det([[comb(a, b) for b in cols] for a in rows])
+                coords[(mu, nu)] = (-1) ** weight(mu) * sign * d
+    return ProdClass._trusted(spec, coords)
 
-    The tensor power sums are binomial convolutions of the factor power
-    sums, p_k(E (x) F) = sum_i C(k, i) p_i(E) p_{k-i}(F).  Newton's
-    identities k c_k = sum_{i=1..k} (-1)^(i-1) c_{k-i} p_i give the Chern
-    classes from them; since s(E) = c(-E) and p_i(-E) = -p_i(E), the same
-    recursion on the negated power sums gives the Segre classes.  The
-    division by k is checked to be exact.
-    """
-    c1, c2 = _factor_chern(spec, bundle)
-    ps1, ps2 = _newton_power_sums(c1, up_to), _newton_power_sums(c2, up_to)
-    power = [None]  # p_0 never enters the recursion
-    series = [ProdClass.unit(spec)]
-    for k in range(1, up_to + 1):
-        acc = {}
-        for i in range(k + 1):
-            for lam, ca in ps1[i].coords.items():
-                for mu, cb in ps2[k - i].coords.items():
-                    acc[(lam, mu)] = acc.get((lam, mu), 0) + comb(k, i) * ca * cb
-        power.append(ProdClass._trusted(spec, acc))
-        acc = {}
-        for i in range(1, k + 1):
-            _mul_prod_into(acc, series[k - i], power[i], sign if i % 2 else -sign)
-        if any(c % k for c in acc.values()):
-            raise ConsistencyError(
-                f"inexact division by {k} while solving the Newton identities on {spec}"
-            )
-        series.append(ProdClass._trusted(spec, {key: c // k for key, c in acc.items()}))
-    return tuple(series)
+
+def _times_power(coords: dict, factor: int, chern: list, exponent: int) -> dict:
+    """coords times sum(chern)^exponent, a class on one factor (0 or 1):
+    each distinct key of coords on that factor is multiplied by it once."""
+    total, power = sum(chern[1:], chern[0]), chern[0]
+    for _ in range(exponent):
+        power = mul(power, total)
+    others = {}
+    for key, c in coords.items():
+        others.setdefault(key[factor], []).append((key[1 - factor], c))
+    out = {}
+    for lam, rest in others.items():
+        for nu, cn in mul(GrassClass._trusted(power.spec, {lam: 1}), power).coords.items():
+            for other, c in rest:
+                key = (nu, other) if factor == 0 else (other, nu)
+                out[key] = out.get(key, 0) + cn * c
+    return out
+
+
+def _tensor_series(spec: ProdSpec, flavor: str, bundle: str, up_to: int) -> tuple:
+    """Chern or Segre series of a tensor bundle through degree up_to: one
+    Lascoux class times powers of factor Chern classes, split by degree."""
+    if bundle not in (SUB_TENSOR, QUOT_TENSOR):
+        raise ValueError(f"unknown bundle tag {bundle!r}")
+    cq1, cq2 = chern_list_quot(spec.factor1), chern_list_quot(spec.factor2)
+    if flavor == "chern":
+        coords = _lascoux(spec, SUB_TENSOR).coords
+        if bundle == QUOT_TENSOR:
+            coords = _times_power(_times_power(coords, 0, cq1, spec.m), 1, cq2, spec.n)
+    elif bundle == QUOT_TENSOR:
+        cs2 = chern_list_sub(spec.factor2)
+        coords = _times_power(_lascoux(spec, QUOT_TENSOR).coords, 1, cs2, spec.n)
+    else:
+        coords = _times_power(_lascoux(spec, QUOT_TENSOR).coords, 0, cq1, spec.m)
+    terms = [{} for _ in range(up_to + 1)]
+    for key, c in coords.items():
+        k = weight(key[0]) + weight(key[1])
+        if k <= up_to:
+            terms[k][key] = c
+    return tuple(ProdClass._trusted(spec, t) for t in terms)
 
 
 def _clamp(spec: ProdSpec, up_to: int) -> int:
@@ -271,17 +303,17 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     Requests above dim G are clamped: every class vanishes there anyway.
     """
     up_to = _clamp(spec, up_to)
-    return CharSeries(spec, "chern", bundle, _tensor_series(spec, bundle, up_to, 1))
+    return CharSeries(spec, "chern", bundle, _tensor_series(spec, "chern", bundle, up_to))
 
 
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     """Segre series s = c(-E) of the tensor bundle, truncated at ``up_to``.
 
-    Solved by Newton's identities on the negated power sums, without building
-    the Chern series; requests above dim G are clamped as in chern_tensor.
+    Built from c(S1 (x) Q2) without the Chern series; requests above dim G
+    are clamped as in chern_tensor.
     """
     up_to = _clamp(spec, up_to)
-    return CharSeries(spec, "segre", bundle, _tensor_series(spec, bundle, up_to, -1))
+    return CharSeries(spec, "segre", bundle, _tensor_series(spec, "segre", bundle, up_to))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +416,7 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     """Validator route: evaluate the universal polynomials on the factors.
 
     Slow and memory-hungry for large ranks; meant for cross-checking the
-    Newton series at small scale.
+    Lascoux series at small scale.
     """
     up_to = _clamp(spec, up_to)
     c1, c2 = _factor_chern(spec, bundle)

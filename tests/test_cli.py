@@ -248,12 +248,39 @@ class TestCache:
         run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
         path = cache_path()
         payload = json.loads(path.read_text())
-        payload["entries"]["2,3,1"]["values"][1] = "999"
+        # (3, 4, 3, 0) -> (3, 5, 4, 0) keeps the degree, the alternating sum
+        # and the nonzero range
+        payload["entries"]["2,3,1"]["values"][1:3] = ["5", "4"]
         path.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
                            "--format", "csv")
         assert code == 0
-        assert "2,3,1,1,999" in out  # documented: trusted unless verifying
+        assert "2,3,1,1,5" in out  # documented: trusted unless verifying
+
+    @pytest.mark.parametrize("position, value, check", [
+        (2, "28", "alternating sum is not C(m, r) = 3"),
+        (0, "7", "zeroth value is not the degree 6"),
+    ], ids=["alternating_sum", "degree"])
+    def test_served_entry_failing_a_closed_form_is_recomputed(
+            self, capsys, position, value, check):
+        code, clean, _ = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                             "--codim", "0..6")
+        assert code == 0
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        # 3,4,2 is (6, 16, 27, 24, 10, 0, 0); length and signs stay valid
+        payload["entries"]["3,4,2"]["values"][position] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                             "--codim", "0..6")
+        assert code == 0
+        assert out == clean
+        assert "detlinks: warning: dropping cache entry '3,4,2'" in err and check in err
+        assert cache_load().get(3, 4, 2).values == (6, 16, 27, 24, 10, 0, 0)
+        code, out, err = run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2",
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        assert "3,4,2,2,27" in out
 
     def test_tampered_value_caught_by_verify(self, capsys):
         run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")

@@ -172,6 +172,8 @@ class TestRoutesAgree:
         # cells where the fold onto rank m - r and the truncation at
         # 2r(m - r) do the work
         (3, 25, 2), (4, 14, 3), (5, 9, 4), (5, 10, 3), (6, 8, 5), (6, 9, 4),
+        # the hardest tabulated cells
+        (7, 8, 3), (7, 8, 4), (6, 12, 3),
     ]
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlinks.errors import DomainError
-from detlinks.grass_ring import GrassClass, GrassSpec, mul
+from detlinks.grass_ring import GrassClass, GrassSpec, chern_list_quot, chern_list_sub, mul
 from detlinks.partitions import fits_in_box
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
     ProdClass,
     ProdSpec,
+    _lascoux,
     chern_tensor,
     chern_tensor_via_roots,
     integrate_prod,
@@ -213,3 +214,26 @@ class TestUniversalPolynomials:
             assert len(production) == len(validator)
             for k in range(len(production)):
                 assert production[k] == validator[k], (spec, bundle, k)
+
+
+class TestLascoux:
+    @pytest.mark.parametrize("r, n, m", [(1, 3, 3), (2, 4, 3), (2, 5, 4)])
+    def test_matches_the_universal_polynomials(self, r, n, m):
+        # c(S1 (x) Q2) against the Chern-root expansion on c(S1) and c(Q2)
+        spec = ProdSpec(r, n, m)
+        c1, c2 = chern_list_sub(spec.factor1), chern_list_quot(spec.factor2)
+        lascoux = _lascoux(spec, QUOT_TENSOR)
+        assert lascoux.coords[((), ())] == 1
+        for k in range(r * (m - r) + 1):
+            expected = ProdClass.zero(spec)
+            for alpha, beta, coeff in universal_tensor_chern(r, m - r, k):
+                left, right = c1[0], c2[0]
+                for idx in alpha:
+                    left = left * c1[idx]
+                for idx in beta:
+                    right = right * c2[idx]
+                expected = expected + coeff * ProdClass.tensor(spec, left, right)
+            got = {key: c for key, c in lascoux.coords.items()
+                   if sum(key[0]) + sum(key[1]) == k}
+            assert got == expected.coords, k
+        assert all(sum(a) + sum(b) <= r * (m - r) for a, b in lascoux.coords)
