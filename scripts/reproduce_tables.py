@@ -14,33 +14,28 @@ from detlinks.cli import main as cli_main  # noqa: E402
 
 SECTIONS = [
     ("polar multiplicities of 2 x n matrices",
-     ["polar", "--m", "2", "--n", "2..7", "--r", "1"]),
+     [["polar", "--m", "2", "--n", "2..7", "--r", "1"]]),
     ("polar multiplicities of 3 x n matrices",
-     ["polar", "--m", "3", "--n", "3..20", "--r", "1..2"]),
+     [["polar", "--m", "3", "--n", "3..20", "--r", "1..2"]]),
     ("polar multiplicities of 4 x n matrices (ranks 1..3)",
-     ["polar", "--m", "4", "--n", "4..12", "--r", "1..3"]),
+     [["polar", "--m", "4", "--n", "4..12", "--r", "1..3"]]),
     ("polar multiplicities of 5 x n matrices (ranks 1..4), n <= 8",
-     ["polar", "--m", "5", "--n", "5..8", "--r", "1..4"]),
+     [["polar", "--m", "5", "--n", "5..8", "--r", "1..4"]]),
     ("polar multiplicities of the (m, m+1) presentation family, m <= 6",
-     None),  # special-cased below
+     [["polar", "--m", str(m), "--n", str(m + 1), "--r", str(m - 1)]
+      for m in range(1, 7)]),
     ("Euler characteristics of the smooth links of the presentation family",
-     ["euler", "--hilbert-burch", "--max-m", "6"]),
+     [["euler", "--hilbert-burch", "--max-m", "6"]]),
 ]
 
 
 def main():
-    for title, argv in SECTIONS:
+    for title, argvs in SECTIONS:
         print(f"## {title}\n")
-        if argv is not None:
+        for argv in argvs:
             code = cli_main(argv)
-        else:
-            code = 0
-            for m in range(1, 7):
-                code = code or cli_main(
-                    ["polar", "--m", str(m), "--n", str(m + 1), "--r", str(m - 1)]
-                )
-        if code:
-            return code
+            if code:
+                return code
         print()
     return 0
 

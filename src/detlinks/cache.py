@@ -1,12 +1,12 @@
 """Persistent JSON cache of polar profiles.
 
-Values are stored as decimal strings: profiles outgrow 64-bit integers well
-within the parameter ranges users ask for, and a text format keeps the file
-portable and diffable.  A version mismatch or a malformed file makes the
-whole file be ignored (with a warning); an entry whose key is not the
-canonical "m,n,r" or lies outside 0 <= r <= m <= n, whose length is not
-(m+n)r - 2r^2 + 1, or whose raw_signs do not strictly alternate is dropped
-alone (with a warning naming it).
+An entry is {"values": [...]} in decimal strings: profiles outgrow 64-bit
+integers well within the ranges users ask for, and text keeps the file
+portable and diffable.  ``polar.sign_record`` derives the sign record from
+the key.  A version mismatch or a malformed file makes the whole file be
+ignored (with a warning); an entry whose key is not the canonical "m,n,r" or
+lies outside 0 <= r <= m <= n, whose length is not (m+n)r - 2r^2 + 1, or
+which holds a negative value is dropped alone (with a warning naming it).
 The command line checks every cell it serves from the cache against the
 closed forms of ``polar._check_closed_forms`` (the degree, the alternating
 sum C(m, r) and the nonzero range) and drops and recomputes an entry that
@@ -25,9 +25,9 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .polar import PolarProfile, alternating_signs
+from .polar import PolarProfile, sign_record
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_ENV = "DETLINKS_CACHE"
 CACHE_FILENAME = "polar_profiles.json"
 
@@ -77,14 +77,9 @@ def _parse_entry(key: str, raw) -> PolarProfile:
     values = tuple(int(v) for v in raw["values"])
     if len(values) != (m + n) * r - 2 * r * r + 1:
         raise ValueError(f"entry {key} has {len(values)} values, not (m+n)r - 2r^2 + 1")
-    signs = tuple(int(s) for s in raw["raw_signs"])
-    if len(signs) != len(values) or signs[0] not in (-1, 1):
-        raise ValueError(f"entry {key} has malformed raw_signs")
-    if signs != alternating_signs(signs[0], len(signs)):
-        raise ValueError(f"raw_signs of entry {key} do not strictly alternate")
     if any(v < 0 for v in values):
         raise ValueError(f"entry {key} has a negative value")
-    return PolarProfile(m, n, r, values, alternating_signs(signs[0], len(signs)))
+    return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
 def cache_load(path: Path | None = None) -> CacheFile:
@@ -126,10 +121,7 @@ def cache_store(cache: CacheFile, path: Path | None = None):
     payload = {
         "version": cache.version,
         "entries": {
-            key: {
-                "values": [str(v) for v in prof.values],
-                "raw_signs": list(prof.raw_signs),
-            }
+            key: {"values": [str(v) for v in prof.values]}
             for key, prof in sorted(cache.entries.items())
         },
     }

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import links as links_mod
 from . import polar as polar_mod
@@ -111,6 +110,8 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     computed = {}
     if need:
         if jobs > 1 and len(need) > 1:
+            # imported here: it pulls in multiprocessing, which only a pool needs
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(jobs, len(need))) as pool:
                 profiles = pool.map(_compute_cell, need, [verify] * len(need))
                 for cell, prof in zip(need, profiles):
@@ -124,9 +125,7 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
         cached = cache.get(*cell)
         if cell in computed:
             prof = computed[cell]
-            if verify and cached is not None and (
-                cached.values != prof.values or cached.raw_signs != prof.raw_signs
-            ):
+            if verify and cached is not None and cached != prof:
                 raise ConsistencyError(
                     f"cache entry {CacheFile.key(*cell)} does not match "
                     f"recomputation: cached {cached.values}, got {prof.values}"
@@ -205,8 +204,9 @@ def cmd_polar(args) -> int:
 # euler
 # ---------------------------------------------------------------------------
 
-def _seed_strata(m: int, n: int, s: int, verify: bool, jobs: int):
-    _gather_profiles([(m, n, rank) for rank in range(1, s)], verify, jobs)
+def _seed_strata(spec: DetSpec, i: int, verify: bool, jobs: int):
+    cells = [(spec.m, spec.n, rank) for rank in links_mod.link_strata(spec, i)]
+    _gather_profiles(cells, verify, jobs)
 
 
 def cmd_euler(args) -> int:
@@ -230,7 +230,7 @@ def cmd_euler(args) -> int:
     if args.m is None or args.n is None or args.s is None or args.codim is None:
         raise _UsageError("euler needs --m, --n, --s and --codim (or --hilbert-burch)")
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec.m, spec.n, spec.s, args.verify, args.jobs)
+    _seed_strata(spec, min(args.codim), args.verify, args.jobs)
     values = [(i, euler_complex_link(spec, i)) for i in args.codim]
     if args.format == "csv":
         rows = [(spec.m, spec.n, spec.s, i, chi) for i, chi in values]
@@ -255,7 +255,7 @@ def cmd_euler(args) -> int:
 
 def cmd_betti(args) -> int:
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec.m, spec.n, spec.s, args.verify, args.jobs)
+    _seed_strata(spec, min(args.codim), args.verify, args.jobs)
     profiles = [betti_smooth_complex_link(spec, i) for i in args.codim]
     if args.format == "csv":
         rows = []
@@ -373,8 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def formatted(p):
         p.add_argument("--format", choices=FORMATS, default="md")
+
+    def common(p):
+        formatted(p)
         p.add_argument("--verify", action="store_true",
                        help="recompute every profile this command touches through the "
                        "independent Schubert route and check it against the cache")
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "presentation of one Grassmannian")
     p_ring.add_argument("--m", type=int, required=True)
     p_ring.add_argument("--r", type=int, required=True)
-    common(p_ring)
+    formatted(p_ring)
     p_ring.set_defaults(func=cmd_ring)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the profile cache")
@@ -422,9 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: building it took over half of each command served from the cache
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

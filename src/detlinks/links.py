@@ -60,6 +60,12 @@ def _stratum_dim(spec: DetSpec, rank: int) -> int:
     return (spec.m + spec.n) * rank - rank**2
 
 
+def link_strata(spec: DetSpec, i: int) -> list:
+    """The ranks r' >= 1 whose strata the codimension-i link sums over: those
+    of closure dimension (m+n)r' - r'^2 >= i + 1 (the origin's sum is empty)."""
+    return [rank for rank in range(1, spec.s) if _stratum_dim(spec, rank) >= i + 1]
+
+
 def egz_factor(spec: DetSpec, stratum_rank: int) -> int:
     """One minus the Euler characteristic of the transverse complex link
     along the rank stratum: the signed binomial
@@ -78,19 +84,16 @@ def euler_complex_link(spec: DetSpec, i: int) -> int:
 
     Stratum sum: each rank stratum r' contributes its transverse-link factor
     times an alternating partial sum of the polar multiplicities of the rank
-    stratum's closure.  The origin stratum has an empty inner sum for every
-    i >= 0 and is skipped.  At i = d - 1 the link is a finite set of points
-    and the value equals the multiplicity of the germ.
+    stratum's closure, over the strata of ``link_strata``.  At i = d - 1 the
+    link is a finite set of points and the value equals the multiplicity of
+    the germ.
     """
     if not 0 <= i < spec.d:
         raise DomainError(f"codimension {i} outside 0..{spec.d - 1} for {spec}")
-    total = 0
-    for rank in range(1, spec.s):
-        da = _stratum_dim(spec, rank)
-        if i + 1 > da:
-            continue
-        total += euler_obstruction(spec.m, spec.n, rank, i + 1) * egz_factor(spec, rank)
-    return total
+    return sum(
+        euler_obstruction(spec.m, spec.n, rank, i + 1) * egz_factor(spec, rank)
+        for rank in link_strata(spec, i)
+    )
 
 
 def euler_step(spec: DetSpec, i: int) -> int:
@@ -103,11 +106,8 @@ def euler_step(spec: DetSpec, i: int) -> int:
     if not 0 <= i < spec.d - 1:
         raise DomainError(f"step index {i} outside 0..{spec.d - 2} for {spec}")
     total = 0
-    for rank in range(1, spec.s):
-        da = _stratum_dim(spec, rank)
-        k = da - i - 1
-        if k < 0:
-            continue
+    for rank in link_strata(spec, i):
+        k = _stratum_dim(spec, rank) - i - 1
         profile = polar_profile(spec.m, spec.n, rank)
         total += (-1) ** k * profile.value(k) * egz_factor(spec, rank)
     return total

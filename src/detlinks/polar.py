@@ -33,10 +33,13 @@ at rank r are those at rank m - r read backwards from kappa, so ranks above
 m/2 are summed at the far smaller dual rank.  The certifier evaluates every
 integral at rank r directly, so the two routes agreeing checks both facts.
 
-The published values are the absolute values; the signed integrals strictly
-alternate in k, and that alternation is verified on every profile rather
-than assumed.  A failure means a convention bug and aborts with a diagnostic
-instead of silently flipping signs.
+The published values are the absolute values of the signed ones, which
+strictly alternate in k: the sign at k is (-1)^(d-1+k), fixed by (m, n, r),
+so values[k] = (-1)^k * integral_k.  ``_profile`` applies that rule and the
+closed forms check its result, nonnegativity included, so a route with a
+sign convention bug aborts with a diagnostic instead of silently flipping
+signs.  The sign record ``raw_signs`` is derived from the rule
+(``sign_record``), never read off the integrals.
 """
 
 from __future__ import annotations
@@ -60,10 +63,9 @@ from .tensor_calculus import (
 class PolarProfile:
     """All polar multiplicities of one germ: values[k] for k = 0..(m+n)r-2r^2.
 
-    ``raw_signs[k]`` records the sign the unnormalized integral carries at
-    position k (the strictly alternating pattern, extended through zero
-    entries), keeping the Segre-convention audit trail next to the
-    normalized values.
+    ``raw_signs[k]`` is the sign (-1)^(d-1+k) the signed integral carries at
+    position k (extended through zero entries), given by ``sign_record``:
+    the Segre-convention audit trail next to the normalized values.
     """
 
     m: int
@@ -84,10 +86,14 @@ class PolarProfile:
 
 
 @lru_cache(maxsize=None)
-def alternating_signs(first: int, size: int) -> tuple:
-    """The strictly alternating sign pattern of length size starting at
-    first; cached, so that profiles share one tuple per pattern."""
-    return tuple(first * (-1) ** k for k in range(size))
+def sign_record(m: int, n: int, r: int) -> tuple:
+    """raw_signs of the (m, n, r) profile: (-1)^(d-1+k) for k = 0..(m+n)r-2r^2,
+    d = (m+n)r - r^2, and (1,) for the degenerate r = 0 germ; cached, so that
+    the computed and the cached profile of a cell share one tuple."""
+    if r == 0:
+        return (1,)
+    d = (m + n) * r - r * r
+    return tuple((-1) ** (d - 1 + k) for k in range(d - r * r + 1))
 
 
 def _validate_params(m: int, n: int, r: int):
@@ -227,7 +233,7 @@ def _schubert_integrals(m: int, n: int, r: int) -> list:
 def _check_closed_forms(m: int, n: int, r: int, values):
     """The zeroth value is the degree prod_i C(n+i, r) / C(r+i, r), i < m-r;
     the alternating sum is C(m, r); values[k] is nonzero exactly for
-    k <= 2r(m - r)."""
+    k <= 2r(m - r); no value is negative."""
     degree = prod(comb(n + i, r) for i in range(m - r)) // prod(
         comb(r + i, r) for i in range(m - r)
     )
@@ -238,6 +244,7 @@ def _check_closed_forms(m: int, n: int, r: int, values):
          f"alternating sum is not C(m, r) = {comb(m, r)}"),
         (all((v != 0) == (k <= kappa) for k, v in enumerate(values)),
          f"nonzero values are not exactly k <= {kappa}"),
+        (all(v >= 0 for v in values), "a value is negative"),
     ]:
         if not ok:
             raise ConsistencyError(
@@ -246,27 +253,16 @@ def _check_closed_forms(m: int, n: int, r: int, values):
 
 
 def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
-    """Normalize one route's integrals: prefactor, the closed forms of
-    ``_check_closed_forms`` and strict sign alternation.
+    """Normalize one route's integrals, values[k] = (-1)^k * integral_k, and
+    check them against the closed forms of ``_check_closed_forms``.
 
-    The degenerate r = 0 germ is the reduced origin and gets profile (1).
+    The degenerate r = 0 germ is the reduced origin; both routes give it the
+    single integral 1, so its profile is (1).
     """
     _validate_params(m, n, r)
-    if r == 0:
-        return PolarProfile(m, n, 0, (1,), (1,))
-    d = (m + n) * r - r * r
-    prefactor = (-1) ** (d - 1)
-    signed = [prefactor * v for v in integrals(m, n, r)]
-    values = tuple(abs(v) for v in signed)
+    values = tuple((-1) ** k * v for k, v in enumerate(integrals(m, n, r)))
     _check_closed_forms(m, n, r, values)
-    signs = alternating_signs(1 if signed[0] > 0 else -1, len(signed))
-    for k, v in enumerate(signed):
-        if v and (1 if v > 0 else -1) != signs[k]:
-            raise ConsistencyError(
-                f"raw polar integrals for ({m}, {n}, {r}) do not alternate in sign "
-                f"at k={k}: {signed}"
-            )
-    return PolarProfile(m, n, r, values, signs)
+    return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
 def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:

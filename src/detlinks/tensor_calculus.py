@@ -28,7 +28,8 @@ All four series come in closed form from two finite classes:
   c(Q2)^n, s(Q1 (x) Q2) = c(S1 (x) Q2) c(S2)^n and s(S1 (x) S2) =
   c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor and multiplies each
   distinct key of the Lascoux class on that factor once.  Nothing is
-  recursive or memoized.
+  recursive, and the one memo keeps the last Lascoux class, which both Segre
+  series of one cell share.
 
 The validator expands the product of (1 + a_i + b_j) over formal Chern
 roots into a universal polynomial in the factor Chern classes, memoized
@@ -226,6 +227,7 @@ def _det(rows) -> int:
     return sign * a[-1][-1] if a else 1
 
 
+@lru_cache(maxsize=1)
 def _lascoux(spec: ProdSpec, bundle: str) -> ProdClass:
     """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
     by Lascoux's finite formula in the conventions of the module docstring."""

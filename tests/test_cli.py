@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from detlinks import cli
 from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
+from detlinks.links import DetSpec, euler_complex_link
 from detlinks.polar import PolarProfile
 
 
@@ -81,7 +85,7 @@ class TestPolarCommand:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1",
                            "--jobs", "4", "--format", "csv")
         assert code == 0
@@ -94,6 +98,14 @@ class TestPolarCommand:
             main(["polar", "--m", "2", "--n", "3", "--r", "1", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        code = ("import sys, detlinks.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestEulerCommand:
@@ -134,6 +146,21 @@ class TestEulerCommand:
         assert sorted(cache_load().entries) == [
             CacheFile.key(m, m + 1, r) for m in range(2, 5) for r in range(1, m)
         ]
+
+    def test_computes_only_the_strata_it_reads(self, capsys, monkeypatch):
+        computed = []
+
+        def spy(m, n, r, _real=cli.compute_polar_profile):
+            computed.append((m, n, r))
+            return _real(m, n, r)
+
+        monkeypatch.setattr(cli, "compute_polar_profile", spy)
+        # the rank-1 stratum has dimension 8 < 11 + 1
+        code, out, _ = run(capsys, "euler", "--m", "4", "--n", "5", "--s", "4",
+                           "--codim", "11")
+        assert code == 0
+        assert computed == [(4, 5, 2), (4, 5, 3)]
+        assert f"| 11 | {euler_complex_link(DetSpec(4, 5, 4), 11)} |" in out
 
     def test_codim_out_of_range_is_exit_3(self, capsys):
         code, _, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
@@ -183,12 +210,19 @@ class TestRingCommand:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [r[1] for r in rows] == ["1", "0", "1", "0", "1"]
 
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--verify"]])
+    def test_takes_no_profile_flags(self, capsys, flag):
+        # ring computes no polar profile, so --jobs and --verify would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["ring", "--m", "4", "--r", "2", *flag])
+        assert exc.value.code == 2
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = CacheFile()
         cache.put(PolarProfile(3, 4, 2, (6, 16, 27, 24, 10, 0, 0),
-                               (1, -1, 1, -1, 1, -1, 1)))
+                               (-1, 1, -1, 1, -1, 1, -1)))
         path = tmp_path / "roundtrip.json"
         cache_store(cache, path)
         loaded = cache_load(path)
@@ -233,16 +267,24 @@ class TestCache:
         assert "warning" in err
         assert "2,2,1,0,2" in out
 
+    def test_store_writes_values_only(self, capsys):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
+        payload = json.loads(cache_path().read_text())
+        assert payload["version"] == 2
+        assert payload["entries"] == {
+            "3,4,2": {"values": ["6", "16", "27", "24", "10", "0", "0"]}}
+
     def test_version_bump_invalidates(self, capsys):
-        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
-        path = cache_path()
-        payload = json.loads(path.read_text())
-        payload["version"] = 999
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
-                             "--format", "csv")
-        assert code == 0
-        assert "version" in err
+        for version in (1, 999):
+            run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+            path = cache_path()
+            payload = json.loads(path.read_text())
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            code, out, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
+                                 "--format", "csv")
+            assert code == 0
+            assert "version" in err
 
     def test_tampered_value_used_without_verify(self, capsys):
         run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
@@ -335,13 +377,12 @@ class TestCache:
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
         path = cache_path()
         payload = json.loads(path.read_text())
-        size = len(payload["entries"]["3,4,1"]["raw_signs"])
-        payload["entries"]["3,4,1"]["raw_signs"] = [1] * size
+        payload["entries"]["3,4,1"]["values"][1] = "-12"
         path.write_text(json.dumps(payload))
         # a store after the bad entry is dropped keeps the good ones
         code, _, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1")
         assert code == 0
-        assert "'3,4,1'" in err and "alternate" in err
+        assert "'3,4,1'" in err and "negative" in err
         assert sorted(cache_load().entries) == ["2,3,1", "3,4,2"]
 
         def production_route(m, n, r):

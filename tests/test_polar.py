@@ -280,6 +280,24 @@ class TestClosedFormChecks:
             compute_polar_profile(2, 4, 1)
         assert "alternating sum is not C(m, r) = 2" in str(exc.value)
 
+    def test_negated_route_caught(self, monkeypatch):
+        # (4,5,2) has no fold; every integral negated keeps the absolute
+        # values, so only the sign rule can tell
+        with self._corrupt(monkeypatch, lambda values: [-v for v in values]) as exc:
+            compute_polar_profile(4, 5, 2)
+        assert "zeroth value is not the degree 50" in str(exc.value)
+
+    def test_sign_record_follows_the_convention(self):
+        # r = 0 records (1,) by convention, see test_degenerate_rank_zero
+        for m in range(1, 7):
+            for n in range(m, 9):
+                for r in range(1, m + 1):
+                    d = (m + n) * r - r * r
+                    signs = compute_polar_profile(m, n, r).raw_signs
+                    assert signs == tuple(
+                        (-1) ** (d - 1 + k) for k in range(len(signs))
+                    ), (m, n, r)
+
     def test_trailing_nonzero(self, monkeypatch):
         def extend(values):
             # two trailing values of alternating sign and equal size leave

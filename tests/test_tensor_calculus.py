@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detlinks import tensor_calculus
 from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassClass, GrassSpec, chern_list_quot, chern_list_sub, mul
 from detlinks.partitions import fits_in_box
+from detlinks.polar import certify_polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -237,3 +239,19 @@ class TestLascoux:
                    if sum(key[0]) + sum(key[1]) == k}
             assert got == expected.coords, k
         assert all(sum(a) + sum(b) <= r * (m - r) for a, b in lascoux.coords)
+
+    def test_certifier_builds_the_class_once_per_cell(self, monkeypatch):
+        # both Segre series of one cell start from c(S1 (x) Q2); count the
+        # determinants of one certification against those of one class
+        dets = []
+        det = tensor_calculus._det
+        monkeypatch.setattr(
+            tensor_calculus, "_det", lambda rows: dets.append(None) or det(rows)
+        )
+        _lascoux.cache_clear()
+        certify_polar_profile(4, 6, 2)
+        per_cell = len(dets)
+        _lascoux.cache_clear()
+        dets.clear()
+        _lascoux(ProdSpec(2, 6, 4), QUOT_TENSOR)
+        assert per_cell == len(dets) > 0
