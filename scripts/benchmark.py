@@ -6,7 +6,8 @@ the torus fixed points, halved by their mirror symmetry) and, next to it,
 certify_polar_profile (the Schubert route behind --verify: Lascoux classes
 paired by box complement) on the (m, m+1, m-1) family and on the hardest
 tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
-on a current desktop core.  A cell whose two routes disagree is reported.
+on a current desktop core.  A cell whose two routes disagree is reported,
+and the script then exits 1.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -42,13 +43,14 @@ def timed(route, m, n, r):
 
 
 def run_cell(m, n, r):
-    """Time both routes on one cell; returns (compute seconds, certify seconds)."""
+    """Time both routes on one cell; returns (compute seconds, certify
+    seconds, whether the routes agree)."""
     prof, compute_s = timed(compute_polar_profile, m, n, r)
     cert, certify_s = timed(certify_polar_profile, m, n, r)
-    agree = "" if cert == prof else "  ROUTES DISAGREE"
+    agree = cert == prof
     print(f"  ({m:2d},{n:2d},{r}) {compute_s:8.2f}s {certify_s:8.2f}s"
-          f"  {fmt_values(prof.values)}{agree}")
-    return compute_s, certify_s
+          f"  {fmt_values(prof.values)}{'' if agree else '  ROUTES DISAGREE'}")
+    return compute_s, certify_s, agree
 
 
 def main(argv=None):
@@ -66,7 +68,7 @@ def main(argv=None):
     times = [run_cell(*cell) for cell in cells]
     print(f"total: compute {sum(t[0] for t in times):.2f}s, "
           f"certify {sum(t[1] for t in times):.2f}s")
-    return 0
+    return 0 if all(t[2] for t in times) else 1
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ def cache_path() -> Path:
 class CacheFile:
     """In-memory image of the cache: entries keyed by "m,n,r"."""
 
-    version: int = CACHE_VERSION
     entries: dict = field(default_factory=dict)  # key -> PolarProfile
 
     @staticmethod
@@ -111,7 +110,7 @@ def cache_load(path: Path | None = None) -> CacheFile:
             entries[key] = _parse_entry(key, val)
         except (KeyError, TypeError, ValueError) as exc:
             warn(f"dropping cache entry {key!r} of {path}: {exc}")
-    return CacheFile(version=CACHE_VERSION, entries=entries)
+    return CacheFile(entries)
 
 
 def cache_store(cache: CacheFile, path: Path | None = None):
@@ -119,7 +118,7 @@ def cache_store(cache: CacheFile, path: Path | None = None):
     concurrent writers never share one; I/O trouble is reported, never fatal."""
     path = path or cache_path()
     payload = {
-        "version": cache.version,
+        "version": CACHE_VERSION,
         "entries": {
             key: {"values": [str(v) for v in prof.values]}
             for key, prof in sorted(cache.entries.items())

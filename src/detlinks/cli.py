@@ -9,8 +9,9 @@ the same request produces byte-identical output no matter what the cache
 holds.
 
 Exit codes: 0 success, 2 usage, 3 domain error (for example a non-smooth
-link), 4 internal consistency failure (sign pattern, duality, or a cache
-entry that fails verification).
+link), 4 internal consistency failure (a computed profile failing a closed
+form or holding a negative value, an inexact Bott division, a --verify
+mismatch, a negative middle Betti number).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cache import CacheFile, cache_load, cache_path, cache_store, warn
 from .errors import ConsistencyError, DomainError
 from .grass_ring import GrassSpec, grassmann_relations, poincare
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
-from .polar import PolarProfile, certify_polar_profile, compute_polar_profile
+from .polar import certify_polar_profile, compute_polar_profile
 
 FORMATS = ("csv", "md", "json")
 
@@ -82,11 +83,6 @@ def _csv(header: list, rows: list) -> str:
 # profile gathering through the persistent cache
 # ---------------------------------------------------------------------------
 
-def _compute_cell(cell, verify: bool = False) -> PolarProfile:
-    route = certify_polar_profile if verify else compute_polar_profile
-    return route(*cell)
-
-
 def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     """Fetch profiles for the requested cells, consulting and updating the
     persistent cache.  A served entry that fails the closed forms of
@@ -94,10 +90,11 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
     With verify=True every cell is recomputed through the independent
     Schubert route and compared with its cache entry; a mismatch is a
     consistency failure."""
-    cells = list(dict.fromkeys(cells))
     if not cells:
         return {}
     cache = cache_load()
+    out = {}
+    need = {}  # cell -> the cache entry to compare with, or None to store it
     for cell in cells:
         cached = cache.get(*cell)
         if not verify and cached is not None:
@@ -106,40 +103,32 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
             except ConsistencyError as exc:
                 warn(f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
                 del cache.entries[CacheFile.key(*cell)]
-    need = [c for c in cells if verify or cache.get(*c) is None]
-    computed = {}
-    if need:
-        if jobs > 1 and len(need) > 1:
-            # imported here: it pulls in multiprocessing, which only a pool needs
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(jobs, len(need))) as pool:
-                profiles = pool.map(_compute_cell, need, [verify] * len(need))
-                for cell, prof in zip(need, profiles):
-                    computed[cell] = prof
-        else:
-            for cell in need:
-                computed[cell] = _compute_cell(cell, verify)
-    out = {}
-    dirty = False
-    for cell in cells:
-        cached = cache.get(*cell)
-        if cell in computed:
-            prof = computed[cell]
-            if verify and cached is not None and cached != prof:
-                raise ConsistencyError(
-                    f"cache entry {CacheFile.key(*cell)} does not match "
-                    f"recomputation: cached {cached.values}, got {prof.values}"
-                )
-            if cached is None:
-                cache.put(prof)
-                dirty = True
-            out[cell] = prof
-        else:
-            out[cell] = cached
-    if dirty:
-        cache_store(cache)
-    for prof in out.values():
+                cached = None
+            else:
+                polar_mod.seed_profile(cached)
+                out[cell] = cached
+                continue
+        need[cell] = cached
+    route = certify_polar_profile if verify else compute_polar_profile
+    if jobs > 1 and len(need) > 1:
+        # imported here: it pulls in multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(need))) as pool:
+            profiles = list(pool.map(route, *zip(*need)))
+    else:
+        profiles = [route(*cell) for cell in need]
+    for (cell, cached), prof in zip(need.items(), profiles):
+        if cached is None:
+            cache.put(prof)
+        elif cached != prof:
+            raise ConsistencyError(
+                f"cache entry {CacheFile.key(*cell)} does not match "
+                f"recomputation: cached {cached.values}, got {prof.values}"
+            )
         polar_mod.seed_profile(prof)
+        out[cell] = prof
+    if None in need.values():
+        cache_store(cache)
     return out
 
 
@@ -157,16 +146,7 @@ def _nonzero_width(profiles) -> int:
 
 
 def cmd_polar(args) -> int:
-    cells = [
-        (m, n, r)
-        for r in args.r
-        for m in args.m
-        for n in args.n
-    ]
-    for m, n, r in cells:
-        if not 0 <= r <= m <= n:
-            raise DomainError(f"need 0 <= r <= m <= n, got m={m}, n={n}, r={r}")
-    order = sorted(cells)
+    order = sorted((m, n, r) for r in args.r for m in args.m for n in args.n)
     profiles = _gather_profiles(order, args.verify, args.jobs)
     if args.format == "csv":
         rows = []

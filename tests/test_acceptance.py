@@ -345,6 +345,26 @@ class TestCriterion8Properties:
         assert hasattr(module, "main")
         print("[acceptance] criterion 8g (benchmark harness, informational): PASS")
 
+    def test_benchmark_harness_fails_when_the_routes_disagree(self, monkeypatch, capsys):
+        import dataclasses
+        import importlib.util
+
+        script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
+        spec = importlib.util.spec_from_file_location("benchmark", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "HARD_CELLS", [])
+        assert module.main(["--max-hb", "2"]) == 0
+        certify = module.certify_polar_profile
+
+        def bumped(m, n, r):
+            prof = certify(m, n, r)
+            return dataclasses.replace(prof, values=(prof.values[0] + 1,) + prof.values[1:])
+
+        monkeypatch.setattr(module, "certify_polar_profile", bumped)
+        assert module.main(["--max-hb", "2"]) == 1
+        assert "ROUTES DISAGREE" in capsys.readouterr().out
+
     def test_reproduced_tables_unchanged(self, tmp_path):
         # the digest perfbench/expected.json records as sweep_total
         digest = "e552350b46b81fc7d84188d4f0f787ee55eaf958b79828af53da64ae6f5b0087"

@@ -24,6 +24,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in this process and records
+    the size of each pool opened in ``sizes``."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
 class TestPolarCommand:
     def test_csv_row_3x3(self, capsys):
         code, out, _ = run(capsys, "polar", "--m", "3", "--n", "3", "--r", "1",
@@ -69,28 +95,65 @@ class TestPolarCommand:
         assert code == 0
         assert out.splitlines()[0] == "m,n,r,k,e"
 
-    def test_jobs_pool_sized_by_the_cells(self, capsys, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    def test_jobs_pool_sized_by_the_cells(self, capsys, inline_pool):
         code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1",
                            "--jobs", "4", "--format", "csv")
         assert code == 0
-        assert sizes == [2]
+        assert inline_pool.sizes == [2]
         assert "2,3,1,0,3" in out
+
+    def test_verify_through_the_pool(self, capsys, inline_pool, monkeypatch, tmp_path):
+        args = ("polar", "--m", "3", "--n", "4", "--r", "1..2")
+        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "plain"))
+        _, plain, _ = run(capsys, *args)
+
+        def production(m, n, r):
+            raise AssertionError("--verify must recompute through the certifier")
+
+        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "verify"))
+        monkeypatch.setattr(cli, "compute_polar_profile", production)
+        code, out, _ = run(capsys, *args, "--verify", "--jobs", "2")
+        assert code == 0
+        assert inline_pool.sizes == [2]
+        assert sorted(cache_load().entries) == ["3,4,1", "3,4,2"]
+        assert out == plain
+
+    def test_verify_through_the_pool_catches_a_wrong_entry(self, capsys, inline_pool):
+        args = ("polar", "--m", "3", "--n", "4", "--r", "1..2")
+        run(capsys, *args)
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["3,4,1"]["values"][1] = "13"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, *args, "--verify", "--jobs", "2")
+        assert code == 4
+        assert inline_pool.sizes == [2]
+        assert "does not match recomputation" in err
+
+    def test_domain_error_from_the_pool_is_exit_3(self, capsys, inline_pool):
+        code, out, err = run(capsys, "polar", "--m", "3", "--n", "2..3", "--r", "1",
+                             "--jobs", "2")
+        assert code == 3
+        assert inline_pool.sizes == [2]
+        assert err == "detlinks: error: need 0 <= r <= m <= n, got m=3, n=2, r=1\n"
+        assert out == ""
+        assert not cache_path().exists()
+
+    def test_one_cache_lookup_per_cell(self, capsys, monkeypatch):
+        lookups = []
+        get = CacheFile.get
+
+        def spy(self, m, n, r):
+            lookups.append((m, n, r))
+            return get(self, m, n, r)
+
+        monkeypatch.setattr(CacheFile, "get", spy)
+        cells = [(3, n, r) for n in (4, 5) for r in (1, 2)]
+        for state in ("cold", "warm"):
+            lookups.clear()
+            code, _, _ = run(capsys, "polar", "--m", "3", "--n", "4..5", "--r", "1..2")
+            assert code == 0, state
+            assert sorted(lookups) == cells, state
 
     @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
