@@ -3,19 +3,17 @@
 An entry is {"values": [...]}, a list of decimal strings: profiles outgrow
 64-bit integers well within the ranges users ask for, and text keeps the file
 portable and diffable.  ``polar.sign_record`` derives the sign record from
-the key.  A version mismatch or a malformed file makes the whole file be
-ignored (with a warning) when it is loaded.  Entries are parsed and checked
-one at a time, when a command first reads one, or all of them when the cache
-is shown or stored: an entry whose key is not the canonical "m,n,r" or lies
-outside 0 <= r <= m <= n, whose values are not a list of decimal strings,
-whose length is not (m+n)r - 2r^2 + 1, or which holds a negative value is
-then dropped alone (with a warning naming it).  So a command pays for the
-entries it serves, not for the size of the file, and a stored file holds only
-checked entries.  The command line checks every cell it serves from the cache
-against the closed forms of ``polar._check_closed_forms`` (the degree, the
-alternating sum C(m, r) and the nonzero range) and drops and recomputes an
-entry that fails, with a warning naming it.  An edit that keeps every one of
-these invariants is caught only by a verify pass, which recomputes the digits
+the key.  A missing file is an empty cache.  A version mismatch or a
+malformed file makes the whole file be ignored (with a warning); an entry
+whose key is not the canonical "m,n,r" or lies outside 0 <= r <= m <= n,
+whose values are not a list of decimal strings, whose length is not
+(m+n)r - 2r^2 + 1, or which holds a negative value is dropped alone (with a
+warning naming it).
+The command line checks every cell it serves from the cache against the
+closed forms of ``polar._check_closed_forms`` (the degree, the alternating
+sum C(m, r) and the nonzero range) and drops and recomputes an entry that
+fails, with a warning naming it.  An edit that keeps every one of these
+invariants is caught only by a verify pass, which recomputes the digits
 through the independent Schubert route.
 """
 
@@ -27,6 +25,7 @@ import re
 import sys
 import tempfile
 from contextlib import suppress
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .polar import PolarProfile, sign_record
@@ -50,53 +49,21 @@ def cache_path() -> Path:
     return cache_dir() / CACHE_FILENAME
 
 
+@dataclass
 class CacheFile:
-    """The cache of one file: entries keyed by "m,n,r", each parsed and
-    checked by ``_parse_entry`` the first time it is read."""
+    """In-memory image of the cache: entries keyed by "m,n,r"."""
 
-    def __init__(self, raw: dict | None = None, path: Path | None = None):
-        self._raw = raw or {}  # key -> JSON entry not yet checked (not copied)
-        self._checked = {}  # key -> PolarProfile
-        self.path = path  # named in the warning for a dropped entry
+    entries: dict = field(default_factory=dict)  # key -> PolarProfile
 
     @staticmethod
     def key(m: int, n: int, r: int) -> str:
         return f"{m},{n},{r}"
 
-    def _check(self, key: str) -> PolarProfile | None:
-        """Parse the pending entry ``key``: keep it checked, or drop it with
-        a warning naming it."""
-        try:
-            profile = _parse_entry(key, self._raw.pop(key))
-        except (KeyError, TypeError, ValueError) as exc:
-            warn(f"dropping cache entry {key!r} of {self.path}: {exc}")
-            return None
-        self._checked[key] = profile
-        return profile
-
     def get(self, m: int, n: int, r: int) -> PolarProfile | None:
-        key = self.key(m, n, r)
-        if key in self._raw:
-            return self._check(key)
-        return self._checked.get(key)
-
-    @property
-    def entries(self) -> dict:
-        """Every entry, each checked, by key; a failing one is dropped."""
-        for key in list(self._raw):
-            self._check(key)
-        return self._checked
+        return self.entries.get(self.key(m, n, r))
 
     def put(self, profile: PolarProfile):
-        key = self.key(profile.m, profile.n, profile.r)
-        self._raw.pop(key, None)
-        self._checked[key] = profile
-
-    def drop(self, m: int, n: int, r: int):
-        """Forget an entry, checked or not."""
-        key = self.key(m, n, r)
-        self._raw.pop(key, None)
-        self._checked.pop(key, None)
+        self.entries[self.key(profile.m, profile.n, profile.r)] = profile
 
 
 def warn(msg: str):
@@ -106,52 +73,69 @@ def warn(msg: str):
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+def _values(key: str, texts) -> tuple:
+    """The values of entry ``key``, which must be a list of non-negative
+    decimal strings, as cache_store writes them.  int() alone would also take
+    a float (truncated), an infinity (OverflowError) or a bare string (read
+    digit by digit)."""
+    if type(texts) is not list:
+        raise ValueError(f"entry {key} values are not a list")
+    with suppress(TypeError):  # raised by join for an item that is not a string
+        digits = "".join(texts)
+        if digits.isascii() and digits.isdigit():  # the common case, checked in one pass
+            return tuple(map(int, texts))
+    for text in texts:
+        if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+            raise ValueError(f"entry {key} value {text!r} is not a decimal string")
+    values = tuple(map(int, texts))
+    if any(v < 0 for v in values):
+        raise ValueError(f"entry {key} has a negative value")
+    return values
+
+
 def _parse_entry(key: str, raw) -> PolarProfile:
     m, n, r = (int(x) for x in key.split(","))
     if key != CacheFile.key(m, n, r):
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     if not 0 <= r <= m <= n:
         raise ValueError(f"key {key} outside 0 <= r <= m <= n")
-    texts = raw["values"]
-    # int() would also take a float (truncated), an infinity (OverflowError)
-    # or a bare string (read digit by digit); cache_store writes none of them
-    if not isinstance(texts, list):
-        raise ValueError(f"entry {key} values are not a list")
-    for text in texts:
-        if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
-            raise ValueError(f"entry {key} value {text!r} is not a decimal string")
-    values = tuple(map(int, texts))
+    values = _values(key, raw["values"])
     if len(values) != (m + n) * r - 2 * r * r + 1:
         raise ValueError(f"entry {key} has {len(values)} values, not (m+n)r - 2r^2 + 1")
-    if any(v < 0 for v in values):
-        raise ValueError(f"entry {key} has a negative value")
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
 def cache_load(path: Path | None = None) -> CacheFile:
     """Load the cache.  A missing file is an empty cache; an unreadable,
     version-mismatched or malformed file means an empty cache plus a
-    warning.  Entries are checked later, as ``CacheFile`` reads them."""
+    warning; an entry that fails its checks is dropped alone, with a warning
+    naming its key."""
     path = path or cache_path()
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
-        return CacheFile(path=path)
+        return CacheFile()
     except (OSError, ValueError) as exc:
         warn(f"ignoring unreadable cache {path}: {exc}")
-        return CacheFile(path=path)
+        return CacheFile()
     try:
         if raw["version"] != CACHE_VERSION:
             warn(
                 f"ignoring cache {path} with version {raw['version']} "
                 f"(current is {CACHE_VERSION})"
             )
-            return CacheFile(path=path)
+            return CacheFile()
         items = raw["entries"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         warn(f"ignoring malformed cache {path}: {exc}")
-        return CacheFile(path=path)
-    return CacheFile(dict(items), path)
+        return CacheFile()
+    entries = {}
+    for key, val in items:
+        try:
+            entries[key] = _parse_entry(key, val)
+        except (KeyError, TypeError, ValueError) as exc:
+            warn(f"dropping cache entry {key!r} of {path}: {exc}")
+    return CacheFile(entries)
 
 
 def cache_store(cache: CacheFile, path: Path | None = None):

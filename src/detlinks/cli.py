@@ -102,7 +102,7 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
                 polar_mod._check_closed_forms(*cell, cached.values)
             except ConsistencyError as exc:
                 warn(f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
-                cache.drop(*cell)
+                del cache.entries[CacheFile.key(*cell)]
                 cached = None
             else:
                 polar_mod.seed_profile(cached)

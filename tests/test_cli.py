@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from detlinks import cache as cache_mod
 from detlinks import cli
 from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
@@ -466,8 +465,11 @@ class TestCache:
         '["3", 4.9, "3", "0"]',
         '["3", 4, "3", "0"]',
         '["3", " 4", "3", "0"]',
+        '["3", "4_0", "3", "0"]',
+        '["3", "\\u0664", "3", "0"]',
         '"3430"',
-    ], ids=["infinity", "overflow", "float", "integer", "padded", "bare_string"])
+    ], ids=["infinity", "overflow", "float", "integer", "padded", "underscore",
+            "non_ascii_digit", "bare_string"])
     def test_value_not_a_decimal_string_dropped(self, capsys, values):
         args = ("polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
         code, clean, _ = run(capsys, *args)
@@ -481,49 +483,6 @@ class TestCache:
         assert "detlinks: warning: dropping cache entry '2,3,1'" in err
         assert "decimal string" in err or "not a list" in err
         assert path.read_bytes() == stored  # recomputed and stored again
-
-    def test_parses_only_the_entries_it_reads(self, capsys, monkeypatch):
-        run(capsys, "polar", "--m", "3", "--n", "4..6", "--r", "1..2")
-        parsed = []
-        parse = cache_mod._parse_entry
-
-        def spy(key, raw):
-            parsed.append(key)
-            return parse(key, raw)
-
-        monkeypatch.setattr(cache_mod, "_parse_entry", spy)
-        code, out, _ = run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2",
-                           "--format", "csv")
-        assert code == 0 and "3,4,2,2,27" in out
-        assert parsed == ["3,4,2"]
-        parsed.clear()
-        code, _, _ = run(capsys, "cache", "show")
-        assert code == 0
-        assert sorted(parsed) == [f"3,{n},{r}" for n in (4, 5, 6) for r in (1, 2)]
-
-    def test_unread_bad_entry_warned_when_stored(self, capsys, tmp_path, monkeypatch):
-        run(capsys, "polar", "--m", "3", "--n", "4..6", "--r", "1..2")
-        path = cache_path()
-        payload = json.loads(path.read_text())
-        payload["entries"]["3,5,1"]["values"][1] = "-15"
-        path.write_text(json.dumps(payload))
-        tampered = path.read_bytes()
-        # a command that stores nothing never reads the bad entry
-        served = ("polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
-        code, out, err = run(capsys, *served)
-        assert code == 0 and "3,4,2,2,27" in out
-        assert err == ""
-        assert path.read_bytes() == tampered
-        # a store checks every entry, drops the bad one and keeps the rest
-        code, _, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1")
-        assert code == 0
-        assert "dropping cache entry '3,5,1'" in err and "negative" in err
-        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "clean"))
-        for argv in (("--n", "4", "--r", "1..2"), ("--n", "5", "--r", "2"),
-                     ("--n", "6", "--r", "1..2")):
-            run(capsys, "polar", "--m", "3", *argv)
-        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1")
-        assert path.read_bytes() == cache_path().read_bytes()
 
     def test_file_removed_after_it_was_seen_is_an_empty_cache(
             self, capsys, tmp_path, monkeypatch):
