@@ -6,29 +6,28 @@ portable and diffable.  ``polar.sign_record`` derives the sign record from
 the key.  A missing file is an empty cache.  A version mismatch or a
 malformed file makes the whole file be ignored (with a warning); an entry
 whose key is not the canonical "m,n,r" or lies outside 0 <= r <= m <= n,
-whose values are not a list of decimal strings, whose length is not
-(m+n)r - 2r^2 + 1, or which holds a negative value is dropped alone (with a
-warning naming it).
-The command line checks every cell it serves from the cache against the
-closed forms of ``polar._check_closed_forms`` (the degree, the alternating
-sum C(m, r) and the nonzero range) and drops and recomputes an entry that
-fails, with a warning naming it.  An edit that keeps every one of these
-invariants is caught only by a verify pass, which recomputes the digits
-through the independent Schubert route.
+whose values are not a list of non-negative decimal strings, or whose length
+is not that of its sign record is dropped alone, with a warning naming it
+and its first bad value.  The command line checks every cell it serves from
+the cache against the closed forms of ``polar._check_closed_forms`` (the
+degree, the alternating sum C(m, r), the nonzero range and no negative
+value) and drops and recomputes an entry that fails, with a warning naming
+it.  An edit that keeps every one of these invariants is caught only by a
+verify pass, which recomputes the digits through the independent
+Schubert route.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .polar import PolarProfile, sign_record
+from .polar import PolarProfile, _validate_params, sign_record
 
 CACHE_VERSION = 2
 CACHE_ENV = "DETLINKS_CACHE"
@@ -70,39 +69,33 @@ def warn(msg: str):
     print(f"detlinks: warning: {msg}", file=sys.stderr)
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _values(key: str, texts) -> tuple:
-    """The values of entry ``key``, which must be a list of non-negative
-    decimal strings, as cache_store writes them.  int() alone would also take
-    a float (truncated), an infinity (OverflowError) or a bare string (read
-    digit by digit)."""
+def _values(texts) -> tuple:
+    """The values of one entry, which must be a list of non-negative decimal
+    strings, as cache_store writes them.  int() alone would also take a float
+    (truncated), an infinity (OverflowError) or a bare string (read digit by
+    digit)."""
     if type(texts) is not list:
-        raise ValueError(f"entry {key} values are not a list")
+        raise ValueError("values are not a list")
     with suppress(TypeError):  # raised by join for an item that is not a string
         digits = "".join(texts)
         if digits.isascii() and digits.isdigit():  # the common case, checked in one pass
             return tuple(map(int, texts))
     for text in texts:
-        if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
-            raise ValueError(f"entry {key} value {text!r} is not a decimal string")
-    values = tuple(map(int, texts))
-    if any(v < 0 for v in values):
-        raise ValueError(f"entry {key} has a negative value")
-    return values
+        if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+            raise ValueError(f"value {text!r} is not a non-negative decimal string")
+    return ()  # only an empty list gets here; the length check rejects it
 
 
 def _parse_entry(key: str, raw) -> PolarProfile:
     m, n, r = (int(x) for x in key.split(","))
     if key != CacheFile.key(m, n, r):
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
-    if not 0 <= r <= m <= n:
-        raise ValueError(f"key {key} outside 0 <= r <= m <= n")
-    values = _values(key, raw["values"])
-    if len(values) != (m + n) * r - 2 * r * r + 1:
-        raise ValueError(f"entry {key} has {len(values)} values, not (m+n)r - 2r^2 + 1")
-    return PolarProfile(m, n, r, values, sign_record(m, n, r))
+    _validate_params(m, n, r)
+    values = _values(raw["values"])
+    signs = sign_record(m, n, r)
+    if len(values) != len(signs):
+        raise ValueError(f"entry {key} has {len(values)} values, not {len(signs)}")
+    return PolarProfile(m, n, r, values, signs)
 
 
 def cache_load(path: Path | None = None) -> CacheFile:

@@ -8,10 +8,10 @@ formats: ``csv`` (long form, LF line endings, integers only), ``md``
 the same request produces byte-identical output no matter what the cache
 holds.
 
-Exit codes: 0 success, 2 usage, 3 domain error (for example a non-smooth
-link), 4 internal consistency failure (a computed profile failing a closed
-form or holding a negative value, an inexact Bott division, a --verify
-mismatch, a negative middle Betti number).
+Exit codes: 0 success, 1 I/O failure of ``cache clear``, 2 usage, 3 domain
+error (for example a non-smooth link), 4 internal consistency failure (a
+computed profile failing a closed form or holding a negative value, an
+inexact Bott division, a --verify mismatch, a negative middle Betti number).
 """
 
 from __future__ import annotations
@@ -184,15 +184,23 @@ def cmd_polar(args) -> int:
 # euler
 # ---------------------------------------------------------------------------
 
-def _seed_strata(spec: DetSpec, i: int, verify: bool, jobs: int):
-    cells = [(spec.m, spec.n, rank) for rank in links_mod.link_strata(spec, i)]
+def _seed_strata(spec: DetSpec, codims: range, verify: bool, jobs: int,
+                 smooth: bool = False):
+    """Check every requested codimension first, so a rejected request does
+    no work; the lowest one's strata include those of every higher one."""
+    for i in codims:
+        spec.check_codim(i, smooth)
+    cells = [(spec.m, spec.n, rank) for rank in links_mod.link_strata(spec, codims.start)]
     _gather_profiles(cells, verify, jobs)
 
 
 def cmd_euler(args) -> int:
+    spec_flags = (args.m, args.n, args.s, args.codim)
+    if args.hilbert_burch != (args.max_m is not None):
+        raise _UsageError("--hilbert-burch and --max-m go together")
     if args.hilbert_burch:
-        if args.max_m is None:
-            raise _UsageError("--hilbert-burch needs --max-m")
+        if any(flag is not None for flag in spec_flags):
+            raise _UsageError("--hilbert-burch takes no --m, --n, --s or --codim")
         cells = [(m, m + 1, r) for m in range(2, args.max_m + 1) for r in range(1, m)]
         _gather_profiles(cells, args.verify, args.jobs)
         rows = links_mod.hilbert_burch_chi_table(args.max_m)
@@ -207,10 +215,10 @@ def cmd_euler(args) -> int:
             table_rows = [[d] + rows[d] for d in range(4)]
             _emit(_md_table(["d \\ m"] + ms, table_rows))
         return 0
-    if args.m is None or args.n is None or args.s is None or args.codim is None:
+    if any(flag is None for flag in spec_flags):
         raise _UsageError("euler needs --m, --n, --s and --codim (or --hilbert-burch)")
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec, min(args.codim), args.verify, args.jobs)
+    _seed_strata(spec, args.codim, args.verify, args.jobs)
     values = [(i, euler_complex_link(spec, i)) for i in args.codim]
     if args.format == "csv":
         rows = [(spec.m, spec.n, spec.s, i, chi) for i, chi in values]
@@ -235,7 +243,7 @@ def cmd_euler(args) -> int:
 
 def cmd_betti(args) -> int:
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec, min(args.codim), args.verify, args.jobs)
+    _seed_strata(spec, args.codim, args.verify, args.jobs, smooth=True)
     profiles = [betti_smooth_complex_link(spec, i) for i in args.codim]
     if args.format == "csv":
         rows = []
@@ -328,8 +336,11 @@ def cmd_cache(args) -> int:
         _emit(str(path))
         return 0
     if args.action == "clear":
-        if path.exists():
-            path.unlink()
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            print(f"detlinks: error: could not clear the cache: {exc}", file=sys.stderr)
+            return 1
         _emit(f"cleared {path}")
         return 0
     cache = cache_load()

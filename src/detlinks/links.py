@@ -43,17 +43,27 @@ class DetSpec:
     @property
     def d(self) -> int:
         """Complex dimension of the germ: (m+n)r - r^2."""
-        return (self.m + self.n) * self.r - self.r**2
+        return _stratum_dim(self, self.r)
 
     @property
     def sing_dim(self) -> int:
         """Dimension of the singular locus (negative when there is none)."""
-        rr = self.r - 1
-        return (self.m + self.n) * rr - rr**2
+        return _stratum_dim(self, self.r - 1)
 
     def smooth_range(self) -> range:
         """Codimensions i whose links are smooth: sing_dim <= i < d."""
         return range(max(self.sing_dim, 0), self.d)
+
+    def check_codim(self, i: int, smooth: bool = False):
+        """Raise DomainError unless a codimension-i link exists, 0 <= i < d,
+        and, with ``smooth``, is smooth."""
+        if not 0 <= i < self.d:
+            raise DomainError(f"codimension {i} outside 0..{self.d - 1} for {self}")
+        if smooth and i < self.sing_dim:
+            raise DomainError(
+                f"link not smooth at codimension {i} for {self}: "
+                f"smooth range is {max(self.sing_dim, 0)}..{self.d - 1}"
+            )
 
 
 def _stratum_dim(spec: DetSpec, rank: int) -> int:
@@ -88,8 +98,7 @@ def euler_complex_link(spec: DetSpec, i: int) -> int:
     link is a finite set of points and the value equals the multiplicity of
     the germ.
     """
-    if not 0 <= i < spec.d:
-        raise DomainError(f"codimension {i} outside 0..{spec.d - 1} for {spec}")
+    spec.check_codim(i)
     return sum(
         euler_obstruction(spec.m, spec.n, rank, i + 1) * egz_factor(spec, rank)
         for rank in link_strata(spec, i)
@@ -118,6 +127,13 @@ def grass_betti(r: int, m: int) -> tuple:
     return tuple(poincare(GrassSpec(r, m)).coefficients_list())
 
 
+def _below_middle(spec: DetSpec, i: int) -> tuple:
+    """Betti numbers of a smooth codimension-i link in degrees below its
+    middle d - i - 1: those of Grass(s-1, m), zero past its top degree."""
+    gb = grass_betti(spec.r, spec.m)
+    return tuple(gb[k] if k < len(gb) else 0 for k in range(spec.d - i - 1))
+
+
 @dataclass(frozen=True)
 class LinkProfile:
     """Cohomological profile of one smooth complex link.
@@ -140,17 +156,10 @@ class LinkProfile:
 
 def betti_smooth_complex_link(spec: DetSpec, i: int) -> LinkProfile:
     """Betti vector of the codimension-i link; requires a smooth link."""
-    if not 0 <= i < spec.d:
-        raise DomainError(f"codimension {i} outside 0..{spec.d - 1} for {spec}")
-    if i < spec.sing_dim:
-        raise DomainError(
-            f"link not smooth at codimension {i} for {spec}: "
-            f"smooth range is {max(spec.sing_dim, 0)}..{spec.d - 1}"
-        )
+    spec.check_codim(i, smooth=True)
     chi = euler_complex_link(spec, i)
     middle = spec.d - i - 1
-    gb = grass_betti(spec.r, spec.m)
-    below = [gb[k] if k < len(gb) else 0 for k in range(middle)]
+    below = _below_middle(spec, i)
     partial = sum((-1) ** k * b for k, b in enumerate(below))
     mid = (-1) ** middle * (chi - partial)
     if mid < 0:
@@ -164,7 +173,7 @@ def betti_smooth_complex_link(spec: DetSpec, i: int) -> LinkProfile:
         chi=chi,
         smooth=True,
         middle=middle,
-        betti=tuple(below) + (mid,),
+        betti=below + (mid,),
         torsion_status=torsion,
     )
 
@@ -244,20 +253,15 @@ def betti_real_link_rank1(m: int, n: int) -> tuple:
 
 def betti_smooth_real_link(spec: DetSpec, i: int) -> RealLinkBetti:
     """Known Betti data of the codimension-i real link; smooth range only."""
-    if not 0 <= i < spec.d:
-        raise DomainError(f"codimension {i} outside 0..{spec.d - 1} for {spec}")
-    if i < spec.sing_dim:
-        raise DomainError(f"real link not smooth at codimension {i} for {spec}")
+    spec.check_codim(i, smooth=True)
     middle_low = spec.d - i - 1
-    gb = grass_betti(spec.r, spec.m)
-    below = tuple(gb[k] if k < len(gb) else 0 for k in range(middle_low))
     full = None
     if spec.r == 1 and i == 0:
         full = betti_real_link_rank1(spec.m, spec.n)
     return RealLinkBetti(
         spec=spec,
         codim=i,
-        below_middle=below,
+        below_middle=_below_middle(spec, i),
         middle_degrees=(middle_low, middle_low + 1),
         full_betti=full,
     )
@@ -316,15 +320,9 @@ def smoothing_bounds(m: int, dim_kind: str) -> int:
     """
     if dim_kind not in _BOUND_KINDS:
         raise DomainError(f"dim_kind must be one of {_BOUND_KINDS}")
-    if m < 1:
-        raise DomainError("m must be at least 1")
     spec = DetSpec(m, m + 1, m)
     offset = {"curve": 4, "surface": 5, "threefold": 6}[dim_kind]
     i = m * (m + 1) - offset
-    if not 0 <= i < spec.d:
-        raise DomainError(
-            f"no {dim_kind} link for m={m}: codimension {i} outside 0..{spec.d - 1}"
-        )
     chi = euler_complex_link(spec, i)
     if dim_kind == "surface":
         return chi - 2

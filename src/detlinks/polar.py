@@ -355,8 +355,5 @@ def euler_obstruction(m: int, n: int, r: int, i: int) -> int:
     d = (m + n) * r - r * r
     if not 0 <= i <= d:
         raise DomainError(f"obstruction index i={i} outside 0..{d}")
-    profile = polar_profile(m, n, r)
-    total = 0
-    for j in range(i, d + 1):
-        total += (-1) ** (d - j) * profile.value(d - j)
-    return total
+    values = polar_profile(m, n, r).values[: d - i + 1]
+    return sum((-1) ** k * v for k, v in enumerate(values))

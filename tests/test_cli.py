@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
 from detlinks.links import DetSpec, euler_complex_link
 from detlinks.polar import PolarProfile
+
+EXPECTED_OUTPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 @pytest.fixture(autouse=True)
@@ -237,6 +240,19 @@ class TestEulerCommand:
         assert code == 2
         assert "usage" in err
 
+    def test_hilbert_burch_with_spec_flags_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "euler", "--m", "2", "--n", "3", "--s", "2",
+                             "--codim", "0", "--hilbert-burch", "--max-m", "2")
+        assert (code, out) == (2, "")
+        assert err == ("detlinks: usage error: "
+                       "--hilbert-burch takes no --m, --n, --s or --codim\n")
+
+    def test_max_m_without_hilbert_burch_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "euler", "--m", "2", "--n", "3", "--s", "2",
+                             "--codim", "0", "--max-m", "2")
+        assert (code, out) == (2, "")
+        assert err == "detlinks: usage error: --hilbert-burch and --max-m go together\n"
+
 
 class TestBettiCommand:
     def test_worked_example(self, capsys):
@@ -260,6 +276,34 @@ class TestBettiCommand:
         assert "not smooth" in err
 
 
+class TestRejectedLinkRequests:
+    @pytest.mark.parametrize("argv, err", [
+        (("betti", "--m", "4", "--n", "9", "--s", "4", "--codim", "2"),
+         "link not smooth at codimension 2 for DetSpec(m=4, n=9, s=4): "
+         "smooth range is 22..29"),
+        (("betti", "--m", "3", "--n", "4", "--s", "3", "--codim", "5..7"),
+         "link not smooth at codimension 5 for DetSpec(m=3, n=4, s=3): "
+         "smooth range is 6..9"),
+        (("euler", "--m", "3", "--n", "5", "--s", "3", "--codim", "-3"),
+         "codimension -3 outside 0..11 for DetSpec(m=3, n=5, s=3)"),
+    ], ids=["below_smooth", "range_starting_below_smooth", "negative"])
+    @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+    def test_rejected_before_any_profile_is_gathered(
+            self, capsys, monkeypatch, inline_pool, argv, err, verify):
+        routes = []
+        for name in ("compute_polar_profile", "certify_polar_profile"):
+            def spy(m, n, r, _real=getattr(cli, name)):
+                routes.append((m, n, r))
+                return _real(m, n, r)
+
+            monkeypatch.setattr(cli, name, spy)
+        code, out, got = run(capsys, *argv, *verify, "--jobs", "2")
+        assert (code, out, got) == (3, "", f"detlinks: error: {err}\n")
+        assert routes == []
+        assert inline_pool.sizes == []
+        assert not cache_path().exists()
+
+
 class TestRingCommand:
     def test_md_output(self, capsys):
         code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2")
@@ -273,6 +317,46 @@ class TestRingCommand:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [r[1] for r in rows] == ["1", "0", "1", "0", "1"]
+
+    def test_every_format_of_grass_2_4(self, capsys):
+        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2")
+        assert code == 0
+        assert out == (
+            "### Grassmannian of 2-planes in dimension 4\n"
+            "\n"
+            "- complex dimension: 4\n"
+            "- module rank: 6\n"
+            "- Poincare polynomial: 1 + t^2 + 2*t^4 + t^6 + t^8\n"
+            "\n"
+            "| degree | basis class |\n"
+            "| --- | --- |\n"
+            "| 0 | () |\n"
+            "| 2 | (1) |\n"
+            "| 4 | (2) |\n"
+            "| 4 | (1,1) |\n"
+            "| 6 | (2,1) |\n"
+            "| 8 | (2,2) |\n"
+            "\n"
+            "relations:\n"
+            "- x1^3 - 2*x1*x2\n"
+            "- x1^2*x2 - x2^2\n"
+        )
+        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2", "--format", "csv")
+        assert code == 0
+        assert out == "degree,rank\n0,1\n1,0\n2,1\n3,0\n4,2\n5,0\n6,1\n7,0\n8,1\n"
+        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2", "--format", "json")
+        assert code == 0
+        payload = {
+            "kind": "ring",
+            "r": 2,
+            "m": 4,
+            "dimension": 4,
+            "rank": 6,
+            "poincare": ["1", "0", "1", "0", "2", "0", "1", "0", "1"],
+            "basis": [[], [1], [2], [1, 1], [2, 1], [2, 2]],
+            "relations": ["x1^3 - 2*x1*x2", "x1^2*x2 - x2^2"],
+        }
+        assert out == json.dumps(payload, indent=1) + "\n"
 
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--verify"]])
     def test_takes_no_profile_flags(self, capsys, flag):
@@ -516,3 +600,57 @@ class TestCache:
         code, _, _ = run(capsys, "cache", "clear")
         assert code == 0
         assert not cache_path().exists()
+
+    def test_clear_without_a_cache_file(self, capsys, monkeypatch):
+        # also a concurrent ``cache clear`` that removed the file after it was seen
+        monkeypatch.setattr(Path, "exists", lambda self: True)
+        for _ in range(2):
+            code, out, err = run(capsys, "cache", "clear")
+            assert (code, out, err) == (0, f"cleared {cache_path()}\n", "")
+
+    def test_clear_that_cannot_remove_the_file_is_one_line(self, capsys):
+        cache_path().mkdir()
+        code, out, err = run(capsys, "cache", "clear")
+        assert (code, out) == (1, "")
+        assert err.startswith("detlinks: error: could not clear the cache: ")
+        assert str(cache_path()) in err and err.count("\n") == 1
+        assert cache_path().is_dir()
+
+    @pytest.mark.parametrize("value", ["-5", 7, "1e3"])
+    def test_bad_value_named_and_dropped_alone(self, capsys, value):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["3,4,1"]["values"][1] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert err == (f"detlinks: warning: dropping cache entry '3,4,1' of {path}: "
+                       f"value {value!r} is not a non-negative decimal string\n")
+        assert "3,4,2" in out and "3,4,1" not in out
+
+    def test_key_outside_the_domain_dropped_alone(self, capsys):
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["3,2,1"] = {"values": ["2", "2", "2"]}
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert err == (f"detlinks: warning: dropping cache entry '3,2,1' of {path}: "
+                       "need 0 <= r <= m <= n, got m=3, n=2, r=1\n")
+        assert "3,4,2" in out and "3,2,1" not in out
+
+
+class TestRecordedOutputs:
+    def test_every_recorded_output_is_reproduced(self, capsys):
+        # the sweep fills the cache that the warm commands are served from
+        expected = json.loads(EXPECTED_OUTPUTS.read_text())
+        differ = []
+        for kind in ("sweep_outputs", "warm_outputs"):
+            for command, digest in expected[kind].items():
+                code, out, _ = run(capsys, *command.split())
+                if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+                    differ.append(command)
+        assert len(expected["sweep_outputs"]) + len(expected["warm_outputs"]) == 71
+        assert differ == []

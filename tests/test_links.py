@@ -39,6 +39,18 @@ class TestDetSpec:
         with pytest.raises(DomainError):
             DetSpec(3, 4, 4)
 
+    def test_check_codim(self):
+        for i in range(10):
+            M343.check_codim(i)
+        for i in range(6, 10):
+            M343.check_codim(i, smooth=True)
+        for i in (-1, 10):
+            with pytest.raises(DomainError, match=rf"^codimension {i} outside 0\.\.9 for "
+                               r"DetSpec\(m=3, n=4, s=3\)$"):
+                M343.check_codim(i, smooth=True)
+        with pytest.raises(DomainError, match=r"^link not smooth at codimension 5 "):
+            M343.check_codim(5, smooth=True)
+
 
 class TestTransverseLinkFactors:
     def test_worked_factor(self):
@@ -215,6 +227,10 @@ class TestSmoothingBounds:
         with pytest.raises(DomainError):
             smoothing_bounds(1, "threefold")
 
+    def test_no_germ_below_m_1(self):
+        with pytest.raises(DomainError, match="need 1 <= s <= m <= n"):
+            smoothing_bounds(0, "curve")
+
 
 class TestRealLinks:
     def test_rank_one_closed_form(self):
@@ -236,6 +252,14 @@ class TestRealLinks:
     def test_non_smooth_rejected(self):
         with pytest.raises(DomainError):
             betti_smooth_real_link(M343, 2)
+
+    @pytest.mark.parametrize("betti", [betti_smooth_complex_link, betti_smooth_real_link])
+    def test_non_smooth_message_names_the_smooth_range(self, betti):
+        with pytest.raises(DomainError) as exc:
+            betti(M343, 2)
+        assert str(exc.value) == (
+            "link not smooth at codimension 2 for DetSpec(m=3, n=4, s=3): "
+            "smooth range is 6..9")
 
     def test_recorded_torsion_witness(self):
         assert KNOWN_REAL_LINK_TORSION[((2, 3, 2), 2)]["group"] == "Z/3"
