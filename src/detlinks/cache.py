@@ -7,7 +7,7 @@ the key.  A missing file is an empty cache.  A version mismatch or a
 malformed file makes the whole file be ignored (with a warning); an entry
 whose key is not the canonical "m,n,r" or lies outside 0 <= r <= m <= n,
 whose values are not a list of non-negative decimal strings, or whose length
-is not that of its sign record is dropped alone, with a warning naming it
+is not ``polar.profile_length`` is dropped alone, with a warning naming it
 and its first bad value.  The command line checks every cell it serves from
 the cache against the closed forms of ``polar._check_closed_forms`` (the
 degree, the alternating sum C(m, r), the nonzero range and no negative
@@ -27,7 +27,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .polar import PolarProfile, _validate_params, sign_record
+from .polar import PolarProfile, _validate_params, profile_length, sign_record
 
 CACHE_VERSION = 2
 CACHE_ENV = "DETLINKS_CACHE"
@@ -92,10 +92,10 @@ def _parse_entry(key: str, raw) -> PolarProfile:
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     _validate_params(m, n, r)
     values = _values(raw["values"])
-    signs = sign_record(m, n, r)
-    if len(values) != len(signs):
-        raise ValueError(f"entry {key} has {len(values)} values, not {len(signs)}")
-    return PolarProfile(m, n, r, values, signs)
+    length = profile_length(m, n, r)  # before sign_record, which builds that many
+    if len(values) != length:
+        raise ValueError(f"entry {key} has {len(values)} values, not {length}")
+    return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
 def cache_load(path: Path | None = None) -> CacheFile:

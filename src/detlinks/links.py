@@ -307,7 +307,7 @@ def hilbert_burch_chi_table(max_m: int) -> list:
     return rows
 
 
-_BOUND_KINDS = ("curve", "surface", "threefold")
+_BOUNDS = {"curve": (4, -1, -1), "surface": (5, 1, -2), "threefold": (6, -1, -2)}
 
 
 def smoothing_bounds(m: int, dim_kind: str) -> int:
@@ -318,14 +318,13 @@ def smoothing_bounds(m: int, dim_kind: str) -> int:
     * surface:   b_2 >=  chi(L^(m(m+1)-5)) - 2
     * curve:     b_1 >= -chi(L^(m(m+1)-4)) - 1
     """
-    if dim_kind not in _BOUND_KINDS:
-        raise DomainError(f"dim_kind must be one of {_BOUND_KINDS}")
+    if dim_kind not in _BOUNDS:
+        raise DomainError(f"dim_kind must be one of {tuple(_BOUNDS)}")
+    offset, sign, constant = _BOUNDS[dim_kind]
     spec = DetSpec(m, m + 1, m)
-    offset = {"curve": 4, "surface": 5, "threefold": 6}[dim_kind]
     i = m * (m + 1) - offset
-    chi = euler_complex_link(spec, i)
-    if dim_kind == "surface":
-        return chi - 2
-    if dim_kind == "threefold":
-        return -chi - 2
-    return -chi - 1
+    try:
+        spec.check_codim(i)
+    except DomainError as exc:
+        raise DomainError(f"no {dim_kind} link for m={m}: {exc}") from None
+    return sign * euler_complex_link(spec, i) + constant

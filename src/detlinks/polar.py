@@ -85,15 +85,20 @@ class PolarProfile:
         return self.values[k] if k <= self.k_max else 0
 
 
+def profile_length(m: int, n: int, r: int) -> int:
+    """Number of values of the (m, n, r) profile: (m+n)r - 2r^2 + 1; 1 at r = 0."""
+    return (m + n) * r - 2 * r * r + 1 if r else 1
+
+
 @lru_cache(maxsize=None)
 def sign_record(m: int, n: int, r: int) -> tuple:
-    """raw_signs of the (m, n, r) profile: (-1)^(d-1+k) for k = 0..(m+n)r-2r^2,
-    d = (m+n)r - r^2, and (1,) for the degenerate r = 0 germ; cached, so that
-    the computed and the cached profile of a cell share one tuple."""
+    """raw_signs of the (m, n, r) profile: (-1)^(d-1+k), d = (m+n)r - r^2, for
+    k below ``profile_length``, and (1,) for the degenerate r = 0 germ; cached,
+    so that the computed and the cached profile of a cell share one tuple."""
     if r == 0:
         return (1,)
     d = (m + n) * r - r * r
-    return tuple((-1) ** (d - 1 + k) for k in range(d - r * r + 1))
+    return tuple((-1) ** (d - 1 + k) for k in range(profile_length(m, n, r)))
 
 
 def _validate_params(m: int, n: int, r: int):
@@ -167,7 +172,7 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
     k <= kappa the value at rank r equals the value at rank m - r and
     position kappa - k, with the same sign; r = m folds onto [1].
     """
-    big_k = (m + n) * r - 2 * r * r
+    big_k = profile_length(m, n, r) - 1
     kappa = 2 * r * (m - r)
     if 2 * r > m:
         return _bott_integrals(m, n, m - r)[kappa::-1] + [0] * (big_k - kappa)
@@ -331,15 +336,11 @@ def duality_check(m: int, n: int, r: int) -> DualityReport:
     left = polar_profile(m, n, r)
     right = polar_profile(m, n, m - r)
     shift = 2 * (m - r) * r
-    pairs = []
-    ok = True
-    for k in range(left.k_max + 1):
-        kd = shift - k
-        lv = left.value(k)
-        rv = right.value(kd) if kd >= 0 else 0
-        pairs.append((k, kd, lv, rv))
-        ok = ok and lv == rv
-    return DualityReport(m, n, r, tuple(pairs), ok)
+    pairs = tuple(
+        (k, shift - k, left.value(k), right.value(shift - k) if k <= shift else 0)
+        for k in range(left.k_max + 1)
+    )
+    return DualityReport(m, n, r, pairs, all(lv == rv for _, _, lv, rv in pairs))
 
 
 def euler_obstruction(m: int, n: int, r: int, i: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from detlinks import cache as cache_module
 from detlinks import cli
 from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
@@ -640,6 +641,25 @@ class TestCache:
         assert err == (f"detlinks: warning: dropping cache entry '3,2,1' of {path}: "
                        "need 0 <= r <= m <= n, got m=3, n=2, r=1\n")
         assert "3,4,2" in out and "3,2,1" not in out
+
+    def test_short_entry_of_a_huge_key_dropped_before_its_signs(self, capsys, monkeypatch):
+        # the sign record of 3000,3000,1500 has 4.5 million items; a one-value
+        # entry must be rejected by its length without building them
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["3000,3000,1500"] = {"values": ["1"]}
+        path.write_text(json.dumps(payload))
+        built = []
+        real = cache_module.sign_record
+        monkeypatch.setattr(cache_module, "sign_record",
+                            lambda m, n, r: built.append((m, n, r)) or real(m, n, r))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert err == (f"detlinks: warning: dropping cache entry '3000,3000,1500' of {path}: "
+                       "entry 3000,3000,1500 has 1 values, not 4500001\n")
+        assert "3,4,2" in out and "3000,3000,1500" not in out
+        assert built == [(3, 4, 2)]
 
 
 class TestRecordedOutputs:

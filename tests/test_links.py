@@ -227,6 +227,14 @@ class TestSmoothingBounds:
         with pytest.raises(DomainError):
             smoothing_bounds(1, "threefold")
 
+    def test_out_of_range_names_the_kind(self):
+        with pytest.raises(DomainError) as err:
+            smoothing_bounds(1, "threefold")
+        assert str(err.value) == (
+            "no threefold link for m=1: codimension -4 outside 0..-1 "
+            "for DetSpec(m=1, n=2, s=1)"
+        )
+
     def test_no_germ_below_m_1(self):
         with pytest.raises(DomainError, match="need 1 <= s <= m <= n"):
             smoothing_bounds(0, "curve")
