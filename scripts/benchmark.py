@@ -6,7 +6,10 @@ the torus fixed points, halved by their mirror symmetry) and, next to it,
 certify_polar_profile (the Schubert route behind --verify: Lascoux classes
 paired by box complement) on the (m, m+1, m-1) family and on the hardest
 tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
-on a current desktop core.  A cell whose two routes disagree is reported,
+on a current desktop core.  Every compute time is a full Bott sum: the
+process memo of Bott sums, which both ranks of a dual pair share, is
+cleared before each one, so (7,8,4) right after its dual (7,8,3) is summed
+again rather than read back.  A cell whose two routes disagree is reported,
 and the script then exits 1.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
@@ -25,7 +28,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from detlinks.polar import certify_polar_profile, compute_polar_profile  # noqa: E402
+from detlinks.polar import (  # noqa: E402
+    _bott_sums,
+    certify_polar_profile,
+    compute_polar_profile,
+)
 
 
 HARD_CELLS = ["7,8,3", "7,8,4", "6,12,3"]
@@ -45,6 +52,7 @@ def timed(route, m, n, r):
 def run_cell(m, n, r):
     """Time both routes on one cell; returns (compute seconds, certify
     seconds, whether the routes agree)."""
+    _bott_sums.cache_clear()
     prof, compute_s = timed(compute_polar_profile, m, n, r)
     cert, certify_s = timed(certify_polar_profile, m, n, r)
     agree = cert == prof

@@ -30,8 +30,12 @@ minus its dual defect (Holme, Manuscripta Math. 61, 1988), so only those
 integrals are summed and the rest are zero.  Its dual variety is the
 rank <= m - r locus (Kleiman, Tangency and duality, 1986), and the integrals
 at rank r are those at rank m - r read backwards from kappa, so ranks above
-m/2 are summed at the far smaller dual rank.  The certifier evaluates every
-integral at rank r directly, so the two routes agreeing checks both facts.
+m/2 are summed at the far smaller dual rank.  Those sums are kept for the
+life of the process and shared by both ranks of a dual pair, so a pair is
+summed once, whichever rank is asked for first; nothing served from the
+cache or seeded into the profile memo ever enters them.  The certifier
+evaluates every integral at rank r directly, so the two routes agreeing
+checks both facts.
 
 The published values are the absolute values of the signed ones, which
 strictly alternate in k: the sign at k is (-1)^(d-1+k), fixed by (m, n, r),
@@ -146,7 +150,25 @@ def _reweight(h: list, removed, added) -> list:
 
 def _bott_integrals(m: int, n: int, r: int) -> list:
     """integral of s_k(Q1 (x) Q2) * s_(K-k)(S1 (x) S2) over G, k = 0..K, by
-    Bott's residue formula.
+    Bott's residue formula, as a fresh list.
+
+    Only k <= kappa = 2r(m - r) is summed, the nonvanishing range (Holme);
+    the rest are zero.  For 2r > m the integrals are the dual rank's,
+    reversed (Kleiman): at k <= kappa the value at rank r equals the value
+    at rank m - r and position kappa - k, with the same sign; r = m folds
+    onto [1].  Both ranks of a dual pair read the one memoized
+    ``_bott_sums`` of the lower rank.
+    """
+    sums = _bott_sums(m, n, min(r, m - r))
+    if 2 * r > m:
+        sums = sums[::-1]
+    return list(sums) + [0] * (profile_length(m, n, r) - len(sums))
+
+
+@lru_cache(maxsize=None)
+def _bott_sums(m: int, n: int, r: int) -> tuple:
+    """The integrals of ``_bott_integrals`` at k = 0..kappa, kappa = 2r(m - r),
+    for 2r <= m only; memoized, so immutable.
 
     The torus weights are x_j = 2j - (n-1) on C^n and y_l = -(2l - (m-1))
     on C^m, so the tensor roots are the integers x_j + y_l; zero roots are
@@ -166,16 +188,10 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
     L1 * L2, the lcms of the Euler classes on each factor, and the final
     division is checked to be exact.
 
-    Only k <= kappa = 2r(m - r) is summed, the nonvanishing range (Holme);
-    the quotient series stop there, the sub series still reach K.  For
-    2r > m the integrals are the dual rank's, reversed (Kleiman): at
-    k <= kappa the value at rank r equals the value at rank m - r and
-    position kappa - k, with the same sign; r = m folds onto [1].
+    The quotient series stop at kappa, the sub series still reach K.
     """
     big_k = profile_length(m, n, r) - 1
     kappa = 2 * r * (m - r)
-    if 2 * r > m:
-        return _bott_integrals(m, n, m - r)[kappa::-1] + [0] * (big_k - kappa)
     xs = [2 * j - (n - 1) for j in range(n)]
     ys = [(m - 1) - 2 * l for l in range(m)]
     walk = _revolving_door(n, r)
@@ -222,7 +238,7 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
             f"denominator {denom}: {totals}"
         )
     sign = (-1) ** big_k
-    return [sign * (total // denom) for total in totals] + [0] * (big_k - kappa)
+    return tuple(sign * (total // denom) for total in totals)
 
 
 def _schubert_integrals(m: int, n: int, r: int) -> list:
@@ -271,8 +287,13 @@ def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
 
 
 def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:
-    """Evaluate the full profile for one (m, n, r), bypassing the memo, by
-    Bott's formula over the torus fixed points."""
+    """Evaluate the full profile for one (m, n, r) by Bott's formula over the
+    torus fixed points, checked against the closed forms.
+
+    It bypasses the profile memo ``_PROFILES`` and the on-disk cache, so a
+    seeded or served profile never stands in for it; it shares the Bott
+    sums of ``_bott_sums`` with every earlier computation of the cell or
+    its dual rank in the process."""
     return _profile(m, n, r, _bott_integrals)
 
 

@@ -1,13 +1,22 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
+from detlinks import polar
 from detlinks.grass_ring import GrassClass, GrassSpec
 from detlinks.partitions import partitions_in_box
 from detlinks.tensor_calculus import ProdClass, ProdSpec
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def fresh_bott_sums():
+    """Each test starts with no memoized Bott sums, so a test that patches a
+    step of the sum (``_reweight``, ``_revolving_door``) sees the sum run."""
+    polar._bott_sums.cache_clear()
 
 
 def partition_tuples(max_part=8, max_len=6):

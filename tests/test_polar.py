@@ -311,6 +311,58 @@ class TestClosedFormChecks:
         assert "nonzero values are not exactly k <= 2" in str(exc.value)
 
 
+class TestBottSumsMemo:
+    """A dual pair shares one memoized Bott sum, and nothing but that sum
+    ever enters the memo."""
+
+    @pytest.mark.parametrize("high_first", [False, True], ids=["low-first", "high-first"])
+    @pytest.mark.parametrize("cell", [(3, 4, 1), (4, 6, 1), (5, 7, 2)],
+                             ids=lambda c: "%d,%d,%d" % c)
+    def test_dual_pair_walks_once(self, monkeypatch, cell, high_first):
+        m, n, r = cell
+        walks = []
+        door = polar._revolving_door
+
+        def spy(size, rank):
+            walks.append((size, rank))
+            return door(size, rank)
+
+        monkeypatch.setattr(polar, "_revolving_door", spy)
+        ranks = [m - r, r] if high_first else [r, m - r]
+        profiles = [compute_polar_profile(m, n, rank) for rank in ranks]
+        assert [w for w in walks if w[0] == n] == [(n, r)]
+        for rank, prof in zip(ranks, profiles):
+            assert prof == certify_polar_profile(m, n, rank)
+
+    # (3,3,1) has no zero padding, so its integrals are the sums themselves;
+    # (3,4,2) is read backwards from the rank-1 sums
+    @pytest.mark.parametrize("cell", [(3, 3, 1), (3, 4, 2)], ids=lambda c: "%d,%d,%d" % c)
+    def test_edited_integrals_leave_the_sums_alone(self, monkeypatch, cell):
+        bott = polar._bott_integrals
+
+        def bump(m, n, r):
+            values = bott(m, n, r)
+            values[0] += 1  # in place, as ``TestClosedFormChecks._corrupt`` does
+            return values
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "_bott_integrals", bump)
+            with pytest.raises(ConsistencyError, match="zeroth value"):
+                compute_polar_profile(*cell)
+        assert compute_polar_profile(*cell) == certify_polar_profile(*cell)
+
+    def test_seeded_profile_never_reaches_the_sums(self, monkeypatch):
+        monkeypatch.setattr(polar, "_PROFILES", {})
+        m, n = 4, 5
+        true = certify_polar_profile(m, n, 1)
+        tampered = PolarProfile(m, n, 1, (true.values[0] + 2,) + true.values[1:],
+                                true.raw_signs)
+        seed_profile(tampered)
+        assert polar_profile(m, n, 1) is tampered
+        assert compute_polar_profile(m, n, m - 1) == certify_polar_profile(m, n, m - 1)
+        assert polar_profile(m, n, m - 1) == certify_polar_profile(m, n, m - 1)
+
+
 class TestRevolvingDoor:
     @pytest.mark.parametrize("n", range(11))
     def test_each_subset_once_by_single_swaps(self, n):
