@@ -10,7 +10,9 @@ on a current desktop core.  Every compute time is a full Bott sum: the
 process memo of Bott sums, which both ranks of a dual pair share, is
 cleared before each one, so (7,8,4) right after its dual (7,8,3) is summed
 again rather than read back.  A cell whose two routes disagree is reported,
-and the script then exits 1.
+and the script then exits 1.  A first line reports start-up: the median
+time of ``import detlinks.cli`` over five fresh interpreters, started one
+after another, and the detlinks modules that import loads.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -22,11 +24,15 @@ Usage:
 """
 
 import argparse
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from detlinks.polar import (  # noqa: E402
     _bott_sums,
@@ -36,6 +42,9 @@ from detlinks.polar import (  # noqa: E402
 
 
 HARD_CELLS = ["7,8,3", "7,8,4", "6,12,3"]
+IMPORT_CLI = ("import sys, time; started = time.perf_counter(); import detlinks.cli; "
+              "print(time.perf_counter() - started, "
+              "*sorted(name for name in sys.modules if name.startswith('detlinks')))")
 
 
 def fmt_values(values, limit=6):
@@ -47,6 +56,18 @@ def timed(route, m, n, r):
     started = time.perf_counter()
     prof = route(m, n, r)
     return prof, time.perf_counter() - started
+
+
+def startup():
+    """Print the median ``import detlinks.cli`` time over five fresh
+    interpreters and the detlinks modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    outputs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+               for _ in range(5)]
+    seconds = statistics.median(float(out[0]) for out in outputs)
+    print(f"start-up: import detlinks.cli {seconds * 1e3:.1f} ms (median of 5 "
+          f"fresh interpreters), loads {' '.join(outputs[-1][1:])}")
 
 
 def run_cell(m, n, r):
@@ -69,6 +90,7 @@ def main(argv=None):
                         help="extra cell m,n,r (repeatable)")
     args = parser.parse_args(argv)
 
+    startup()
     print("polar-profile timings (informational):")
     print(f"  {'cell':9s} {'compute':>9s} {'certify':>9s}  values")
     cells = [(m, m + 1, m - 1) for m in range(2, args.max_hb + 1)]

@@ -1,26 +1,17 @@
-"""Exact Schubert calculus for the polar multiplicities, Euler
-characteristics, Euler obstructions and Betti profiles of the links of
-generic determinantal varieties.
+"""Polar multiplicities, Euler characteristics, Euler obstructions and
+Betti profiles of the links of generic determinantal varieties.
+
+Profiles come from Bott localization over torus fixed points; Schubert
+calculus (``grass_ring``, ``tensor_calculus``) certifies them.  The package
+root exports the library API of ``errors``, ``polar``, ``links`` and
+``partitions``; the Schubert calculus is imported from its own modules, so
+importing the package loads none of it.
 
 Everything is computed over Z with arbitrary-precision integers; there is
 no floating point anywhere in the pipeline.
 """
 
 from .errors import ConsistencyError, DomainError
-from .grass_ring import (
-    GrassClass,
-    GrassSpec,
-    PresentationPoly,
-    chern_quot,
-    chern_sub,
-    grassmann_relations,
-    integrate,
-    mul,
-    oracle_quotient_ring,
-    poincare,
-    presentation_h,
-    schubert_to_presentation,
-)
 from .links import (
     DetSpec,
     LinkProfile,
@@ -55,18 +46,6 @@ from .polar import (
     euler_obstruction,
     polar_multiplicity,
     polar_profile,
-)
-from .tensor_calculus import (
-    QUOT_TENSOR,
-    SUB_TENSOR,
-    CharSeries,
-    ProdClass,
-    ProdSpec,
-    chern_tensor,
-    chern_tensor_via_roots,
-    integrate_prod,
-    mul_prod,
-    segre_tensor,
 )
 
 __version__ = "0.1.0"

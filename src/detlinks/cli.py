@@ -24,7 +24,6 @@ from . import links as links_mod
 from . import polar as polar_mod
 from .cache import CacheFile, cache_load, cache_path, cache_store, warn
 from .errors import ConsistencyError, DomainError
-from .grass_ring import GrassSpec, grassmann_relations, poincare
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
 from .polar import certify_polar_profile, compute_polar_profile
 
@@ -287,6 +286,8 @@ def cmd_betti(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ring(args) -> int:
+    from .grass_ring import GrassSpec, grassmann_relations, poincare
+
     spec = GrassSpec(args.r, args.m)
     poly = poincare(spec)
     basis = spec.basis()

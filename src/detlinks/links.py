@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ConsistencyError, DomainError
-from .grass_ring import GrassSpec, poincare
-from .partitions import IntPolynomial
+from .partitions import IntPolynomial, gaussian_binomial
 from .polar import euler_obstruction, polar_profile
 
 
@@ -122,9 +121,17 @@ def euler_step(spec: DetSpec, i: int) -> int:
     return total
 
 
+def _grass_poincare(r: int, m: int) -> IntPolynomial:
+    """Poincare polynomial of Grass(r, m): the Gaussian binomial [m choose r]
+    in t^2."""
+    if not 0 <= r <= m:
+        raise DomainError(f"need 0 <= r <= m, got r={r}, m={m}")
+    return gaussian_binomial(m, r).stretched(2)
+
+
 def grass_betti(r: int, m: int) -> tuple:
     """Betti numbers of Grass(r, m) in cohomological degrees 0..2r(m-r)."""
-    return tuple(poincare(GrassSpec(r, m)).coefficients_list())
+    return tuple(_grass_poincare(r, m).coefficients_list())
 
 
 def _below_middle(spec: DetSpec, i: int) -> tuple:
@@ -216,7 +223,7 @@ def orbit_poincare(m: int, n: int, r: int) -> OrbitPoincare:
     with degrees 2n-1, 2n-3, ..., 2(n-r)+1."""
     if not (0 <= r <= min(m, n)):
         raise DomainError(f"need 0 <= r <= min(m, n), got m={m}, n={n}, r={r}")
-    poly = poincare(GrassSpec(r, m)) * poincare_stiefel(r, n)
+    poly = _grass_poincare(r, m) * poincare_stiefel(r, n)
     return OrbitPoincare(m, n, r, poly)
 
 
@@ -247,7 +254,7 @@ def betti_real_link_rank1(m: int, n: int) -> tuple:
     the product of projective (m-1)-space with a (2n-1)-sphere."""
     if not 2 <= m <= n:
         raise DomainError(f"need 2 <= m <= n, got m={m}, n={n}")
-    poly = poincare(GrassSpec(1, m)) * IntPolynomial({0: 1, 2 * n - 1: 1})
+    poly = _grass_poincare(1, m) * IntPolynomial({0: 1, 2 * n - 1: 1})
     return tuple(poly.coefficients_list())
 
 

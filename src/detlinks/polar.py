@@ -16,6 +16,9 @@ both tensor bundles in the Schubert basis by box complement.  Those series
 come in closed form from Lascoux's class c(S1 (x) Q2) times a power of one
 factor's Chern class (``tensor_calculus``), with no torus weights and no
 fixed points, so the routes share nothing but the normalizer.
+``_schubert_integrals`` imports ``tensor_calculus`` on the certifier's first
+call, so loading this module and running production load no Schubert
+calculus.
 
 The Bott sum uses the weights 2j - (n-1) on C^n and -(2l - (m-1)) on C^m,
 which the reflection j -> n-1-j, l -> m-1-l negates, so mirrored fixed
@@ -54,13 +57,6 @@ from itertools import combinations, pairwise, zip_longest
 from math import comb, lcm, prod
 
 from .errors import ConsistencyError, DomainError
-from .tensor_calculus import (
-    QUOT_TENSOR,
-    SUB_TENSOR,
-    ProdSpec,
-    pair_prod,
-    segre_tensor,
-)
 
 
 @dataclass(frozen=True)
@@ -244,6 +240,8 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
 def _schubert_integrals(m: int, n: int, r: int) -> list:
     """The same integrals from the Lascoux Segre series of both tensor
     bundles in the Schubert basis, paired by box complement."""
+    from .tensor_calculus import QUOT_TENSOR, SUB_TENSOR, ProdSpec, pair_prod, segre_tensor
+
     spec = ProdSpec(r, n, m)
     big_k = spec.dim
     s_quot = segre_tensor(spec, QUOT_TENSOR, big_k)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,34 @@ class TestPolarCommand:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
+        # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
+        # load only for --verify and ring; every other command runs without them
+        code = textwrap.dedent("""
+            import json, sys
+            from detlinks import cli
+            def run(*argvs):
+                return [cli.main(argv.split()) for argv in argvs]
+            served = run("polar --m 3 --n 4..5 --r 1..2",
+                         "euler --m 3 --n 4 --s 3 --codim 5..6",
+                         "betti --m 3 --n 4 --s 3 --codim 6",
+                         "euler --hilbert-burch --max-m 3",
+                         "cache show")
+            loaded = [name for name in ("detlinks.grass_ring", "detlinks.tensor_calculus")
+                      if name in sys.modules]
+            later = run("ring --m 4 --r 2", "polar --m 3 --n 4 --r 2 --verify")
+            print(json.dumps([served, loaded, later]))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        served, loaded, later = json.loads(result.stdout.splitlines()[-1])
+        assert served == [0] * 5
+        assert loaded == []
+        assert later == [0, 0]
 
 
 class TestEulerCommand:

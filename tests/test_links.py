@@ -1,6 +1,7 @@
 import pytest
 
 from detlinks.errors import DomainError
+from detlinks.grass_ring import GrassSpec, poincare
 from detlinks.links import (
     KNOWN_REAL_LINK_TORSION,
     DetSpec,
@@ -17,6 +18,7 @@ from detlinks.links import (
     poincare_unitary,
     smoothing_bounds,
 )
+from detlinks.partitions import IntPolynomial
 from detlinks.polar import polar_profile
 
 import reference_tables as ref
@@ -132,6 +134,17 @@ class TestBetti:
         assert grass_betti(1, 3) == (1, 0, 1, 0, 1)
         assert grass_betti(2, 4) == (1, 0, 1, 0, 2, 0, 1, 0, 1)
 
+    def test_grass_betti_is_the_schubert_ring_poincare_polynomial(self):
+        for m in range(9):
+            for r in range(m + 1):
+                expected = poincare(GrassSpec(r, m)).coefficients_list()
+                assert grass_betti(r, m) == tuple(expected), (r, m)
+
+    @pytest.mark.parametrize("r, m", [(-1, 3), (4, 3), (0, -1)])
+    def test_grass_betti_rejects_rank_outside_0_to_m(self, r, m):
+        with pytest.raises(DomainError, match="need 0 <= r <= m"):
+            grass_betti(r, m)
+
     def test_threefold_link_of_3x4(self):
         prof = betti_smooth_complex_link(M343, 6)
         assert prof.betti == (1, 0, 1, 9)
@@ -199,6 +212,13 @@ class TestOrbitModels:
         for m, n, r in [(2, 2, 1), (3, 4, 1), (3, 4, 2), (4, 5, 3)]:
             assert orbit_poincare(m, n, r).polynomial(-1) == 0
 
+    def test_orbit_is_grassmannian_times_stiefel(self):
+        for m in range(1, 6):
+            for n in range(m, 7):
+                for r in range(m + 1):
+                    expected = poincare(GrassSpec(r, m)) * poincare_stiefel(r, n)
+                    assert orbit_poincare(m, n, r).polynomial == expected, (m, n, r)
+
     def test_rank_zero_orbit_is_a_point(self):
         assert orbit_poincare(3, 4, 0).polynomial == poincare_unitary(0)
 
@@ -243,6 +263,12 @@ class TestSmoothingBounds:
 class TestRealLinks:
     def test_rank_one_closed_form(self):
         assert betti_real_link_rank1(2, 3) == (1, 0, 1, 0, 0, 1, 0, 1)
+
+    def test_rank_one_is_projective_space_times_sphere(self):
+        for m in range(2, 6):
+            for n in range(m, 7):
+                expected = poincare(GrassSpec(1, m)) * IntPolynomial({0: 1, 2 * n - 1: 1})
+                assert betti_real_link_rank1(m, n) == tuple(expected.coefficients_list())
 
     def test_profile_structure(self):
         spec = DetSpec(2, 3, 2)
