@@ -14,7 +14,9 @@ degree, the alternating sum C(m, r), the nonzero range and no negative
 value) and drops and recomputes an entry that fails, with a warning naming
 it.  An edit that keeps every one of these invariants is caught only by a
 verify pass, which recomputes the digits through the independent
-Schubert route.
+Schubert route.  A served entry is trusted only within the command that
+served it: the command line passes it to that command's link sums as an
+argument and never memoizes it for the process.
 """
 
 from __future__ import annotations

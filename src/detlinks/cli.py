@@ -82,17 +82,23 @@ def _csv(header: list, rows: list) -> str:
 # profile gathering through the persistent cache
 # ---------------------------------------------------------------------------
 
-def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
+def _gather_profiles(cells, verify: bool, jobs: int):
     """Fetch profiles for the requested cells, consulting and updating the
-    persistent cache.  A served entry that fails the closed forms of
-    ``polar._check_closed_forms`` is dropped with a warning and recomputed.
-    With verify=True every cell is recomputed through the independent
-    Schubert route and compared with its cache entry; a mismatch is a
-    consistency failure."""
-    if not cells:
-        return {}
-    cache = cache_load()
+    persistent cache, and return the lookup (m, n, r) -> PolarProfile over
+    exactly those cells.  The command renders it or passes it to ``links``,
+    so a served entry is trusted within this command only.  A served entry
+    that fails the closed forms of ``polar._check_closed_forms`` is dropped
+    with a warning and recomputed.  With verify=True every cell is
+    recomputed through the independent Schubert route and compared with its
+    cache entry; a mismatch is a consistency failure."""
     out = {}
+
+    def lookup(m, n, r):
+        return out[m, n, r]
+
+    if not cells:
+        return lookup
+    cache = cache_load()
     need = {}  # cell -> the cache entry to compare with, or None to store it
     for cell in cells:
         cached = cache.get(*cell)
@@ -104,7 +110,6 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
                 del cache.entries[CacheFile.key(*cell)]
                 cached = None
             else:
-                polar_mod.seed_profile(cached)
                 out[cell] = cached
                 continue
         need[cell] = cached
@@ -124,11 +129,10 @@ def _gather_profiles(cells, verify: bool, jobs: int) -> dict:
                 f"cache entry {CacheFile.key(*cell)} does not match "
                 f"recomputation: cached {cached.values}, got {prof.values}"
             )
-        polar_mod.seed_profile(prof)
         out[cell] = prof
     if None in need.values():
         cache_store(cache)
-    return out
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +150,11 @@ def _nonzero_width(profiles) -> int:
 
 def cmd_polar(args) -> int:
     order = sorted((m, n, r) for r in args.r for m in args.m for n in args.n)
-    profiles = _gather_profiles(order, args.verify, args.jobs)
+    profile = _gather_profiles(order, args.verify, args.jobs)
     if args.format == "csv":
         rows = []
         for m, n, r in order:
-            prof = profiles[(m, n, r)]
+            prof = profile(m, n, r)
             rows.extend((m, n, r, k, v) for k, v in enumerate(prof.values))
         _emit(_csv(["m", "n", "r", "k", "e"], rows))
     elif args.format == "json":
@@ -159,7 +163,7 @@ def cmd_polar(args) -> int:
                 "m": m,
                 "n": n,
                 "r": r,
-                "e": [str(v) for v in profiles[(m, n, r)].values],
+                "e": [str(v) for v in profile(m, n, r).values],
             }
             for m, n, r in order
         ]
@@ -168,11 +172,11 @@ def cmd_polar(args) -> int:
         chunks = []
         for r in sorted({c[2] for c in order}):
             group = [c for c in order if c[2] == r]
-            width = _nonzero_width(profiles[c] for c in group)
+            width = _nonzero_width(profile(*c) for c in group)
             header = [f"size \\ k (r={r})"] + list(range(width))
             rows = []
             for m, n, _ in group:
-                prof = profiles[(m, n, r)]
+                prof = profile(m, n, r)
                 rows.append([f"{m} x {n}"] + [prof.value(k) for k in range(width)])
             chunks.append(_md_table(header, rows))
         _emit("\n".join(chunks))
@@ -183,14 +187,16 @@ def cmd_polar(args) -> int:
 # euler
 # ---------------------------------------------------------------------------
 
-def _seed_strata(spec: DetSpec, codims: range, verify: bool, jobs: int,
-                 smooth: bool = False):
-    """Check every requested codimension first, so a rejected request does
-    no work; the lowest one's strata include those of every higher one."""
+def _gather_strata(spec: DetSpec, codims: range, verify: bool, jobs: int,
+                   smooth: bool = False):
+    """The ``_gather_profiles`` lookup over the strata the requested links
+    sum over.  Every requested codimension is checked first, so a rejected
+    request does no work; the lowest one's strata include those of every
+    higher one."""
     for i in codims:
         spec.check_codim(i, smooth)
     cells = [(spec.m, spec.n, rank) for rank in links_mod.link_strata(spec, codims.start)]
-    _gather_profiles(cells, verify, jobs)
+    return _gather_profiles(cells, verify, jobs)
 
 
 def cmd_euler(args) -> int:
@@ -201,8 +207,8 @@ def cmd_euler(args) -> int:
         if any(flag is not None for flag in spec_flags):
             raise _UsageError("--hilbert-burch takes no --m, --n, --s or --codim")
         cells = [(m, m + 1, r) for m in range(2, args.max_m + 1) for r in range(1, m)]
-        _gather_profiles(cells, args.verify, args.jobs)
-        rows = links_mod.hilbert_burch_chi_table(args.max_m)
+        profile = _gather_profiles(cells, args.verify, args.jobs)
+        rows = links_mod.hilbert_burch_chi_table(args.max_m, profile)
         ms = list(range(1, args.max_m + 1))
         if args.format == "csv":
             flat = [(d, m, rows[d][m - 1]) for d in range(4) for m in ms]
@@ -217,8 +223,8 @@ def cmd_euler(args) -> int:
     if any(flag is None for flag in spec_flags):
         raise _UsageError("euler needs --m, --n, --s and --codim (or --hilbert-burch)")
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec, args.codim, args.verify, args.jobs)
-    values = [(i, euler_complex_link(spec, i)) for i in args.codim]
+    profile = _gather_strata(spec, args.codim, args.verify, args.jobs)
+    values = [(i, euler_complex_link(spec, i, profile)) for i in args.codim]
     if args.format == "csv":
         rows = [(spec.m, spec.n, spec.s, i, chi) for i, chi in values]
         _emit(_csv(["m", "n", "s", "i", "chi"], rows))
@@ -242,8 +248,8 @@ def cmd_euler(args) -> int:
 
 def cmd_betti(args) -> int:
     spec = DetSpec(args.m, args.n, args.s)
-    _seed_strata(spec, args.codim, args.verify, args.jobs, smooth=True)
-    profiles = [betti_smooth_complex_link(spec, i) for i in args.codim]
+    profile = _gather_strata(spec, args.codim, args.verify, args.jobs, smooth=True)
+    profiles = [betti_smooth_complex_link(spec, i, profile) for i in args.codim]
     if args.format == "csv":
         rows = []
         for prof in profiles:

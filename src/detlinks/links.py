@@ -88,18 +88,19 @@ def egz_factor(spec: DetSpec, stratum_rank: int) -> int:
     return (-1) ** a * comb(spec.m - stratum_rank - 1, a)
 
 
-def euler_complex_link(spec: DetSpec, i: int) -> int:
+def euler_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> int:
     """Euler characteristic of the codimension-i complex link.
 
     Stratum sum: each rank stratum r' contributes its transverse-link factor
     times an alternating partial sum of the polar multiplicities of the rank
     stratum's closure, over the strata of ``link_strata``.  At i = d - 1 the
     link is a finite set of points and the value equals the multiplicity of
-    the germ.
+    the germ.  ``profile`` maps (m, n, r') to the stratum's PolarProfile, as
+    in ``euler_obstruction``.
     """
     spec.check_codim(i)
     return sum(
-        euler_obstruction(spec.m, spec.n, rank, i + 1) * egz_factor(spec, rank)
+        euler_obstruction(spec.m, spec.n, rank, i + 1, profile) * egz_factor(spec, rank)
         for rank in link_strata(spec, i)
     )
 
@@ -161,10 +162,11 @@ class LinkProfile:
     torsion_status: str
 
 
-def betti_smooth_complex_link(spec: DetSpec, i: int) -> LinkProfile:
-    """Betti vector of the codimension-i link; requires a smooth link."""
+def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> LinkProfile:
+    """Betti vector of the codimension-i link; requires a smooth link.
+    ``profile`` is passed to ``euler_complex_link``."""
     spec.check_codim(i, smooth=True)
-    chi = euler_complex_link(spec, i)
+    chi = euler_complex_link(spec, i, profile)
     middle = spec.d - i - 1
     below = _below_middle(spec, i)
     partial = sum((-1) ** k * b for k, b in enumerate(below))
@@ -287,14 +289,15 @@ KNOWN_REAL_LINK_TORSION = {
 # smoothing bounds and the square-ish (m, m+1, m) family
 # ---------------------------------------------------------------------------
 
-def hilbert_burch_chi_table(max_m: int) -> list:
+def hilbert_burch_chi_table(max_m: int, profile=polar_profile) -> list:
     """Euler characteristics of the d-dimensional smooth links of the
     (m, m+1, m) germs, rows d = 0..3, columns m = 1..max_m.
 
     The link of dimension d sits at codimension i = m(m+1) - d - 3.  For
     m = 1 the germ is the reduced origin and i goes negative: a slice by a
     codimension-0 plane is the contractible germ itself (chi = 1 at i = -1)
-    and lower i are vacuous (0).
+    and lower i are vacuous (0).  ``profile`` is passed to
+    ``euler_complex_link``.
     """
     if max_m < 1:
         raise DomainError("max_m must be at least 1")
@@ -305,7 +308,7 @@ def hilbert_burch_chi_table(max_m: int) -> list:
             spec = DetSpec(m, m + 1, m)
             i = m * (m + 1) - d - 3
             if 0 <= i < spec.d:
-                row.append(euler_complex_link(spec, i))
+                row.append(euler_complex_link(spec, i, profile))
             elif i == -1:
                 row.append(1)
             else:

@@ -36,9 +36,8 @@ at rank r are those at rank m - r read backwards from kappa, so ranks above
 m/2 are summed at the far smaller dual rank.  Those sums are kept for the
 life of the process and shared by both ranks of a dual pair, so a pair is
 summed once, whichever rank is asked for first; nothing served from the
-cache or seeded into the profile memo ever enters them.  The certifier
-evaluates every integral at rank r directly, so the two routes agreeing
-checks both facts.
+cache ever enters them.  The certifier evaluates every integral at rank r
+directly, so the two routes agreeing checks both facts.
 
 The published values are the absolute values of the signed ones, which
 strictly alternate in k: the sign at k is (-1)^(d-1+k), fixed by (m, n, r),
@@ -288,10 +287,10 @@ def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:
     """Evaluate the full profile for one (m, n, r) by Bott's formula over the
     torus fixed points, checked against the closed forms.
 
-    It bypasses the profile memo ``_PROFILES`` and the on-disk cache, so a
-    seeded or served profile never stands in for it; it shares the Bott
-    sums of ``_bott_sums`` with every earlier computation of the cell or
-    its dual rank in the process."""
+    It bypasses the profile memo ``polar_profile`` and the on-disk cache, so
+    a served profile never stands in for it; it shares the Bott sums of
+    ``_bott_sums`` with every earlier computation of the cell or its dual
+    rank in the process."""
     return _profile(m, n, r, _bott_integrals)
 
 
@@ -301,25 +300,11 @@ def certify_polar_profile(m: int, n: int, r: int) -> PolarProfile:
     return _profile(m, n, r, _schubert_integrals)
 
 
-_PROFILES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def polar_profile(m: int, n: int, r: int) -> PolarProfile:
-    """Memoized profile."""
-    key = (m, n, r)
-    if key not in _PROFILES:
-        _PROFILES[key] = compute_polar_profile(m, n, r)
-    return _PROFILES[key]
-
-
-def seed_profile(profile: PolarProfile):
-    """Install an externally cached profile into the in-memory memo.
-
-    Installed as given: the command line checks a served profile against
-    ``_check_closed_forms`` before it seeds it, and recomputes it through
-    the certifier only on a verify pass.
-    """
-    _PROFILES[(profile.m, profile.n, profile.r)] = profile
+    """Memoized ``compute_polar_profile``: it holds only profiles this
+    process computed, never one served from the cache."""
+    return compute_polar_profile(m, n, r)
 
 
 def polar_multiplicity(m: int, n: int, r: int, k: int) -> int:
@@ -362,7 +347,7 @@ def duality_check(m: int, n: int, r: int) -> DualityReport:
     return DualityReport(m, n, r, pairs, all(lv == rv for _, _, lv, rv in pairs))
 
 
-def euler_obstruction(m: int, n: int, r: int, i: int) -> int:
+def euler_obstruction(m: int, n: int, r: int, i: int, profile=polar_profile) -> int:
     """Local Euler obstruction of the germ sliced by a generic plane of
     codimension i - 1: the alternating sum of the polar multiplicities,
 
@@ -370,10 +355,12 @@ def euler_obstruction(m: int, n: int, r: int, i: int) -> int:
 
     with values beyond the profile range contributing zero.  At i = d the
     single surviving term is the multiplicity (the slice is a reduced curve).
+    ``profile`` maps (m, n, r) to the PolarProfile to sum, for example one
+    the command line served from its cache.
     """
     _validate_params(m, n, r)
     d = (m + n) * r - r * r
     if not 0 <= i <= d:
         raise DomainError(f"obstruction index i={i} outside 0..{d}")
-    values = polar_profile(m, n, r).values[: d - i + 1]
+    values = profile(m, n, r).values[: d - i + 1]
     return sum((-1) ** k * v for k, v in enumerate(values))

@@ -9,11 +9,16 @@ from pathlib import Path
 import pytest
 
 from detlinks import cache as cache_module
-from detlinks import cli
+from detlinks import cli, polar
 from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
 from detlinks.cli import main
-from detlinks.links import DetSpec, euler_complex_link
-from detlinks.polar import PolarProfile
+from detlinks.links import (
+    DetSpec,
+    betti_smooth_complex_link,
+    euler_complex_link,
+    hilbert_burch_chi_table,
+)
+from detlinks.polar import PolarProfile, compute_polar_profile, polar_profile
 
 EXPECTED_OUTPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -334,6 +339,66 @@ class TestRejectedLinkRequests:
         assert not cache_path().exists()
 
 
+# argv, a cache entry the command reads, and the library call that computes
+# its link numbers with an optional profile lookup
+LINK_COMMANDS = {
+    "euler": (("euler", "--m", "3", "--n", "4", "--s", "3", "--codim", "0..9"), "3,4,2",
+              lambda *profile: [euler_complex_link(DetSpec(3, 4, 3), i, *profile)
+                                for i in range(10)]),
+    "betti": (("betti", "--m", "3", "--n", "4", "--s", "3", "--codim", "6..9"), "3,4,2",
+              lambda *profile: [betti_smooth_complex_link(DetSpec(3, 4, 3), i, *profile)
+                                for i in range(6, 10)]),
+    "hilbert_burch": (("euler", "--hilbert-burch", "--max-m", "4"), "2,3,1",
+                      lambda *profile: hilbert_burch_chi_table(4, *profile)),
+}
+
+
+class TestLinkCommandsReadOnlyWhatTheyGathered:
+    @staticmethod
+    def spy_on_production(monkeypatch) -> dict:
+        """The cells each module's ``compute_polar_profile`` is called on."""
+        seen = {}
+        for module in (cli, polar):
+            def spy(m, n, r, _real=module.compute_polar_profile,
+                    _seen=seen.setdefault(module.__name__, [])):
+                _seen.append(CacheFile.key(m, n, r))
+                return _real(m, n, r)
+
+            monkeypatch.setattr(module, "compute_polar_profile", spy)
+        return seen
+
+    @pytest.mark.parametrize("extra", [(), ("--verify",), ("--jobs", "2")],
+                             ids=["warm", "verify", "cold_jobs"])
+    @pytest.mark.parametrize("command", LINK_COMMANDS)
+    def test_computes_only_what_it_gathers(
+            self, capsys, monkeypatch, inline_pool, command, extra):
+        argv = LINK_COMMANDS[command][0]
+        cold = extra == ("--jobs", "2")
+        if not cold:
+            run(capsys, *argv)
+            polar.polar_profile.cache_clear()  # as in a new process
+        seen = self.spy_on_production(monkeypatch)
+        code, _, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert sorted(seen["detlinks.cli"]) == (sorted(cache_load().entries) if cold else [])
+        assert seen["detlinks.polar"] == []
+
+    @pytest.mark.parametrize("command", LINK_COMMANDS)
+    def test_served_entry_shows_only_in_its_command(self, capsys, command):
+        argv, key, library = LINK_COMMANDS[command]
+        _, clean, _ = run(capsys, *argv)
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        # +1 at k = 1 and at k = 2 keeps every closed form
+        values = payload["entries"][key]["values"]
+        values[1:3] = [str(int(v) + 1) for v in values[1:3]]
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out != clean
+        assert library() == library(compute_polar_profile)
+
+
 class TestRingCommand:
     def test_md_output(self, capsys):
         code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2")
@@ -476,6 +541,22 @@ class TestCache:
                            "--format", "csv")
         assert code == 0
         assert "2,3,1,1,5" in out  # documented: trusted unless verifying
+
+    def test_served_profile_stays_inside_its_command(self, capsys):
+        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        payload["entries"]["2,3,1"]["values"][1:3] = ["5", "4"]
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
+                           "--format", "csv")
+        assert code == 0
+        assert "2,3,1,1,5" in out
+        assert polar_profile(2, 3, 1).values == (3, 4, 3, 0)
+        spec = DetSpec(2, 3, 2)
+        assert [euler_complex_link(spec, i) for i in range(spec.d)] == [
+            euler_complex_link(spec, i, compute_polar_profile) for i in range(spec.d)
+        ]
 
     @pytest.mark.parametrize("position, value, check", [
         (2, "28", "alternating sum is not C(m, r) = 3"),

@@ -5,14 +5,12 @@ import pytest
 from detlinks import polar
 from detlinks.errors import ConsistencyError, DomainError
 from detlinks.polar import (
-    PolarProfile,
     certify_polar_profile,
     compute_polar_profile,
     duality_check,
     euler_obstruction,
     polar_multiplicity,
     polar_profile,
-    seed_profile,
 )
 
 import reference_tables as ref
@@ -67,13 +65,9 @@ class TestProfiles:
                 for k in range(len(prof.raw_signs) - 1)
             )
 
-    def test_memo_and_seed(self):
+    def test_memo(self):
         prof = polar_profile(2, 4, 1)
         assert polar_profile(2, 4, 1) is prof
-        fake = PolarProfile(2, 4, 1, prof.values, prof.raw_signs)
-        seed_profile(fake)
-        assert polar_profile(2, 4, 1) is fake
-        seed_profile(compute_polar_profile(2, 4, 1))
 
     def test_value_accessor_pads_with_zero(self):
         prof = polar_profile(2, 2, 1)
@@ -350,17 +344,6 @@ class TestBottSumsMemo:
             with pytest.raises(ConsistencyError, match="zeroth value"):
                 compute_polar_profile(*cell)
         assert compute_polar_profile(*cell) == certify_polar_profile(*cell)
-
-    def test_seeded_profile_never_reaches_the_sums(self, monkeypatch):
-        monkeypatch.setattr(polar, "_PROFILES", {})
-        m, n = 4, 5
-        true = certify_polar_profile(m, n, 1)
-        tampered = PolarProfile(m, n, 1, (true.values[0] + 2,) + true.values[1:],
-                                true.raw_signs)
-        seed_profile(tampered)
-        assert polar_profile(m, n, 1) is tampered
-        assert compute_polar_profile(m, n, m - 1) == certify_polar_profile(m, n, m - 1)
-        assert polar_profile(m, n, m - 1) == certify_polar_profile(m, n, m - 1)
 
 
 class TestRevolvingDoor:
