@@ -41,10 +41,21 @@ from detlinks.polar import (  # noqa: E402
 )
 
 
-HARD_CELLS = ["7,8,3", "7,8,4", "6,12,3"]
+HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3)]
 IMPORT_CLI = ("import sys, time; started = time.perf_counter(); import detlinks.cli; "
               "print(time.perf_counter() - started, "
               "*sorted(name for name in sys.modules if name.startswith('detlinks')))")
+
+
+def cell(text):
+    """The argparse type of --cell: three integers m,n,r with 0 <= r <= m <= n."""
+    try:
+        m, n, r = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not three integers m,n,r: {text!r}")
+    if not 0 <= r <= m <= n:
+        raise argparse.ArgumentTypeError(f"need 0 <= r <= m <= n: {text!r}")
+    return m, n, r
 
 
 def fmt_values(values, limit=6):
@@ -86,15 +97,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-hb", type=int, default=6,
                         help="largest m of the (m, m+1, m-1) family to time")
-    parser.add_argument("--cell", action="append", default=[],
-                        help="extra cell m,n,r (repeatable)")
+    parser.add_argument("--cell", action="append", default=[], type=cell,
+                        help="extra cell m,n,r with 0 <= r <= m <= n (repeatable)")
     args = parser.parse_args(argv)
 
     startup()
     print("polar-profile timings (informational):")
     print(f"  {'cell':9s} {'compute':>9s} {'certify':>9s}  values")
     cells = [(m, m + 1, m - 1) for m in range(2, args.max_hb + 1)]
-    cells += [tuple(int(x) for x in text.split(",")) for text in HARD_CELLS + args.cell]
+    cells += HARD_CELLS + args.cell
     times = [run_cell(*cell) for cell in cells]
     print(f"total: compute {sum(t[0] for t in times):.2f}s, "
           f"certify {sum(t[1] for t in times):.2f}s")

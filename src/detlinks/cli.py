@@ -292,10 +292,10 @@ def cmd_betti(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ring(args) -> int:
-    from .grass_ring import GrassSpec, grassmann_relations, poincare
+    from .grass_ring import GrassSpec, grassmann_relations
 
     spec = GrassSpec(args.r, args.m)
-    poly = poincare(spec)
+    poly = links_mod._grass_poincare(spec.r, spec.m)
     basis = spec.basis()
     relations = grassmann_relations(spec)
     if args.format == "csv":

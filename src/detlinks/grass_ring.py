@@ -1,19 +1,19 @@
-"""Integral cohomology of a Grassmannian, three ways.
+"""Integral cohomology of a Grassmannian in the Schubert basis.
 
-The main representation is the Schubert basis: an element of
-H*(Grass(r, m)) is a ``GrassClass``, the ``partitions.SparseElement``
-whose keys are partitions inside the r x (m - r) box, with multiplication
-by iterated Pieri steps (a general basis element is first expanded through
-single-row classes by the Giambelli determinant).  Degrees are Chern
-degrees: the class indexed by a partition of weight w lives in
-cohomological degree 2w.
+An element of H*(Grass(r, m)) is a ``GrassClass``, the
+``partitions.SparseElement`` whose keys are partitions inside the
+r x (m - r) box, with multiplication by iterated Pieri steps (a general
+basis element is first expanded through single-row classes by the
+Giambelli determinant).  Degrees are Chern degrees: the class indexed by a
+partition of weight w lives in cohomological degree 2w.  The certifier in
+``tensor_calculus`` multiplies in this basis.
 
-Alongside it live the polynomial presentation Z[x_1..x_r]/J (the x_i are
-the Chern classes of the tautological subbundle, deg x_i = i; its
-polynomials are the same sparse type keyed by exponent tuples) and a
-brute-force oracle that builds that quotient degree by degree with exact
-integer row reduction.  The oracle certifies the Pieri/Giambelli route;
-neither side trusts the other.
+The polynomial presentation Z[x_1..x_r]/J (the x_i are the Chern classes
+of the tautological subbundle, deg x_i = i; its polynomials are the same
+sparse type keyed by exponent tuples) supplies the relations that the
+``ring`` command prints.  The tests build that quotient degree by degree
+with exact integer row reduction (``tests/oracles.py``) and certify the
+Pieri/Giambelli products against it; neither side trusts the other.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .partitions import (
-    IntPolynomial,
     SparseElement,
     as_partition,
-    conjugate,
     fits_in_box,
-    gaussian_binomial,
     partitions_in_box,
     weight,
 )
@@ -89,10 +86,6 @@ class GrassClass(SparseElement):
     @classmethod
     def unit(cls, spec):
         return cls(spec, {(): 1})
-
-    @classmethod
-    def schubert(cls, spec, lam):
-        return cls(spec, {as_partition(lam): 1})
 
     def _mul(self, other):
         return mul(self, other)
@@ -188,11 +181,6 @@ def mul(a: GrassClass, b: GrassClass) -> GrassClass:
     return GrassClass._trusted(a.spec, acc)
 
 
-def integrate(a: GrassClass) -> int:
-    """Coefficient of the full-box class; zero if there is no top component."""
-    return a.coords.get(a.spec.box, 0)
-
-
 def chern_sub(spec: GrassSpec, i: int) -> GrassClass:
     """i-th Chern class of the tautological subbundle: (-1)^i times the
     single-column class of height i.  On Grass(m, m) the subbundle is
@@ -224,11 +212,6 @@ def chern_list_quot(spec: GrassSpec) -> list:
     return [GrassClass.unit(spec)] + [chern_quot(spec, k) for k in range(1, spec.cols + 1)]
 
 
-def poincare(spec: GrassSpec) -> IntPolynomial:
-    """Poincare polynomial of Grass(r, m) in cohomological degrees."""
-    return gaussian_binomial(spec.m, spec.r).stretched(2)
-
-
 # ---------------------------------------------------------------------------
 # polynomial presentation
 # ---------------------------------------------------------------------------
@@ -254,10 +237,6 @@ class PresentationPoly(SparseElement):
         return expo
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
     def variable(cls, nvars, i):
         """x_i, 1-based."""
         if not 1 <= i <= nvars:
@@ -268,15 +247,6 @@ class PresentationPoly(SparseElement):
     @staticmethod
     def _wdeg(expo):
         return sum((i + 1) * e for i, e in enumerate(expo))
-
-    def weighted_degree(self) -> int | None:
-        """Common weighted degree; None for zero, error if inhomogeneous."""
-        degs = {self._wdeg(e) for e in self.coords}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("polynomial is not weighted-homogeneous")
-        return degs.pop()
 
     def _mul(self, other):
         if other.spec != self.spec:
@@ -311,8 +281,8 @@ def presentation_h(r: int, n_max: int) -> list:
 
     Step n presents the ring for ambient dimension m = r + n: the ideal
     generated by h^(m-r) cuts Z[x_1..x_r] down to a free module of rank
-    comb(m, r), a fact the quotient-ring oracle checks against the Gaussian
-    binomial coefficients.
+    comb(m, r), a fact the quotient-ring oracle of ``tests/oracles.py``
+    checks against the Gaussian binomial coefficients.
     """
     if r < 1:
         raise DomainError("presentation needs r >= 1")
@@ -335,207 +305,3 @@ def grassmann_relations(spec: GrassSpec) -> list:
     if spec.r == 0:
         return []
     return presentation_h(spec.r, spec.cols)[-1][1]
-
-
-def schubert_to_presentation(spec: GrassSpec, lam) -> PresentationPoly:
-    """Express a Schubert class as a polynomial in x_1..x_r.
-
-    Column determinant with entries e_{lam'_i - i + j} where e_k stands for
-    the k-th Chern class of the dual subbundle, i.e. (-1)^k x_k.
-    """
-    lam = as_partition(lam)
-    if not fits_in_box(lam, spec.r, spec.cols):
-        raise ValueError(f"{lam} does not fit the box of {spec}")
-    r = spec.r
-
-    def e_poly(k):
-        if k == 0:
-            return PresentationPoly.constant(r, 1)
-        if k < 0 or k > r:
-            return PresentationPoly.zero(r)
-        return PresentationPoly.variable(r, k) * ((-1) ** k)
-
-    mu = conjugate(lam)
-    ell = len(mu)
-    if ell == 0:
-        return PresentationPoly.constant(r, 1)
-    acc = PresentationPoly.zero(r)
-    for perm in permutations(range(ell)):
-        term = PresentationPoly.constant(r, _perm_sign(perm))
-        for i in range(ell):
-            term = term * e_poly(mu[i] - i + perm[i])
-            if term.is_zero():
-                break
-        acc = acc + term
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# the brute-force quotient-ring oracle
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _weighted_monomials(nvars: int, d: int):
-    """Exponent tuples over x_1..x_nvars of weighted degree d, lex descending."""
-    if nvars == 0:
-        return ((),) if d == 0 else ()
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == nvars:
-            if remaining == 0:
-                out.append(acc)
-            return
-        w = i + 1
-        for e in range(remaining // w, -1, -1):
-            rec(i + 1, remaining - e * w, acc + (e,))
-
-    rec(0, d, ())
-    return tuple(sorted(out, reverse=True))
-
-
-def _integer_echelon(rows, ncols):
-    """Exact integer row echelon preferring unit pivots.
-
-    The pivot order is chosen greedily at entries of absolute value one
-    (creating them by Euclidean column reduction when necessary), because a
-    left-to-right sweep can get stuck on a non-unit pivot even when the row
-    lattice is a direct summand.  A successful run returns (pivots, []),
-    where every pivot entry is 1, each pivot row vanishes at the other
-    pivot columns, and the non-pivot coordinates are therefore a Z-basis of
-    the quotient.  If no unit pivot can be produced for some rows they are
-    returned unreduced as the second component; the caller treats that as
-    possible torsion.  Pure big-int arithmetic throughout.
-    """
-    work = [list(r) for r in rows if any(r)]
-    pivots = []
-    while work:
-        pos = None
-        for ri, row in enumerate(work):
-            for c, v in enumerate(row):
-                if v == 1 or v == -1:
-                    pos = (ri, c)
-                    break
-            if pos:
-                break
-        if pos is None:
-            progressed = False
-            for c in range(ncols):
-                having = [r for r in work if r[c]]
-                if len(having) < 2:
-                    continue
-                having.sort(key=lambda r: abs(r[c]))
-                base = having[0]
-                for r in having[1:]:
-                    q = r[c] // base[c]
-                    if q:
-                        for t in range(ncols):
-                            r[t] -= q * base[t]
-                        progressed = True
-            work = [r for r in work if any(r)]
-            if progressed:
-                continue
-            return sorted(pivots), work
-        ri, c = pos
-        piv = work.pop(ri)
-        if piv[c] < 0:
-            piv = [-x for x in piv]
-        for row in work:
-            if row[c]:
-                q = row[c]
-                for t in range(ncols):
-                    row[t] -= q * piv[t]
-        for _, prow in pivots:
-            if prow[c]:
-                q = prow[c]
-                for t in range(ncols):
-                    prow[t] -= q * piv[t]
-        pivots.append((c, piv))
-        work = [r for r in work if any(r)]
-    return sorted(pivots), []
-
-
-class QuotientRingOracle:
-    """Brute-force model of H*(Grass(r, m)) as Z[x_1..x_r] modulo relations.
-
-    Each weighted-graded piece is handled by exact integer row reduction of
-    the ideal's span over the monomial basis.  Unit pivots are verified, not
-    assumed: a quotient with torsion would be reported loudly instead of
-    being normalized away.
-    """
-
-    SCALE_LIMIT = 200
-
-    def __init__(self, spec: GrassSpec):
-        if spec.rank > self.SCALE_LIMIT:
-            raise DomainError(
-                f"oracle limited to rank <= {self.SCALE_LIMIT}, got {spec.rank}"
-            )
-        self.spec = spec
-        self._pieces = {}  # degree -> (monomials, pivots, standard monomial list)
-        gens = grassmann_relations(spec)
-        top = 2 * spec.dim  # products of two basis monomials stay below this
-        for d in range(top + 1):
-            monos = _weighted_monomials(spec.r, d)
-            index = {e: i for i, e in enumerate(monos)}
-            rows = []
-            for g in gens:
-                gd = g.weighted_degree()
-                if gd is None or gd > d:
-                    continue
-                for u in _weighted_monomials(spec.r, d - gd):
-                    row = [0] * len(monos)
-                    for e, c in g.coords.items():
-                        prod = tuple(a + b for a, b in zip(e, u))
-                        row[index[prod]] = c
-                    rows.append(row)
-            basis, stuck = _integer_echelon(rows, len(monos))
-            if stuck:
-                raise ConsistencyError(
-                    f"no unit-pivot echelon in degree {d} of {spec}: the "
-                    "quotient may have torsion or no monomial basis there"
-                )
-            pivot_cols = {col for col, _ in basis}
-            standard = tuple(e for i, e in enumerate(monos) if i not in pivot_cols)
-            self._pieces[d] = (monos, basis, standard)
-
-    @property
-    def graded_ranks(self) -> tuple:
-        """Ranks of the graded pieces for degrees 0..dim."""
-        return tuple(len(self._pieces[d][2]) for d in range(self.spec.dim + 1))
-
-    def _reduce_vector(self, d, vec):
-        monos, basis, standard = self._pieces[d]
-        v = list(vec)
-        for col, row in basis:
-            c = v[col]
-            if c:
-                # pivot rows may have support on either side of their pivot
-                for t in range(len(v)):
-                    v[t] -= c * row[t]
-        index = {e: i for i, e in enumerate(monos)}
-        return {e: v[index[e]] for e in standard if v[index[e]]}
-
-    def reduce_poly(self, poly: PresentationPoly) -> dict:
-        """Normal form of a polynomial: map standard monomial -> coefficient."""
-        if poly.spec != self.spec.r:
-            raise ValueError("variable count does not match the spec")
-        buckets = {}
-        for e, c in poly.coords.items():
-            d = PresentationPoly._wdeg(e)
-            buckets.setdefault(d, {})[e] = c
-        out = {}
-        for d, terms in buckets.items():
-            if d not in self._pieces:
-                if any(terms.values()):
-                    raise ValueError(f"degree {d} beyond the oracle's table")
-                continue
-            monos = self._pieces[d][0]
-            vec = [terms.get(e, 0) for e in monos]
-            out.update(self._reduce_vector(d, vec))
-        return out
-
-
-def oracle_quotient_ring(spec: GrassSpec) -> QuotientRingOracle:
-    """Construct the quotient-ring oracle for one Grassmannian."""
-    return QuotientRingOracle(spec)

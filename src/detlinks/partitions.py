@@ -216,11 +216,6 @@ class IntPolynomial(SparseElement):
             raise ValueError("negative degree")
         return d
 
-    @property
-    def coeffs(self) -> dict:
-        """Read-only alias of ``coords``: degree -> coefficient."""
-        return self.coords
-
     @classmethod
     def one(cls):
         return cls({0: 1})

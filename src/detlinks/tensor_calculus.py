@@ -31,11 +31,10 @@ All four series come in closed form from two finite classes:
   recursive, and the one memo keeps the last Lascoux class, which both Segre
   series of one cell share.
 
-The validator expands the product of (1 + a_i + b_j) over formal Chern
-roots into a universal polynomial in the factor Chern classes, memoized
-per rank pair and degree; it blows up with the ranks and certifies the
-Chern series at small scale.  The Bott route in ``polar`` certifies the
-Segre series through the polar integrals.
+The tests certify the Chern series against a Chern-root expansion into
+universal polynomials in the factor Chern classes (``tests/oracles.py``),
+at small scale because it blows up with the ranks.  The Bott route in
+``polar`` certifies the Segre series through the polar integrals.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .grass_ring import (
     GrassClass,
     GrassSpec,
@@ -54,7 +53,6 @@ from .grass_ring import (
 )
 from .partitions import (
     SparseElement,
-    as_partition,
     box_complement,
     conjugate,
     partitions_in_box,
@@ -106,25 +104,6 @@ class ProdClass(SparseElement):
     def _key(spec, key):
         lam, mu = key
         return GrassClass._key(spec.factor1, lam), GrassClass._key(spec.factor2, mu)
-
-    @classmethod
-    def unit(cls, spec):
-        return cls(spec, {((), ()): 1})
-
-    @classmethod
-    def schubert_pair(cls, spec, lam, mu):
-        return cls(spec, {(as_partition(lam), as_partition(mu)): 1})
-
-    @classmethod
-    def tensor(cls, spec, a: GrassClass, b: GrassClass):
-        """Kuenneth embedding of a pair of single-factor classes."""
-        if a.spec != spec.factor1 or b.spec != spec.factor2:
-            raise ValueError("factor classes do not match the product spec")
-        coords = {}
-        for lam, ca in a.coords.items():
-            for mu, cb in b.coords.items():
-                coords[(lam, mu)] = ca * cb
-        return cls(spec, coords)
 
     def _mul(self, other):
         return mul_prod(self, other)
@@ -191,7 +170,6 @@ class CharSeries:
     """
 
     spec: ProdSpec
-    flavor: str  # "chern" | "segre"
     bundle: str  # SUB_TENSOR | QUOT_TENSOR
     terms: tuple
 
@@ -200,16 +178,6 @@ class CharSeries:
 
     def __getitem__(self, k):
         return self.terms[k]
-
-
-def _factor_chern(spec: ProdSpec, bundle: str):
-    """Chern class lists [1, c_1, ..., c_rank] of the two factor bundles
-    being tensored; a list's length is its bundle's rank plus one."""
-    if bundle == SUB_TENSOR:
-        return chern_list_sub(spec.factor1), chern_list_sub(spec.factor2)
-    if bundle == QUOT_TENSOR:
-        return chern_list_quot(spec.factor1), chern_list_quot(spec.factor2)
-    raise ValueError(f"unknown bundle tag {bundle!r}")
 
 
 def _det(rows) -> int:
@@ -305,7 +273,7 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     Requests above dim G are clamped: every class vanishes there anyway.
     """
     up_to = _clamp(spec, up_to)
-    return CharSeries(spec, "chern", bundle, _tensor_series(spec, "chern", bundle, up_to))
+    return CharSeries(spec, bundle, _tensor_series(spec, "chern", bundle, up_to))
 
 
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
@@ -315,125 +283,4 @@ def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     are clamped as in chern_tensor.
     """
     up_to = _clamp(spec, up_to)
-    return CharSeries(spec, "segre", bundle, _tensor_series(spec, "segre", bundle, up_to))
-
-
-# ---------------------------------------------------------------------------
-# validator: universal polynomials from formal Chern roots
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _tensor_root_expansion(p: int, q: int, up_to: int):
-    """Product of (1 + a_i + b_j) over i < p, j < q, truncated above total
-    degree up_to, as a dict of exponent tuples of length p + q."""
-    poly = {(0,) * (p + q): 1}
-    for i in range(p):
-        for j in range(q):
-            nxt = {}
-            for expo, c in poly.items():
-                nxt[expo] = nxt.get(expo, 0) + c
-                if sum(expo) < up_to:
-                    for pos in (i, p + j):
-                        bumped = expo[:pos] + (expo[pos] + 1,) + expo[pos + 1:]
-                        nxt[bumped] = nxt.get(bumped, 0) + c
-            poly = nxt
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _elementary_block(p: int, q: int, k: int, block: int):
-    """e_k in the first block of p variables (block 0) or the last q (block 1)."""
-    nvars = p + q
-    lo, hi = (0, p) if block == 0 else (p, p + q)
-    idxs = range(lo, hi)
-    out = {}
-
-    def rec(start, left, expo):
-        if left == 0:
-            out[tuple(expo)] = 1
-            return
-        for v in range(start, hi - left + 1):
-            expo[v] = 1
-            rec(v + 1, left - 1, expo)
-            expo[v] = 0
-
-    if k <= hi - lo:
-        rec(lo, k, [0] * nvars)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _e_product_expansion(p: int, q: int, alpha: tuple, beta: tuple):
-    """Monomial expansion of prod e_{alpha_i}(a-block) * prod e_{beta_j}(b-block)."""
-    poly = {(0,) * (p + q): 1}
-    factors = [(k, 0) for k in alpha] + [(k, 1) for k in beta]
-    for k, block in factors:
-        fac = _elementary_block(p, q, k, block)
-        nxt = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in fac.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        poly = nxt
-    return poly
-
-
-@lru_cache(maxsize=None)
-def universal_tensor_chern(p: int, q: int, k: int):
-    """c_k of a tensor product of bundles of ranks (p, q) as a universal
-    polynomial: tuple of (alpha, beta, coeff) meaning
-    coeff * prod_i c_{alpha_i}(E) * prod_j c_{beta_j}(F).
-
-    Computed once per (rank pair, degree) by symmetrizing the Chern-root
-    product, then reused.  Exponentially large in the ranks; validator only.
-    """
-    if k == 0:
-        return (((), (), 1),)
-    if p == 0 or q == 0:
-        return ()
-    full = _tensor_root_expansion(p, q, k)
-    f = {e: c for e, c in full.items() if sum(e) == k and c}
-    out = []
-    while f:
-        lead = max(f)
-        c = f[lead]
-        a_part = as_partition(tuple(x for x in lead[:p] if x))
-        b_part = as_partition(tuple(x for x in lead[p:] if x))
-        if tuple(sorted(lead[:p], reverse=True)) != lead[:p] or \
-           tuple(sorted(lead[p:], reverse=True)) != lead[p:]:
-            raise ConsistencyError("leading monomial of a symmetric remainder is not dominant")
-        alpha, beta = conjugate(a_part), conjugate(b_part)
-        expansion = _e_product_expansion(p, q, alpha, beta)
-        for e, ec in expansion.items():
-            nc = f.get(e, 0) - c * ec
-            if nc:
-                f[e] = nc
-            else:
-                f.pop(e, None)
-        out.append((alpha, beta, c))
-    return tuple(out)
-
-
-def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
-    """Validator route: evaluate the universal polynomials on the factors.
-
-    Slow and memory-hungry for large ranks; meant for cross-checking the
-    Lascoux series at small scale.
-    """
-    up_to = _clamp(spec, up_to)
-    c1, c2 = _factor_chern(spec, bundle)
-    p, q = len(c1) - 1, len(c2) - 1
-    unit1, unit2 = GrassClass.unit(spec.factor1), GrassClass.unit(spec.factor2)
-    terms = []
-    for k in range(up_to + 1):
-        acc = ProdClass.zero(spec)
-        for alpha, beta, coeff in universal_tensor_chern(p, q, k):
-            left = unit1
-            for idx in alpha:
-                left = left * c1[idx]
-            right = unit2
-            for idx in beta:
-                right = right * c2[idx]
-            acc = acc + coeff * ProdClass.tensor(spec, left, right)
-        terms.append(acc)
-    return CharSeries(spec, "chern", bundle, tuple(terms))
+    return CharSeries(spec, bundle, _tensor_series(spec, "segre", bundle, up_to))

@@ -21,11 +21,7 @@ from detlinks.grass_ring import (
     GrassSpec,
     chern_list_quot,
     chern_list_sub,
-    integrate,
     mul,
-    oracle_quotient_ring,
-    poincare,
-    schubert_to_presentation,
 )
 from detlinks.links import (
     DetSpec,
@@ -42,13 +38,19 @@ from detlinks.tensor_calculus import (
     ProdClass,
     ProdSpec,
     chern_tensor,
-    chern_tensor_via_roots,
     mul_prod,
     segre_tensor,
 )
 
 import reference_tables as ref
 from conftest import spec_with_classes
+from oracles import (
+    QuotientRingOracle,
+    chern_tensor_via_roots,
+    integrate,
+    schubert,
+    schubert_to_presentation,
+)
 
 
 def check(number, label, budget_seconds, body):
@@ -184,7 +186,7 @@ def test_criterion_6_ring_oracle_equivalence():
         for m in range(1, 7):
             for r in range(m + 1):
                 spec = GrassSpec(r, m)
-                oracle = oracle_quotient_ring(spec)
+                oracle = QuotientRingOracle(spec)
                 expected_ranks = tuple(
                     gaussian_binomial(m, r).coefficient(d)
                     for d in range(spec.dim + 1)
@@ -198,8 +200,8 @@ def test_criterion_6_ring_oracle_equivalence():
                 for lam in basis:
                     for mu in basis:
                         product = mul(
-                            GrassClass.schubert(spec, lam),
-                            GrassClass.schubert(spec, mu),
+                            schubert(spec, lam),
+                            schubert(spec, mu),
                         )
                         direct = oracle.reduce_poly(polys[lam] * polys[mu])
                         via = {}
@@ -217,8 +219,8 @@ def test_criterion_6_ring_oracle_equivalence():
                             continue
                         pairing = integrate(
                             mul(
-                                GrassClass.schubert(spec, lam),
-                                GrassClass.schubert(spec, mu),
+                                schubert(spec, lam),
+                                schubert(spec, mu),
                             )
                         )
                         assert pairing == (1 if mu == comp else 0), (spec, lam, mu)
@@ -364,6 +366,21 @@ class TestCriterion8Properties:
         monkeypatch.setattr(module, "certify_polar_profile", bumped)
         assert module.main(["--max-hb", "2"]) == 1
         assert "ROUTES DISAGREE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["7,8", "9,8,3"])
+    def test_benchmark_rejects_a_bad_cell(self, capsys, text):
+        # two numbers, and r <= m <= n broken: a usage error, not a traceback
+        import importlib.util
+
+        script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
+        spec = importlib.util.spec_from_file_location("benchmark", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with pytest.raises(SystemExit) as exc:
+            module.main(["--cell", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --cell: " in err
 
     def test_reproduced_tables_unchanged(self, tmp_path):
         # the digest perfbench/expected.json records as sweep_total

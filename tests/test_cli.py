@@ -453,6 +453,35 @@ class TestRingCommand:
         }
         assert out == json.dumps(payload, indent=1) + "\n"
 
+    # sha256 of stdout: the degenerate boxes, and relations in one to three
+    # variables
+    GOLDEN = {
+        (0, 0, "md"): "7b50547308dfef5df0eaabd000c2156aff958766a974cc38d4be0c7349675850",
+        (0, 0, "csv"): "da33de80d8bd4e13306bfecc56cf521a816086496a903461411d0b9645c51869",
+        (0, 0, "json"): "88cabda245fbda58ddab5c25a86802c7e61c19b0285ebdefb84e29b572c3f037",
+        (1, 1, "md"): "2ca5d1390477dd2e2f9307585a934d8fa988c5ce2fc7b0c947aab722fdeb3cae",
+        (1, 1, "csv"): "da33de80d8bd4e13306bfecc56cf521a816086496a903461411d0b9645c51869",
+        (1, 1, "json"): "d0839921b8f0072e69f758896dd60b46502e5b3d50047721cce86aa5b69c601d",
+        (3, 1, "md"): "4419abc6f9abc6cd2101f2ca4279f3890ee63c177f1bff37f3082c357a6177ad",
+        (3, 1, "csv"): "379cc84397c4f1ef3511ff3dd03b4e90b9fedc569894bef06d3f37de8f1d694c",
+        (3, 1, "json"): "8e008a26dab9e42aaaeb5e4bcc29441d34655e792b2788bce534a7e2d57085b2",
+        (5, 2, "md"): "4d7253a4046c331ce1b277cca7e99087f0be08ac5b20813449f9247455bf019b",
+        (5, 2, "csv"): "ac5f71c0ba5c8527c246505d84e5de1ab0465d5cc107136d4d31d5dd8cc3221c",
+        (5, 2, "json"): "d1a20d54222cf8ae1e4f878b6c22d7ec8cf72b05a44a1d3565d1303e5c35f017",
+        (6, 3, "md"): "a92207655cc802736df6578c30799cc1588260f8c6c7766cab026a949fa7b684",
+        (6, 3, "csv"): "ee63d053ab5c80362497f02d9d5936b42c245080d056aa60747e09f92eab7c9b",
+        (6, 3, "json"): "7df8e9a322bebe86f8d2fd0b16d030ab0b1fd058750bfded654eacbec5b37a47",
+        (7, 3, "md"): "82cc4c9462420adb9f80be2b2fff3ea372863a60ff7d6d8a49b595e3686efb09",
+        (7, 3, "csv"): "0c10d4d49b6ef13af86885b0ed42935c927a5639015006b61a0628fcada4d208",
+        (7, 3, "json"): "7440f35d98f179240fec3f24b8709d37f0b4c1539bac4d5b4101233bf95a6ad5",
+    }
+
+    @pytest.mark.parametrize("m, r, fmt", sorted(GOLDEN))
+    def test_golden_output(self, capsys, m, r, fmt):
+        code, out, _ = run(capsys, "ring", "--m", str(m), "--r", str(r), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[m, r, fmt]
+
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--verify"]])
     def test_takes_no_profile_flags(self, capsys, flag):
         # ring computes no polar profile, so --jobs and --verify would do nothing

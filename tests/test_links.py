@@ -1,7 +1,7 @@
 import pytest
 
 from detlinks.errors import DomainError
-from detlinks.grass_ring import GrassSpec, poincare
+from detlinks.grass_ring import GrassSpec
 from detlinks.links import (
     KNOWN_REAL_LINK_TORSION,
     DetSpec,
@@ -18,10 +18,11 @@ from detlinks.links import (
     poincare_unitary,
     smoothing_bounds,
 )
-from detlinks.partitions import IntPolynomial
+from detlinks.partitions import IntPolynomial, gaussian_binomial
 from detlinks.polar import polar_profile
 
 import reference_tables as ref
+from oracles import QuotientRingOracle
 
 M343 = DetSpec(3, 4, 3)
 
@@ -135,10 +136,13 @@ class TestBetti:
         assert grass_betti(2, 4) == (1, 0, 1, 0, 2, 0, 1, 0, 1)
 
     def test_grass_betti_is_the_schubert_ring_poincare_polynomial(self):
-        for m in range(9):
+        # the quotient ring's graded ranks in even degrees, zeros in odd ones;
+        # the oracle's unit-pivot echelon reaches every Grassmannian with m <= 6
+        for m in range(7):
             for r in range(m + 1):
-                expected = poincare(GrassSpec(r, m)).coefficients_list()
-                assert grass_betti(r, m) == tuple(expected), (r, m)
+                ranks = QuotientRingOracle(GrassSpec(r, m)).graded_ranks
+                expected = sum(((rank, 0) for rank in ranks), ())[:-1]
+                assert grass_betti(r, m) == expected, (r, m)
 
     @pytest.mark.parametrize("r, m", [(-1, 3), (4, 3), (0, -1)])
     def test_grass_betti_rejects_rank_outside_0_to_m(self, r, m):
@@ -216,7 +220,7 @@ class TestOrbitModels:
         for m in range(1, 6):
             for n in range(m, 7):
                 for r in range(m + 1):
-                    expected = poincare(GrassSpec(r, m)) * poincare_stiefel(r, n)
+                    expected = gaussian_binomial(m, r).stretched(2) * poincare_stiefel(r, n)
                     assert orbit_poincare(m, n, r).polynomial == expected, (m, n, r)
 
     def test_rank_zero_orbit_is_a_point(self):
@@ -267,7 +271,7 @@ class TestRealLinks:
     def test_rank_one_is_projective_space_times_sphere(self):
         for m in range(2, 6):
             for n in range(m, 7):
-                expected = poincare(GrassSpec(1, m)) * IntPolynomial({0: 1, 2 * n - 1: 1})
+                expected = gaussian_binomial(m, 1).stretched(2) * IntPolynomial({0: 1, 2 * n - 1: 1})
                 assert betti_real_link_rank1(m, n) == tuple(expected.coefficients_list())
 
     def test_profile_structure(self):

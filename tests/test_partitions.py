@@ -121,7 +121,7 @@ def test_intpolynomial_arithmetic():
 
 def test_intpolynomial_drops_zero_coefficients():
     p = IntPolynomial({5: 0, 1: 2})
-    assert p.coeffs == {1: 2}
+    assert p.coords == {1: 2}
 
 
 @pytest.mark.parametrize("name", list(SPARSE_CASES))

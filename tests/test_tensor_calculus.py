@@ -13,27 +13,32 @@ from detlinks.tensor_calculus import (
     ProdSpec,
     _lascoux,
     chern_tensor,
-    chern_tensor_via_roots,
     integrate_prod,
     mul_prod,
     pair_prod,
     segre_tensor,
-    universal_tensor_chern,
 )
 
 from conftest import partition_tuples, prod_spec_with_classes
+from oracles import (
+    chern_tensor_via_roots,
+    prod_unit,
+    schubert_pair,
+    tensor,
+    universal_tensor_chern,
+)
 
 P23 = ProdSpec(1, 3, 2)  # Grass(1,3) x Grass(1,2): the projective plane times a line
 
 
 def pair(spec, lam, mu):
-    return ProdClass.schubert_pair(spec, lam, mu)
+    return schubert_pair(spec, lam, mu)
 
 
 class TestProductRing:
     def test_unit_is_identity(self):
         cls = pair(P23, (1,), (1,))
-        assert mul_prod(ProdClass.unit(P23), cls) == cls
+        assert mul_prod(prod_unit(P23), cls) == cls
 
     def test_kuenneth_factors_do_not_interact(self):
         got = mul_prod(pair(P23, (1,), ()), pair(P23, (), (1,)))
@@ -46,7 +51,7 @@ class TestProductRing:
     def test_spec_mismatch_raises(self):
         other = ProdSpec(1, 4, 2)
         with pytest.raises(ValueError):
-            mul_prod(ProdClass.unit(P23), ProdClass.unit(other))
+            mul_prod(prod_unit(P23), prod_unit(other))
 
     def test_integrate_box(self):
         assert integrate_prod(pair(P23, (2,), (1,))) == 1
@@ -114,7 +119,7 @@ class TestChernTensor:
     def test_degree_zero_is_unit(self):
         for bundle in (SUB_TENSOR, QUOT_TENSOR):
             series = chern_tensor(P23, bundle, 2)
-            assert series[0] == ProdClass.unit(P23)
+            assert series[0] == prod_unit(P23)
 
     def test_line_times_line(self):
         series = chern_tensor(P23, SUB_TENSOR, 1)
@@ -169,7 +174,7 @@ class TestPullbackDegeneration:
     def test_point_second_factor_quot_is_trivial(self):
         spec = ProdSpec(2, 5, 2)  # Grass(2,2) is a point, Q2 = 0
         series = chern_tensor(spec, QUOT_TENSOR, spec.dim)
-        assert series[0] == ProdClass.unit(spec)
+        assert series[0] == prod_unit(spec)
         for k in range(1, len(series)):
             assert series[k].is_zero()
 
@@ -189,7 +194,7 @@ class TestPullbackDegeneration:
         series = chern_tensor(spec, SUB_TENSOR, 4)
         unit2 = GrassClass.unit(GrassSpec(2, 2))
         for k in range(5):
-            expected = ProdClass.tensor(spec, square.get(k, GrassClass.zero(f1)), unit2)
+            expected = tensor(spec, square.get(k, GrassClass.zero(f1)), unit2)
             assert series[k] == expected, k
 
 
@@ -234,7 +239,7 @@ class TestLascoux:
                     left = left * c1[idx]
                 for idx in beta:
                     right = right * c2[idx]
-                expected = expected + coeff * ProdClass.tensor(spec, left, right)
+                expected = expected + coeff * tensor(spec, left, right)
             got = {key: c for key, c in lascoux.coords.items()
                    if sum(key[0]) + sum(key[1]) == k}
             assert got == expected.coords, k
