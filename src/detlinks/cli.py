@@ -1,7 +1,7 @@
 """Command-line tabulation of polar multiplicities and link invariants.
 
-Subcommands: ``polar``, ``euler``, ``betti``, ``ring``, ``cache``.  Numeric
-flags accept either a single value or an inclusive range ``a..b``.  Output
+Subcommands: ``polar``, ``euler``, ``betti``, ``cache``.  Numeric flags
+accept either a single value or an inclusive range ``a..b``.  Output
 formats: ``csv`` (long form, LF line endings, integers only), ``md``
 (tables laid out like the published ones: k across, sizes down) and
 ``json`` (big integers as decimal strings).  Rendering is deterministic:
@@ -90,7 +90,8 @@ def _gather_profiles(cells, verify: bool, jobs: int):
     that fails the closed forms of ``polar._check_closed_forms`` is dropped
     with a warning and recomputed.  With verify=True every cell is
     recomputed through the independent Schubert route and compared with its
-    cache entry; a mismatch is a consistency failure."""
+    cache entry, or on a cache miss with the production route; a mismatch
+    is a consistency failure and stores nothing."""
     out = {}
 
     def lookup(m, n, r):
@@ -123,6 +124,13 @@ def _gather_profiles(cells, verify: bool, jobs: int):
         profiles = [route(*cell) for cell in need]
     for (cell, cached), prof in zip(need.items(), profiles):
         if cached is None:
+            if verify:
+                production = compute_polar_profile(*cell)
+                if production != prof:
+                    raise ConsistencyError(
+                        f"profile {CacheFile.key(*cell)} differs between the routes: "
+                        f"production {production.values}, certifier {prof.values}"
+                    )
             cache.put(prof)
         elif cached != prof:
             raise ConsistencyError(
@@ -288,52 +296,6 @@ def cmd_betti(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ring
-# ---------------------------------------------------------------------------
-
-def cmd_ring(args) -> int:
-    from .grass_ring import GrassSpec, grassmann_relations
-
-    spec = GrassSpec(args.r, args.m)
-    poly = links_mod._grass_poincare(spec.r, spec.m)
-    basis = spec.basis()
-    relations = grassmann_relations(spec)
-    if args.format == "csv":
-        _emit(_csv(["degree", "rank"], enumerate(poly.coefficients_list())))
-    elif args.format == "json":
-        payload = {
-            "kind": "ring",
-            "r": spec.r,
-            "m": spec.m,
-            "dimension": spec.dim,
-            "rank": spec.rank,
-            "poincare": [str(c) for c in poly.coefficients_list()],
-            "basis": [list(lam) for lam in basis],
-            "relations": [str(g) for g in relations],
-        }
-        _emit(json.dumps(payload, indent=1))
-    else:
-        lines = [
-            f"### Grassmannian of {spec.r}-planes in dimension {spec.m}",
-            "",
-            f"- complex dimension: {spec.dim}",
-            f"- module rank: {spec.rank}",
-            f"- Poincare polynomial: {poly}",
-            "",
-        ]
-        rows = [
-            [2 * sum(lam), "(" + ",".join(str(p) for p in lam) + ")" if lam else "()"]
-            for lam in basis
-        ]
-        lines.append(_md_table(["degree", "basis class"], rows))
-        if relations:
-            lines.append("relations:")
-            lines.extend(f"- {g}" for g in relations)
-        _emit("\n".join(lines))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
 
@@ -371,14 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def formatted(p):
-        p.add_argument("--format", choices=FORMATS, default="md")
-
     def common(p):
-        formatted(p)
+        p.add_argument("--format", choices=FORMATS, default="md")
         p.add_argument("--verify", action="store_true",
                        help="recompute every profile this command touches through the "
-                       "independent Schubert route and check it against the cache")
+                       "independent Schubert route and check it against the cache, "
+                       "or against the production route where the cache has no entry")
         p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes for independent table cells")
 
@@ -407,13 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--codim", type=_parse_range, required=True)
     common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
-
-    p_ring = sub.add_parser("ring", help="basis, Poincare polynomial and "
-                            "presentation of one Grassmannian")
-    p_ring.add_argument("--m", type=int, required=True)
-    p_ring.add_argument("--r", type=int, required=True)
-    formatted(p_ring)
-    p_ring.set_defaults(func=cmd_ring)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the profile cache")
     p_cache.add_argument("action", nargs="?", default="show",

@@ -8,12 +8,9 @@ Giambelli determinant).  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis.
 
-The polynomial presentation Z[x_1..x_r]/J (the x_i are the Chern classes
-of the tautological subbundle, deg x_i = i; its polynomials are the same
-sparse type keyed by exponent tuples) supplies the relations that the
-``ring`` command prints.  The tests build that quotient degree by degree
-with exact integer row reduction (``tests/oracles.py``) and certify the
-Pieri/Giambelli products against it; neither side trusts the other.
+The tests certify the Pieri/Giambelli products against the polynomial
+presentation Z[x_1..x_r]/J, built degree by degree with exact integer row
+reduction in ``tests/oracles.py``; neither side trusts the other.
 """
 
 from __future__ import annotations
@@ -21,16 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 
 from .errors import DomainError
-from .partitions import (
-    SparseElement,
-    as_partition,
-    fits_in_box,
-    partitions_in_box,
-    weight,
-)
+from .partitions import SparseElement, as_partition, fits_in_box, weight
 
 
 @dataclass(frozen=True)
@@ -54,17 +44,9 @@ class GrassSpec:
         return self.r * self.cols
 
     @property
-    def rank(self) -> int:
-        """Rank of the ring as a Z-module: comb(m, r)."""
-        return comb(self.m, self.r)
-
-    @property
     def box(self) -> tuple:
         """The full-box partition ((m-r), ..., (m-r)), r parts."""
         return (self.cols,) * self.r if self.cols else ()
-
-    def basis(self, weight: int | None = None) -> list:
-        return partitions_in_box(self.r, self.cols, weight)
 
 
 class GrassClass(SparseElement):
@@ -210,98 +192,3 @@ def chern_list_sub(spec: GrassSpec) -> list:
 def chern_list_quot(spec: GrassSpec) -> list:
     """Total Chern class of the quotient bundle as [1, c_1(Q), ..., c_{m-r}(Q)]."""
     return [GrassClass.unit(spec)] + [chern_quot(spec, k) for k in range(1, spec.cols + 1)]
-
-
-# ---------------------------------------------------------------------------
-# polynomial presentation
-# ---------------------------------------------------------------------------
-
-class PresentationPoly(SparseElement):
-    """Integer polynomial in the subbundle Chern generators x_1..x_r.
-
-    The spec is the number of variables; keys are exponent tuples of that
-    length.  The weighted degree convention is deg x_i = i, matching Chern
-    degrees.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, nvars: int, terms=None):
-        super().__init__(nvars, terms)
-
-    @staticmethod
-    def _key(nvars, expo):
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != nvars or any(e < 0 for e in expo):
-            raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
-        return expo
-
-    @classmethod
-    def variable(cls, nvars, i):
-        """x_i, 1-based."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} outside 1..{nvars}")
-        expo = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {expo: 1})
-
-    @staticmethod
-    def _wdeg(expo):
-        return sum((i + 1) * e for i, e in enumerate(expo))
-
-    def _mul(self, other):
-        if other.spec != self.spec:
-            return NotImplemented
-        data = {}
-        for e1, c1 in self.coords.items():
-            for e2, c2 in other.coords.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                data[e] = data.get(e, 0) + c1 * c2
-        return self._trusted(self.spec, data)
-
-    def __str__(self):
-        def mono(e):
-            return "*".join(
-                f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}" for i, p in enumerate(e) if p
-            )
-
-        order = sorted(self.coords, key=lambda t: (self._wdeg(t), t), reverse=True)
-        return self._render((mono(e), self.coords[e]) for e in order)
-
-    def __repr__(self):
-        return f"PresentationPoly({self.spec}, {self.coords!r})"
-
-
-def presentation_h(r: int, n_max: int) -> list:
-    """Iterates of the relation recursion, starting from h^(0) = (x_1..x_r).
-
-    One step multiplies the vector by the companion-style matrix whose first
-    column is (-x_1, ..., -x_r) and whose superdiagonal is the identity:
-    h_i^(n+1) = h_{i+1}^(n) - x_i h_1^(n), with h_{r+1}^(n) read as 0.
-    Returns [(n, [h_1^(n), ..., h_r^(n)]) for n = 0..n_max].
-
-    Step n presents the ring for ambient dimension m = r + n: the ideal
-    generated by h^(m-r) cuts Z[x_1..x_r] down to a free module of rank
-    comb(m, r), a fact the quotient-ring oracle of ``tests/oracles.py``
-    checks against the Gaussian binomial coefficients.
-    """
-    if r < 1:
-        raise DomainError("presentation needs r >= 1")
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
-    xs = [PresentationPoly.variable(r, i) for i in range(1, r + 1)]
-    cur = list(xs)
-    out = [(0, list(cur))]
-    for n in range(1, n_max + 1):
-        h1 = cur[0]
-        nxt = [cur[i + 1] - xs[i] * h1 for i in range(r - 1)]
-        nxt.append(-(xs[r - 1] * h1))
-        out.append((n, nxt))
-        cur = nxt
-    return out
-
-
-def grassmann_relations(spec: GrassSpec) -> list:
-    """Generators of the ideal presenting H*(Grass(r, m)) on x_1..x_r."""
-    if spec.r == 0:
-        return []
-    return presentation_h(spec.r, spec.cols)[-1][1]

@@ -7,10 +7,9 @@ compare fast, which matters because they key every sparse ring element in
 the package.
 
 Every such element (a Schubert-basis class, a product-ring class, a
-presentation polynomial, a Poincare polynomial) is one ``SparseElement``
-subclass: a spec plus a map from keys to nonzero integers.  The base
-class owns the additive structure and scaling; a subclass supplies its key
-check and its product.
+Poincare polynomial) is one ``SparseElement`` subclass: a spec plus a map
+from keys to nonzero integers.  The base class owns the additive structure
+and scaling; a subclass supplies its key check and its product.
 """
 
 from __future__ import annotations
@@ -179,22 +178,6 @@ class SparseElement:
             return NotImplemented
         return type(other) is type(self) and (self.spec, self.coords) == (other.spec, other.coords)
 
-    @staticmethod
-    def _render(terms) -> str:
-        """Join (monomial, coefficient) pairs as "c*mono" with signs folded
-        in; the empty monomial is the constant term."""
-        parts = []
-        for mono, c in terms:
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ") or "0"
-
 
 class IntPolynomial(SparseElement):
     """Sparse univariate polynomial with exact integer coefficients.
@@ -260,10 +243,19 @@ class IntPolynomial(SparseElement):
         return bool(self.coords)
 
     def __str__(self):
-        return self._render(
-            ("" if d == 0 else "t" if d == 1 else f"t^{d}", self.coords[d])
-            for d in sorted(self.coords)
-        )
+        parts = []
+        for d in sorted(self.coords):
+            c = self.coords[d]
+            mono = "t" if d == 1 else f"t^{d}"
+            if d == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def __repr__(self):
         return f"IntPolynomial({self.coords!r})"

@@ -1,14 +1,16 @@
 """Reference computations that certify the Schubert calculus, and the few
 constructors the tests build classes with.  They live here because only
-the tests run them; ``src/`` holds production, the certifier and the
-commands.
+the tests run them; ``src/`` holds production, the certifier and the four
+served commands.
 
-* ``QuotientRingOracle`` builds H*(Grass(r, m)) as Z[x_1..x_r] modulo the
-  relations ``grass_ring.grassmann_relations`` prints, degree by degree,
-  with exact integer row reduction.  With ``schubert_to_presentation`` it
-  certifies the Pieri/Giambelli products of ``grass_ring.mul``, and its
-  graded ranks certify the Grassmannian Betti numbers of
-  ``links.grass_betti``.
+* ``PresentationPoly`` is an integer polynomial in the subbundle Chern
+  classes x_1..x_r; ``presentation_h`` iterates the recursion whose last
+  step, ``grassmann_relations``, generates the ideal J of the presentation
+  H*(Grass(r, m)) = Z[x_1..x_r]/J.
+* ``QuotientRingOracle`` builds that quotient degree by degree with exact
+  integer row reduction.  With ``schubert_to_presentation`` it certifies
+  the Pieri/Giambelli products of ``grass_ring.mul``, and its graded ranks
+  certify the Grassmannian Betti numbers of ``links.grass_betti``.
 * ``chern_tensor_via_roots`` expands the product of (1 + a_i + b_j) over
   formal Chern roots into universal polynomials in the factor Chern
   classes (``universal_tensor_chern``) and evaluates them on the two
@@ -26,18 +28,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 
 from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
     GrassClass,
     GrassSpec,
-    PresentationPoly,
     _perm_sign,
     chern_list_quot,
     chern_list_sub,
-    grassmann_relations,
 )
-from detlinks.partitions import as_partition, conjugate, fits_in_box
+from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -46,6 +47,92 @@ from detlinks.tensor_calculus import (
     ProdSpec,
     _clamp,
 )
+
+
+# ---------------------------------------------------------------------------
+# polynomial presentation
+# ---------------------------------------------------------------------------
+
+class PresentationPoly(SparseElement):
+    """Integer polynomial in the subbundle Chern generators x_1..x_r.
+
+    The spec is the number of variables; keys are exponent tuples of that
+    length.  The weighted degree convention is deg x_i = i, matching Chern
+    degrees.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, nvars: int, terms=None):
+        super().__init__(nvars, terms)
+
+    @staticmethod
+    def _key(nvars, expo):
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != nvars or any(e < 0 for e in expo):
+            raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
+        return expo
+
+    @classmethod
+    def variable(cls, nvars, i):
+        """x_i, 1-based."""
+        if not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i} outside 1..{nvars}")
+        expo = tuple(1 if j == i - 1 else 0 for j in range(nvars))
+        return cls(nvars, {expo: 1})
+
+    @staticmethod
+    def _wdeg(expo):
+        return sum((i + 1) * e for i, e in enumerate(expo))
+
+    def _mul(self, other):
+        if other.spec != self.spec:
+            return NotImplemented
+        data = {}
+        for e1, c1 in self.coords.items():
+            for e2, c2 in other.coords.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                data[e] = data.get(e, 0) + c1 * c2
+        return self._trusted(self.spec, data)
+
+    def __repr__(self):
+        return f"PresentationPoly({self.spec}, {self.coords!r})"
+
+
+def presentation_h(r: int, n_max: int) -> list:
+    """Iterates of the relation recursion, starting from h^(0) = (x_1..x_r).
+
+    One step multiplies the vector by the companion-style matrix whose first
+    column is (-x_1, ..., -x_r) and whose superdiagonal is the identity:
+    h_i^(n+1) = h_{i+1}^(n) - x_i h_1^(n), with h_{r+1}^(n) read as 0.
+    Returns [(n, [h_1^(n), ..., h_r^(n)]) for n = 0..n_max].
+
+    Step n presents the ring for ambient dimension m = r + n: the ideal
+    generated by h^(m-r) cuts Z[x_1..x_r] down to a free module of rank
+    comb(m, r), a fact ``QuotientRingOracle`` checks against the Gaussian
+    binomial coefficients.
+    """
+    if r < 1:
+        raise DomainError("presentation needs r >= 1")
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    xs = [PresentationPoly.variable(r, i) for i in range(1, r + 1)]
+    cur = list(xs)
+    out = [(0, list(cur))]
+    for n in range(1, n_max + 1):
+        h1 = cur[0]
+        nxt = [cur[i + 1] - xs[i] * h1 for i in range(r - 1)]
+        nxt.append(-(xs[r - 1] * h1))
+        out.append((n, nxt))
+        cur = nxt
+    return out
+
+
+def grassmann_relations(spec: GrassSpec) -> list:
+    """Generators of the ideal presenting H*(Grass(r, m)) on x_1..x_r."""
+    if spec.r == 0:
+        return []
+    return presentation_h(spec.r, spec.cols)[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +302,9 @@ class QuotientRingOracle:
     SCALE_LIMIT = 200
 
     def __init__(self, spec: GrassSpec):
-        if spec.rank > self.SCALE_LIMIT:
-            raise DomainError(
-                f"oracle limited to rank <= {self.SCALE_LIMIT}, got {spec.rank}"
-            )
+        rank = comb(spec.m, spec.r)
+        if rank > self.SCALE_LIMIT:
+            raise DomainError(f"oracle limited to rank <= {self.SCALE_LIMIT}, got {rank}")
         self.spec = spec
         self._pieces = {}  # degree -> (monomials, pivots, standard monomial list)
         gens = grassmann_relations(spec)

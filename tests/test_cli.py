@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -113,15 +114,13 @@ class TestPolarCommand:
         assert inline_pool.sizes == [2]
         assert "2,3,1,0,3" in out
 
-    def test_verify_through_the_pool(self, capsys, inline_pool, monkeypatch, tmp_path):
+    def test_verify_through_the_pool(self, capsys, inline_pool, monkeypatch):
         args = ("polar", "--m", "3", "--n", "4", "--r", "1..2")
-        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "plain"))
         _, plain, _ = run(capsys, *args)
 
         def production(m, n, r):
-            raise AssertionError("--verify must recompute through the certifier")
+            raise AssertionError("--verify must recompute a cache entry through the certifier")
 
-        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "verify"))
         monkeypatch.setattr(cli, "compute_polar_profile", production)
         code, out, _ = run(capsys, *args, "--verify", "--jobs", "2")
         assert code == 0
@@ -183,31 +182,43 @@ class TestPolarCommand:
 
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
-        # load only for --verify and ring; every other command runs without them
+        # load only for --verify; every other command runs without them
         code = textwrap.dedent("""
             import json, sys
             from detlinks import cli
             def run(*argvs):
                 return [cli.main(argv.split()) for argv in argvs]
+            def loaded():
+                return [name for name in ("detlinks.grass_ring", "detlinks.tensor_calculus")
+                        if name in sys.modules]
             served = run("polar --m 3 --n 4..5 --r 1..2",
                          "euler --m 3 --n 4 --s 3 --codim 5..6",
                          "betti --m 3 --n 4 --s 3 --codim 6",
                          "euler --hilbert-burch --max-m 3",
                          "cache show")
-            loaded = [name for name in ("detlinks.grass_ring", "detlinks.tensor_calculus")
-                      if name in sys.modules]
-            later = run("ring --m 4 --r 2", "polar --m 3 --n 4 --r 2 --verify")
-            print(json.dumps([served, loaded, later]))
+            before = loaded()
+            verified = run("polar --m 3 --n 4 --r 2 --verify")
+            print(json.dumps([served, before, verified, loaded()]))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        served, loaded, later = json.loads(result.stdout.splitlines()[-1])
+        served, before, verified, after = json.loads(result.stdout.splitlines()[-1])
         assert served == [0] * 5
-        assert loaded == []
-        assert later == [0, 0]
+        assert before == []
+        assert verified == [0]
+        assert after == ["detlinks.grass_ring", "detlinks.tensor_calculus"]
+
+    def test_ring_is_no_longer_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ring", "--m", "4", "--r", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ring'" in capsys.readouterr().err
+        sub = next(action for action in cli._PARSER._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["betti", "cache", "euler", "polar"]
 
 
 class TestEulerCommand:
@@ -399,97 +410,6 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
         assert library() == library(compute_polar_profile)
 
 
-class TestRingCommand:
-    def test_md_output(self, capsys):
-        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2")
-        assert code == 0
-        assert "module rank: 6" in out
-        assert "Poincare polynomial: 1 + t^2 + 2*t^4 + t^6 + t^8" in out
-        assert "x1^3 - 2*x1*x2" in out
-
-    def test_csv_ranks(self, capsys):
-        code, out, _ = run(capsys, "ring", "--m", "3", "--r", "1", "--format", "csv")
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert [r[1] for r in rows] == ["1", "0", "1", "0", "1"]
-
-    def test_every_format_of_grass_2_4(self, capsys):
-        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2")
-        assert code == 0
-        assert out == (
-            "### Grassmannian of 2-planes in dimension 4\n"
-            "\n"
-            "- complex dimension: 4\n"
-            "- module rank: 6\n"
-            "- Poincare polynomial: 1 + t^2 + 2*t^4 + t^6 + t^8\n"
-            "\n"
-            "| degree | basis class |\n"
-            "| --- | --- |\n"
-            "| 0 | () |\n"
-            "| 2 | (1) |\n"
-            "| 4 | (2) |\n"
-            "| 4 | (1,1) |\n"
-            "| 6 | (2,1) |\n"
-            "| 8 | (2,2) |\n"
-            "\n"
-            "relations:\n"
-            "- x1^3 - 2*x1*x2\n"
-            "- x1^2*x2 - x2^2\n"
-        )
-        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2", "--format", "csv")
-        assert code == 0
-        assert out == "degree,rank\n0,1\n1,0\n2,1\n3,0\n4,2\n5,0\n6,1\n7,0\n8,1\n"
-        code, out, _ = run(capsys, "ring", "--m", "4", "--r", "2", "--format", "json")
-        assert code == 0
-        payload = {
-            "kind": "ring",
-            "r": 2,
-            "m": 4,
-            "dimension": 4,
-            "rank": 6,
-            "poincare": ["1", "0", "1", "0", "2", "0", "1", "0", "1"],
-            "basis": [[], [1], [2], [1, 1], [2, 1], [2, 2]],
-            "relations": ["x1^3 - 2*x1*x2", "x1^2*x2 - x2^2"],
-        }
-        assert out == json.dumps(payload, indent=1) + "\n"
-
-    # sha256 of stdout: the degenerate boxes, and relations in one to three
-    # variables
-    GOLDEN = {
-        (0, 0, "md"): "7b50547308dfef5df0eaabd000c2156aff958766a974cc38d4be0c7349675850",
-        (0, 0, "csv"): "da33de80d8bd4e13306bfecc56cf521a816086496a903461411d0b9645c51869",
-        (0, 0, "json"): "88cabda245fbda58ddab5c25a86802c7e61c19b0285ebdefb84e29b572c3f037",
-        (1, 1, "md"): "2ca5d1390477dd2e2f9307585a934d8fa988c5ce2fc7b0c947aab722fdeb3cae",
-        (1, 1, "csv"): "da33de80d8bd4e13306bfecc56cf521a816086496a903461411d0b9645c51869",
-        (1, 1, "json"): "d0839921b8f0072e69f758896dd60b46502e5b3d50047721cce86aa5b69c601d",
-        (3, 1, "md"): "4419abc6f9abc6cd2101f2ca4279f3890ee63c177f1bff37f3082c357a6177ad",
-        (3, 1, "csv"): "379cc84397c4f1ef3511ff3dd03b4e90b9fedc569894bef06d3f37de8f1d694c",
-        (3, 1, "json"): "8e008a26dab9e42aaaeb5e4bcc29441d34655e792b2788bce534a7e2d57085b2",
-        (5, 2, "md"): "4d7253a4046c331ce1b277cca7e99087f0be08ac5b20813449f9247455bf019b",
-        (5, 2, "csv"): "ac5f71c0ba5c8527c246505d84e5de1ab0465d5cc107136d4d31d5dd8cc3221c",
-        (5, 2, "json"): "d1a20d54222cf8ae1e4f878b6c22d7ec8cf72b05a44a1d3565d1303e5c35f017",
-        (6, 3, "md"): "a92207655cc802736df6578c30799cc1588260f8c6c7766cab026a949fa7b684",
-        (6, 3, "csv"): "ee63d053ab5c80362497f02d9d5936b42c245080d056aa60747e09f92eab7c9b",
-        (6, 3, "json"): "7df8e9a322bebe86f8d2fd0b16d030ab0b1fd058750bfded654eacbec5b37a47",
-        (7, 3, "md"): "82cc4c9462420adb9f80be2b2fff3ea372863a60ff7d6d8a49b595e3686efb09",
-        (7, 3, "csv"): "0c10d4d49b6ef13af86885b0ed42935c927a5639015006b61a0628fcada4d208",
-        (7, 3, "json"): "7440f35d98f179240fec3f24b8709d37f0b4c1539bac4d5b4101233bf95a6ad5",
-    }
-
-    @pytest.mark.parametrize("m, r, fmt", sorted(GOLDEN))
-    def test_golden_output(self, capsys, m, r, fmt):
-        code, out, _ = run(capsys, "ring", "--m", str(m), "--r", str(r), "--format", fmt)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[m, r, fmt]
-
-    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--verify"]])
-    def test_takes_no_profile_flags(self, capsys, flag):
-        # ring computes no polar profile, so --jobs and --verify would do nothing
-        with pytest.raises(SystemExit) as exc:
-            main(["ring", "--m", "4", "--r", "2", *flag])
-        assert exc.value.code == 2
-
-
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = CacheFile()
@@ -634,6 +554,48 @@ class TestCache:
                            "--format", "csv", "--verify")
         assert code == 0
         assert "3,4,2,2,27" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs2"])
+    def test_verify_on_a_miss_runs_both_routes(self, capsys, monkeypatch, inline_pool, jobs):
+        routes = []
+        for name in ("compute_polar_profile", "certify_polar_profile"):
+            def spy(m, n, r, _real=getattr(cli, name), _name=name):
+                routes.append((_name, m, n, r))
+                return _real(m, n, r)
+
+            monkeypatch.setattr(cli, name, spy)
+        code, out, err = run(capsys, "polar", "--m", "4", "--n", "5", "--r", "1..2",
+                             "--format", "csv", "--verify", "--jobs", jobs)
+        assert (code, err) == (0, "")
+        assert inline_pool.sizes == ([2] if jobs == "2" else [])
+        assert sorted(routes) == [(name, 4, 5, r)
+                                  for name in ("certify_polar_profile", "compute_polar_profile")
+                                  for r in (1, 2)]
+        assert sorted(cache_load().entries) == ["4,5,1", "4,5,2"]
+        assert "4,5,2,0,50" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs2"])
+    def test_verify_on_a_miss_catches_a_wrong_certifier(
+            self, capsys, monkeypatch, inline_pool, jobs):
+        certify = cli.certify_polar_profile
+
+        def wrong_certifier(m, n, r):
+            prof = certify(m, n, r)
+            if (m, n, r) != (4, 5, 2):
+                return prof
+            values = list(prof.values)
+            # +1 at k = 1 and at k = 2 keeps every closed form
+            values[1:3] = [v + 1 for v in values[1:3]]
+            return PolarProfile(m, n, r, tuple(values), prof.raw_signs)
+
+        monkeypatch.setattr(cli, "certify_polar_profile", wrong_certifier)
+        code, out, err = run(capsys, "polar", "--m", "4", "--n", "5", "--r", "1..2",
+                             "--verify", "--jobs", jobs)
+        assert (code, out) == (4, "")
+        assert inline_pool.sizes == ([2] if jobs == "2" else [])
+        assert err.startswith("detlinks: consistency failure: profile 4,5,2 differs "
+                              "between the routes")
+        assert not cache_path().exists()
 
     def test_truncated_entry_rejected(self, capsys):
         # a hand edit that keeps two values must not change the link numbers

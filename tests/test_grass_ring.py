@@ -5,22 +5,28 @@ from detlinks.errors import DomainError
 from detlinks.grass_ring import (
     GrassClass,
     GrassSpec,
-    PresentationPoly,
     chern_quot,
     chern_sub,
     chern_list_quot,
     chern_list_sub,
-    grassmann_relations,
     mul,
-    presentation_h,
 )
 from detlinks.links import _grass_poincare
-from detlinks.partitions import box_complement, fits_in_box, gaussian_binomial, weight
+from detlinks.partitions import (
+    box_complement,
+    fits_in_box,
+    gaussian_binomial,
+    partitions_in_box,
+    weight,
+)
 
 from conftest import partition_tuples, spec_with_classes
 from oracles import (
+    PresentationPoly,
     QuotientRingOracle,
+    grassmann_relations,
     integrate,
+    presentation_h,
     schubert,
     schubert_to_presentation,
     weighted_degree,
@@ -151,7 +157,7 @@ class TestPoincarePairing:
     def test_pairing_is_permutation(self, m):
         for r in range(m + 1):
             spec = GrassSpec(r, m)
-            basis = spec.basis()
+            basis = partitions_in_box(spec.r, spec.cols)
             for lam in basis:
                 comp = box_complement(lam, spec.r, spec.cols)
                 for mu in basis:
@@ -197,6 +203,19 @@ class TestPresentation:
         assert h5[0] == h4[1] - x1 * h4[0]
         assert h5[1] == -(x2 * h4[0])
 
+    def test_relations_of_grass_2_4(self):
+        x1 = PresentationPoly.variable(2, 1)
+        x2 = PresentationPoly.variable(2, 2)
+        assert grassmann_relations(GrassSpec(2, 4)) == [
+            x1 * x1 * x1 - 2 * x1 * x2,
+            x1 * x1 * x2 - x2 * x2,
+        ]
+
+    def test_relations_of_degenerate_boxes(self):
+        assert grassmann_relations(GrassSpec(0, 0)) == []
+        assert grassmann_relations(GrassSpec(0, 3)) == []
+        assert grassmann_relations(GrassSpec(1, 1)) == [PresentationPoly.variable(1, 1)]
+
     def test_larger_ambient_relations_die_in_smaller_ring(self):
         # the relations for ambient dimension 7 reduce to zero modulo those
         # for ambient dimension 6, matching the restriction of rings
@@ -237,9 +256,10 @@ class TestOracle:
         for r in range(m + 1):
             spec = GrassSpec(r, m)
             oracle = QuotientRingOracle(spec)
-            polys = {lam: schubert_to_presentation(spec, lam) for lam in spec.basis()}
-            for lam in spec.basis():
-                for mu in spec.basis():
+            basis = partitions_in_box(spec.r, spec.cols)
+            polys = {lam: schubert_to_presentation(spec, lam) for lam in basis}
+            for lam in basis:
+                for mu in basis:
                     product = mul(sigma(spec, *lam), sigma(spec, *mu))
                     direct = oracle.reduce_poly(polys[lam] * polys[mu])
                     via_schubert = {}
@@ -255,3 +275,8 @@ class TestPoincare:
         assert _grass_poincare(1, 3).coefficients_list() == [1, 0, 1, 0, 1]
         assert _grass_poincare(2, 4).coefficients_list() == [1, 0, 1, 0, 2, 0, 1, 0, 1]
         assert _grass_poincare(3, 3).coefficients_list() == [1]
+
+    def test_rendered_with_the_degenerate_boxes(self):
+        assert str(_grass_poincare(0, 0)) == "1"
+        assert str(_grass_poincare(1, 1)) == "1"
+        assert str(_grass_poincare(2, 4)) == "1 + t^2 + 2*t^4 + t^6 + t^8"

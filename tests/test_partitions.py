@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from detlinks import partitions
-from detlinks.grass_ring import GrassClass, GrassSpec, PresentationPoly
+from detlinks.grass_ring import GrassClass, GrassSpec
 from detlinks.partitions import (
     IntPolynomial,
     as_partition,
@@ -18,6 +18,7 @@ from detlinks.partitions import (
 from detlinks.tensor_calculus import ProdClass, ProdSpec
 
 from conftest import partition_tuples
+from oracles import PresentationPoly
 
 # name -> (constructor taking (spec, coords), spec, another spec or None,
 #          three valid keys, a key the constructor must reject)

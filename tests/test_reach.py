@@ -1,0 +1,80 @@
+"""Every module-level name of the package is reached from shipped code.
+
+A module-level ``def``, ``class`` or assignment in ``src/detlinks/*.py``
+(dunders excepted) is reached when its name is referenced somewhere under
+``src/``, ``scripts/`` or ``perfbench/``: as a loaded name, an attribute,
+an import alias, or a string constant equal to the name (which covers
+``getattr`` and patch targets).  The package root's imports count, so the
+exported library API is reached.  Tests do not count: a helper only the
+tests call belongs in ``tests/oracles.py``.  Methods are out of scope,
+because common method names (``rank``, ``unit``, ``basis``) make their
+references ambiguous.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = ("src", "scripts", "perfbench")
+
+
+def defined_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def referenced_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unreached(root: Path) -> list:
+    """``module:name`` for each module-level name of ``root/src/detlinks``
+    that nothing under the shipped directories references."""
+    referenced = set()
+    for directory in SHIPPED:
+        for path in sorted((root / directory).rglob("*.py")):
+            referenced.update(referenced_names(ast.parse(path.read_text(), str(path))))
+    out = []
+    for path in sorted((root / "src" / "detlinks").glob("*.py")):
+        for name in defined_names(ast.parse(path.read_text(), str(path))):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in referenced:
+                out.append(f"{path.stem}:{name}")
+    return out
+
+
+def test_every_module_level_name_is_reached():
+    assert unreached(ROOT) == []
+
+
+def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
+    package = tmp_path / "src" / "detlinks"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .core import exported\n__version__ = '0'\n")
+    (package / "core.py").write_text(
+        "LIMIT = 3\n"
+        "_ROUTES = {}\n"
+        "def exported(x):\n    return _helper(x) + LIMIT\n"
+        "def _helper(x):\n    return x\n"
+        "def _patched():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "_ORPHAN: int = 0\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "tool.py").write_text(
+        "import detlinks.core as core\ngetattr(core, '_patched')\n")
+    assert unreached(tmp_path) == ["core:_ROUTES", "core:_dead", "core:_ORPHAN"]
