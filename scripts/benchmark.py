@@ -12,7 +12,9 @@ cleared before each one, so (7,8,4) right after its dual (7,8,3) is summed
 again rather than read back.  A cell whose two routes disagree is reported,
 and the script then exits 1.  A first line reports start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
-after another, and the detlinks modules that import loads.
+after another, the detlinks modules that import loads, and the other
+modules it adds to those of a bare interpreter, so that a new heavy import
+shows up by name.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -42,9 +44,9 @@ from detlinks.polar import (  # noqa: E402
 
 
 HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3)]
-IMPORT_CLI = ("import sys, time; started = time.perf_counter(); import detlinks.cli; "
-              "print(time.perf_counter() - started, "
-              "*sorted(name for name in sys.modules if name.startswith('detlinks')))")
+IMPORT_CLI = ("import sys, time; bare = set(sys.modules); started = time.perf_counter(); "
+              "import detlinks.cli; print(time.perf_counter() - started, "
+              "*sorted(set(sys.modules) - bare))")
 
 
 def cell(text):
@@ -71,14 +73,18 @@ def timed(route, m, n, r):
 
 def startup():
     """Print the median ``import detlinks.cli`` time over five fresh
-    interpreters and the detlinks modules it loaded."""
+    interpreters, the detlinks modules it loaded and the other modules it
+    added to a bare interpreter's."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     outputs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, check=True,
                               capture_output=True, text=True).stdout.split()
                for _ in range(5)]
     seconds = statistics.median(float(out[0]) for out in outputs)
+    added = outputs[-1][1:]
+    own = [name for name in added if name.split(".")[0] == "detlinks"]
+    other = [name for name in added if name.split(".")[0] != "detlinks"]
     print(f"start-up: import detlinks.cli {seconds * 1e3:.1f} ms (median of 5 "
-          f"fresh interpreters), loads {' '.join(outputs[-1][1:])}")
+          f"fresh interpreters), loads {' '.join(own)}; also loads {' '.join(other)}")
 
 
 def run_cell(m, n, r):

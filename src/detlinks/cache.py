@@ -26,7 +26,6 @@ import os
 import sys
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .polar import PolarProfile, _validate_params, profile_length, sign_record
@@ -50,11 +49,11 @@ def cache_path() -> Path:
     return cache_dir() / CACHE_FILENAME
 
 
-@dataclass
 class CacheFile:
-    """In-memory image of the cache: entries keyed by "m,n,r"."""
+    """In-memory image of the cache: ``entries`` maps "m,n,r" to a PolarProfile."""
 
-    entries: dict = field(default_factory=dict)  # key -> PolarProfile
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries
 
     @staticmethod
     def key(m: int, n: int, r: int) -> str:

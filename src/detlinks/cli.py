@@ -12,12 +12,15 @@ Exit codes: 0 success, 1 I/O failure of ``cache clear``, 2 usage, 3 domain
 error (for example a non-smooth link), 4 internal consistency failure (a
 computed profile failing a closed form or holding a negative value, an
 inexact Bott division, a --verify mismatch, a negative middle Betti number).
+A reader that closes stdout early does not change the exit code: the rest
+of the output is discarded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import links as links_mod
@@ -59,9 +62,17 @@ class _UsageError(Exception):
 
 
 def _emit(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    """Write a command's output, flushed, so that a reader that closed the pipe
+    is seen here and not at interpreter exit.  Every store is done before a
+    command renders, so a closed stdout is no failure: the rest of the output
+    goes to /dev/null."""
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _md_table(header: list, rows: list) -> str:

@@ -12,7 +12,7 @@ is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import ConsistencyError, DomainError
@@ -20,19 +20,20 @@ from .partitions import IntPolynomial, gaussian_binomial
 from .polar import euler_obstruction, polar_profile
 
 
-@dataclass(frozen=True)
-class DetSpec:
+class DetSpec(namedtuple("DetSpec", "m n s")):
     """Type (m, n, s): m x n matrices of rank < s, with 1 <= s <= m <= n."""
 
-    m: int
-    n: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.s <= self.m <= self.n:
-            raise DomainError(
-                f"need 1 <= s <= m <= n, got m={self.m}, n={self.n}, s={self.s}"
-            )
+    def __new__(cls, m: int, n: int, s: int):
+        if not 1 <= s <= m <= n:
+            raise DomainError(f"need 1 <= s <= m <= n, got m={m}, n={n}, s={s}")
+        return super().__new__(cls, m, n, s)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*fields)
 
     @property
     def r(self) -> int:
@@ -142,8 +143,9 @@ def _below_middle(spec: DetSpec, i: int) -> tuple:
     return tuple(gb[k] if k < len(gb) else 0 for k in range(spec.d - i - 1))
 
 
-@dataclass(frozen=True)
-class LinkProfile:
+class LinkProfile(namedtuple(
+    "LinkProfile", "spec codim chi smooth middle betti torsion_status"
+)):
     """Cohomological profile of one smooth complex link.
 
     ``betti`` covers degrees 0..middle (the link is Stein of complex
@@ -153,13 +155,7 @@ class LinkProfile:
     closed-form argument rules torsion out, else "unknown".
     """
 
-    spec: DetSpec
-    codim: int
-    chi: int
-    smooth: bool
-    middle: int
-    betti: tuple
-    torsion_status: str
+    __slots__ = ()
 
 
 def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> LinkProfile:
@@ -209,14 +205,10 @@ def poincare_stiefel(r: int, n: int) -> IntPolynomial:
     return out
 
 
-@dataclass(frozen=True)
-class OrbitPoincare:
+class OrbitPoincare(namedtuple("OrbitPoincare", "m n r polynomial")):
     """Poincare polynomial of the compact model of one rank stratum."""
 
-    m: int
-    n: int
-    r: int
-    polynomial: IntPolynomial
+    __slots__ = ()
 
 
 def orbit_poincare(m: int, n: int, r: int) -> OrbitPoincare:
@@ -233,8 +225,9 @@ def orbit_poincare(m: int, n: int, r: int) -> OrbitPoincare:
 # real links: only the closed-form parts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealLinkBetti:
+class RealLinkBetti(namedtuple(
+    "RealLinkBetti", "spec codim below_middle middle_degrees full_betti"
+)):
     """What is actually known about a smooth real link of codimension i.
 
     The real link is a closed oriented manifold of real dimension
@@ -242,13 +235,11 @@ class RealLinkBetti:
     Grass(s-1, m); the two middle groups (degrees d-i-1 and d-i) are not
     computable by the methods here except in the closed-form rank-1 case
     i = 0, where the full vector is that of P^(m-1) x S^(2n-1).
+    ``below_middle`` holds degrees 0 .. d-i-2 and ``middle_degrees`` the two
+    unknown degrees; ``full_betti`` is None except in the closed-form case.
     """
 
-    spec: DetSpec
-    codim: int
-    below_middle: tuple  # degrees 0 .. d-i-2
-    middle_degrees: tuple  # the two unknown degrees
-    full_betti: tuple | None  # populated only in the closed-form case
+    __slots__ = ()
 
 
 def betti_real_link_rank1(m: int, n: int) -> tuple:

@@ -50,7 +50,7 @@ signs.  The sign record ``raw_signs`` is derived from the rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, pairwise, zip_longest
 from math import comb, lcm, prod
@@ -58,8 +58,7 @@ from math import comb, lcm, prod
 from .errors import ConsistencyError, DomainError
 
 
-@dataclass(frozen=True)
-class PolarProfile:
+class PolarProfile(namedtuple("PolarProfile", "m n r values raw_signs")):
     """All polar multiplicities of one germ: values[k] for k = 0..(m+n)r-2r^2.
 
     ``raw_signs[k]`` is the sign (-1)^(d-1+k) the signed integral carries at
@@ -67,11 +66,7 @@ class PolarProfile:
     the Segre-convention audit trail next to the normalized values.
     """
 
-    m: int
-    n: int
-    r: int
-    values: tuple
-    raw_signs: tuple
+    __slots__ = ()
 
     @property
     def k_max(self) -> int:
@@ -318,18 +313,13 @@ def polar_multiplicity(m: int, n: int, r: int, k: int) -> int:
     return profile.values[k]
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(namedtuple("DualityReport", "m n r pairs all_equal")):
     """Entrywise comparison of a profile with its complementary-rank mirror.
 
     pairs holds (k, k_dual, value_at_r, value_at_m_minus_r).
     """
 
-    m: int
-    n: int
-    r: int
-    pairs: tuple
-    all_equal: bool
+    __slots__ = ()
 
 
 def duality_check(m: int, n: int, r: int) -> DualityReport:

@@ -346,7 +346,6 @@ class TestCriterion8Properties:
         print("[acceptance] criterion 8g (benchmark harness, informational): PASS")
 
     def test_benchmark_harness_fails_when_the_routes_disagree(self, monkeypatch, capsys):
-        import dataclasses
         import importlib.util
 
         script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
@@ -359,11 +358,24 @@ class TestCriterion8Properties:
 
         def bumped(m, n, r):
             prof = certify(m, n, r)
-            return dataclasses.replace(prof, values=(prof.values[0] + 1,) + prof.values[1:])
+            return prof._replace(values=(prof.values[0] + 1,) + prof.values[1:])
 
         monkeypatch.setattr(module, "certify_polar_profile", bumped)
         assert module.main(["--max-hb", "2"]) == 1
         assert "ROUTES DISAGREE" in capsys.readouterr().out
+
+    def test_benchmark_names_what_start_up_loads(self, capsys):
+        import importlib.util
+
+        script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
+        spec = importlib.util.spec_from_file_location("benchmark", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.startup()
+        line = capsys.readouterr().out
+        own, other = line.split("; also loads ")
+        assert "detlinks.cli detlinks.errors" in own and "argparse" not in own
+        assert "argparse" in other.split() and "dataclasses" not in other.split()
 
     @pytest.mark.parametrize("text", ["7,8", "9,8,3"])
     def test_benchmark_rejects_a_bad_cell(self, capsys, text):

@@ -180,6 +180,36 @@ class TestPolarCommand:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, a large share
+        # of start-up; the value types the command line uses are named tuples
+        code = ("import sys, detlinks.cli; "
+                "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["False", "False"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_not_a_failure(self, isolated_cache, unbuffered):
+        # a reader that stops early (``| head -1``) leaves a pipe with no
+        # reader; the command has stored its profiles by then and exits 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = "polar --m 2..5 --n 6..12 --r 1..2 --format json".split()
+        try:
+            result = subprocess.run([sys.executable, "-m", "detlinks.cli", *argv], env=env,
+                                    stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(cache_load(isolated_cache / "polar_profiles.json").entries) == 4 * 7 * 2
+
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
         # load only for --verify; every other command runs without them
@@ -197,17 +227,19 @@ class TestPolarCommand:
                          "euler --hilbert-burch --max-m 3",
                          "cache show")
             before = loaded()
+            startup = [name for name in ("dataclasses", "inspect") if name in sys.modules]
             verified = run("polar --m 3 --n 4 --r 2 --verify")
-            print(json.dumps([served, before, verified, loaded()]))
+            print(json.dumps([served, before, startup, verified, loaded()]))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        served, before, verified, after = json.loads(result.stdout.splitlines()[-1])
+        served, before, startup, verified, after = json.loads(result.stdout.splitlines()[-1])
         assert served == [0] * 5
         assert before == []
+        assert startup == []  # the served path builds no dataclass
         assert verified == [0]
         assert after == ["detlinks.grass_ring", "detlinks.tensor_calculus"]
 
