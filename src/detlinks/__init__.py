@@ -15,36 +15,22 @@ from .errors import ConsistencyError, DomainError
 from .links import (
     DetSpec,
     LinkProfile,
-    OrbitPoincare,
-    RealLinkBetti,
-    KNOWN_REAL_LINK_TORSION,
-    betti_real_link_rank1,
     betti_smooth_complex_link,
-    betti_smooth_real_link,
     egz_factor,
     euler_complex_link,
-    euler_step,
     grass_betti,
     hilbert_burch_chi_table,
-    orbit_poincare,
-    poincare_stiefel,
-    poincare_unitary,
     smoothing_bounds,
 )
 from .partitions import (
-    IntPolynomial,
     as_partition,
     conjugate,
-    gaussian_binomial,
     partitions_in_box,
     weight,
 )
 from .polar import (
-    DualityReport,
     PolarProfile,
-    duality_check,
     euler_obstruction,
-    polar_multiplicity,
     polar_profile,
 )
 

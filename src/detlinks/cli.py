@@ -169,6 +169,8 @@ def _nonzero_width(profiles) -> int:
 
 def cmd_polar(args) -> int:
     order = sorted((m, n, r) for r in args.r for m in args.m for n in args.n)
+    for cell in order:  # a rejected request does no work
+        polar_mod._validate_params(*cell)
     profile = _gather_profiles(order, args.verify, args.jobs)
     if args.format == "csv":
         rows = []

@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import comb
 
 from .errors import ConsistencyError, DomainError
-from .partitions import IntPolynomial, gaussian_binomial
+from .partitions import partitions_in_box
 from .polar import euler_obstruction, polar_profile
 
 
@@ -106,34 +106,16 @@ def euler_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> int:
     )
 
 
-def euler_step(spec: DetSpec, i: int) -> int:
-    """Single Morse-theoretic step chi(L^i) - chi(L^(i+1)).
-
-    The difference isolates one term per stratum:
-    (-1)^(d' - i - 1) * values[d' - i - 1] times the transverse-link factor,
-    where d' is the stratum closure's dimension.
-    """
-    if not 0 <= i < spec.d - 1:
-        raise DomainError(f"step index {i} outside 0..{spec.d - 2} for {spec}")
-    total = 0
-    for rank in link_strata(spec, i):
-        k = _stratum_dim(spec, rank) - i - 1
-        profile = polar_profile(spec.m, spec.n, rank)
-        total += (-1) ** k * profile.value(k) * egz_factor(spec, rank)
-    return total
-
-
-def _grass_poincare(r: int, m: int) -> IntPolynomial:
-    """Poincare polynomial of Grass(r, m): the Gaussian binomial [m choose r]
-    in t^2."""
+def grass_betti(r: int, m: int) -> tuple:
+    """Betti numbers of Grass(r, m) in cohomological degrees 0..2r(m-r): the
+    Schubert cells of degree 2j are the partitions of weight j inside the
+    r x (m - r) box, and odd degrees are zero."""
     if not 0 <= r <= m:
         raise DomainError(f"need 0 <= r <= m, got r={r}, m={m}")
-    return gaussian_binomial(m, r).stretched(2)
-
-
-def grass_betti(r: int, m: int) -> tuple:
-    """Betti numbers of Grass(r, m) in cohomological degrees 0..2r(m-r)."""
-    return tuple(_grass_poincare(r, m).coefficients_list())
+    return tuple(
+        0 if k % 2 else len(partitions_in_box(r, m - r, k // 2))
+        for k in range(2 * r * (m - r) + 1)
+    )
 
 
 def _below_middle(spec: DetSpec, i: int) -> tuple:
@@ -181,99 +163,6 @@ def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> L
         betti=below + (mid,),
         torsion_status=torsion,
     )
-
-
-# ---------------------------------------------------------------------------
-# compact orbit models: Poincare polynomials
-# ---------------------------------------------------------------------------
-
-def poincare_unitary(n: int) -> IntPolynomial:
-    """Poincare polynomial of the unitary group U(n): prod (1 + t^(2i-1))."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return poincare_stiefel(n, n)
-
-
-def poincare_stiefel(r: int, n: int) -> IntPolynomial:
-    """Poincare polynomial of the Stiefel manifold of r-frames in C^n:
-    the top r odd-sphere factors of U(n)."""
-    if not 0 <= r <= n:
-        raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
-    out = IntPolynomial.one()
-    for j in range(n - r + 1, n + 1):
-        out = out * IntPolynomial({0: 1, 2 * j - 1: 1})
-    return out
-
-
-class OrbitPoincare(namedtuple("OrbitPoincare", "m n r polynomial")):
-    """Poincare polynomial of the compact model of one rank stratum."""
-
-    __slots__ = ()
-
-
-def orbit_poincare(m: int, n: int, r: int) -> OrbitPoincare:
-    """Compact orbit model of the rank-r stratum in m x n matrices:
-    cohomology of Grass(r, m) times a Stiefel factor of r odd spheres
-    with degrees 2n-1, 2n-3, ..., 2(n-r)+1."""
-    if not (0 <= r <= min(m, n)):
-        raise DomainError(f"need 0 <= r <= min(m, n), got m={m}, n={n}, r={r}")
-    poly = _grass_poincare(r, m) * poincare_stiefel(r, n)
-    return OrbitPoincare(m, n, r, poly)
-
-
-# ---------------------------------------------------------------------------
-# real links: only the closed-form parts
-# ---------------------------------------------------------------------------
-
-class RealLinkBetti(namedtuple(
-    "RealLinkBetti", "spec codim below_middle middle_degrees full_betti"
-)):
-    """What is actually known about a smooth real link of codimension i.
-
-    The real link is a closed oriented manifold of real dimension
-    2(d - i) - 1.  Below degree d - i - 1 its cohomology agrees with
-    Grass(s-1, m); the two middle groups (degrees d-i-1 and d-i) are not
-    computable by the methods here except in the closed-form rank-1 case
-    i = 0, where the full vector is that of P^(m-1) x S^(2n-1).
-    ``below_middle`` holds degrees 0 .. d-i-2 and ``middle_degrees`` the two
-    unknown degrees; ``full_betti`` is None except in the closed-form case.
-    """
-
-    __slots__ = ()
-
-
-def betti_real_link_rank1(m: int, n: int) -> tuple:
-    """Betti numbers of the classical real link of the rank-1 germ:
-    the product of projective (m-1)-space with a (2n-1)-sphere."""
-    if not 2 <= m <= n:
-        raise DomainError(f"need 2 <= m <= n, got m={m}, n={n}")
-    poly = _grass_poincare(1, m) * IntPolynomial({0: 1, 2 * n - 1: 1})
-    return tuple(poly.coefficients_list())
-
-
-def betti_smooth_real_link(spec: DetSpec, i: int) -> RealLinkBetti:
-    """Known Betti data of the codimension-i real link; smooth range only."""
-    spec.check_codim(i, smooth=True)
-    middle_low = spec.d - i - 1
-    full = None
-    if spec.r == 1 and i == 0:
-        full = betti_real_link_rank1(spec.m, spec.n)
-    return RealLinkBetti(
-        spec=spec,
-        codim=i,
-        below_middle=_below_middle(spec, i),
-        middle_degrees=(middle_low, middle_low + 1),
-        full_betti=full,
-    )
-
-
-#: Known middle torsion of a real link, recorded rather than computed: the
-#: codimension-2 real link of the 2x3 rank-1 germ is the unit-sphere bundle
-#: of the degree -3 line bundle on the projective line, so its Gysin sequence
-#: makes H^2 cyclic of order 3.
-KNOWN_REAL_LINK_TORSION = {
-    ((2, 3, 2), 2): {"degree": 2, "group": "Z/3"},
-}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Partition combinatorics and Poincare-series bookkeeping.
+"""Partition combinatorics and the sparse integer combinations keyed by them.
 
 Every cohomology basis downstream is indexed by partitions inside an
 ``rows x cols`` rectangle, so partitions are kept as bare tuples of weakly
@@ -6,10 +6,10 @@ decreasing positive integers with trailing zeros dropped.  Tuples hash and
 compare fast, which matters because they key every sparse ring element in
 the package.
 
-Every such element (a Schubert-basis class, a product-ring class, a
-Poincare polynomial) is one ``SparseElement`` subclass: a spec plus a map
-from keys to nonzero integers.  The base class owns the additive structure
-and scaling; a subclass supplies its key check and its product.
+Every such element (a Schubert-basis class, a product-ring class) is one
+``SparseElement`` subclass: a spec plus a map from keys to nonzero
+integers.  The base class owns the additive structure and scaling; a
+subclass supplies its key check and its product.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ def fits_in_box(p: Partition, rows: int, cols: int) -> bool:
 
 
 def box_complement(p: Partition, rows: int, cols: int) -> Partition:
-    """Complement of ``p`` inside the rows x cols rectangle, rotated by 180 degrees."""
+    """Complement of ``p`` inside the rows x cols rectangle, rotated by 180 degrees.
+
+    >>> box_complement((2,), 2, 3)
+    (3, 1)
+    """
     if not fits_in_box(p, rows, cols):
         raise ValueError(f"{p} does not fit in a {rows}x{cols} box")
     padded = p + (0,) * (rows - len(p))
@@ -177,103 +181,3 @@ class SparseElement:
         if not isinstance(other, SparseElement):
             return NotImplemented
         return type(other) is type(self) and (self.spec, self.coords) == (other.spec, other.coords)
-
-
-class IntPolynomial(SparseElement):
-    """Sparse univariate polynomial with exact integer coefficients.
-
-    Just enough ring structure for Poincare polynomials: addition,
-    multiplication, evaluation, degree dilation.  Keys are degrees; the
-    spec is always None.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=None):
-        super().__init__(None, coeffs)
-
-    @staticmethod
-    def _key(spec, d):
-        d = int(d)
-        if d < 0:
-            raise ValueError("negative degree")
-        return d
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def coefficient(self, d: int) -> int:
-        return self.coords.get(d, 0)
-
-    def coefficients_list(self) -> list:
-        """Dense coefficient list, constant term first."""
-        if not self.coords:
-            return [0]
-        top = max(self.coords)
-        return [self.coords.get(d, 0) for d in range(top + 1)]
-
-    def is_palindromic(self) -> bool:
-        lst = self.coefficients_list()
-        return lst == lst[::-1]
-
-    def stretched(self, k: int) -> "IntPolynomial":
-        """Substitute t -> t**k."""
-        if k < 1:
-            raise ValueError("stretch factor must be positive")
-        return IntPolynomial({d * k: c for d, c in self.coords.items()})
-
-    def __call__(self, x):
-        return sum(c * x**d for d, c in self.coords.items())
-
-    def _mul(self, other):
-        data = {}
-        for d1, c1 in self.coords.items():
-            for d2, c2 in other.coords.items():
-                d = d1 + d2
-                data[d] = data.get(d, 0) + c1 * c2
-        return self._trusted(None, data)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coords == ({0: other} if other else {})
-        return super().__eq__(other)
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __str__(self):
-        parts = []
-        for d in sorted(self.coords):
-            c = self.coords[d]
-            mono = "t" if d == 1 else f"t^{d}"
-            if d == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ") or "0"
-
-    def __repr__(self):
-        return f"IntPolynomial({self.coords!r})"
-
-
-def gaussian_binomial(m: int, r: int) -> IntPolynomial:
-    """Gaussian binomial coefficient [m choose r] as a polynomial in t.
-
-    The degree-j coefficient counts partitions of weight j inside the
-    r x (m - r) box; evaluating at t = 1 gives comb(m, r) and the
-    coefficient list is palindromic.
-
-    >>> str(gaussian_binomial(4, 2))
-    '1 + t + 2*t^2 + t^3 + t^4'
-    """
-    if not 0 <= r <= m:
-        raise ValueError(f"need 0 <= r <= m, got m={m}, r={r}")
-    cols = m - r
-    return IntPolynomial(
-        {w: len(_box_weight(r, cols, w)) for w in range(r * cols + 1)}
-    )

@@ -302,41 +302,6 @@ def polar_profile(m: int, n: int, r: int) -> PolarProfile:
     return compute_polar_profile(m, n, r)
 
 
-def polar_multiplicity(m: int, n: int, r: int, k: int) -> int:
-    """Single polar multiplicity: the k-th entry of the (m, n, r) profile."""
-    _validate_params(m, n, r)
-    profile = polar_profile(m, n, r)
-    if not 0 <= k <= profile.k_max:
-        raise DomainError(
-            f"polar index k={k} outside 0..{profile.k_max} for (m, n, r) = ({m}, {n}, {r})"
-        )
-    return profile.values[k]
-
-
-class DualityReport(namedtuple("DualityReport", "m n r pairs all_equal")):
-    """Entrywise comparison of a profile with its complementary-rank mirror.
-
-    pairs holds (k, k_dual, value_at_r, value_at_m_minus_r).
-    """
-
-    __slots__ = ()
-
-
-def duality_check(m: int, n: int, r: int) -> DualityReport:
-    """Compare values[k] at rank r against values[2(m-r)r - k] at rank m - r."""
-    _validate_params(m, n, r)
-    if not 1 <= r <= m - 1:
-        raise DomainError(f"duality needs 1 <= r <= m-1, got r={r}, m={m}")
-    left = polar_profile(m, n, r)
-    right = polar_profile(m, n, m - r)
-    shift = 2 * (m - r) * r
-    pairs = tuple(
-        (k, shift - k, left.value(k), right.value(shift - k) if k <= shift else 0)
-        for k in range(left.k_max + 1)
-    )
-    return DualityReport(m, n, r, pairs, all(lv == rv for _, _, lv, rv in pairs))
-
-
 def euler_obstruction(m: int, n: int, r: int, i: int, profile=polar_profile) -> int:
     """Local Euler obstruction of the germ sliced by a generic plane of
     codimension i - 1: the alternating sum of the polar multiplicities,

@@ -1,5 +1,6 @@
-"""Reference computations that certify the Schubert calculus, and the few
-constructors the tests build classes with.  They live here because only
+"""Reference computations that certify the Schubert calculus, the link
+Euler characteristics and the rank duality of the polar profiles, and the
+few constructors the tests build classes with.  They live here because only
 the tests run them; ``src/`` holds production, the certifier and the four
 served commands.
 
@@ -11,6 +12,13 @@ served commands.
   integer row reduction.  With ``schubert_to_presentation`` it certifies
   the Pieri/Giambelli products of ``grass_ring.mul``, and its graded ranks
   certify the Grassmannian Betti numbers of ``links.grass_betti``.
+* ``euler_step`` computes one Morse step chi(L^i) - chi(L^(i+1)) of the
+  complex links as a single term per stratum.  It certifies the Euler
+  characteristics of ``links.euler_complex_link``, whose stratum sums
+  telescope to those steps.
+* ``duality_check`` compares a polar profile with its complementary-rank
+  mirror entry by entry (``DualityReport``).  It certifies the rank
+  duality of the polar multiplicities of ``polar.polar_profile``.
 * ``chern_tensor_via_roots`` expands the product of (1 + a_i + b_j) over
   formal Chern roots into universal polynomials in the factor Chern
   classes (``universal_tensor_chern``) and evaluates them on the two
@@ -26,6 +34,7 @@ classes for the tests.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -38,7 +47,9 @@ from detlinks.grass_ring import (
     chern_list_quot,
     chern_list_sub,
 )
+from detlinks.links import DetSpec, _stratum_dim, egz_factor, link_strata
 from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box
+from detlinks.polar import _validate_params, polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -509,3 +520,48 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
             acc = acc + coeff * tensor(spec, left, right)
         terms.append(acc)
     return CharSeries(spec, bundle, tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# link and polar certifiers
+# ---------------------------------------------------------------------------
+
+def euler_step(spec: DetSpec, i: int) -> int:
+    """Single Morse-theoretic step chi(L^i) - chi(L^(i+1)).
+
+    The difference isolates one term per stratum:
+    (-1)^(d' - i - 1) * values[d' - i - 1] times the transverse-link factor,
+    where d' is the stratum closure's dimension.
+    """
+    if not 0 <= i < spec.d - 1:
+        raise DomainError(f"step index {i} outside 0..{spec.d - 2} for {spec}")
+    total = 0
+    for rank in link_strata(spec, i):
+        k = _stratum_dim(spec, rank) - i - 1
+        profile = polar_profile(spec.m, spec.n, rank)
+        total += (-1) ** k * profile.value(k) * egz_factor(spec, rank)
+    return total
+
+
+class DualityReport(namedtuple("DualityReport", "m n r pairs all_equal")):
+    """Entrywise comparison of a profile with its complementary-rank mirror.
+
+    pairs holds (k, k_dual, value_at_r, value_at_m_minus_r).
+    """
+
+    __slots__ = ()
+
+
+def duality_check(m: int, n: int, r: int) -> DualityReport:
+    """Compare values[k] at rank r against values[2(m-r)r - k] at rank m - r."""
+    _validate_params(m, n, r)
+    if not 1 <= r <= m - 1:
+        raise DomainError(f"duality needs 1 <= r <= m-1, got r={r}, m={m}")
+    left = polar_profile(m, n, r)
+    right = polar_profile(m, n, m - r)
+    shift = 2 * (m - r) * r
+    pairs = tuple(
+        (k, shift - k, left.value(k), right.value(shift - k) if k <= shift else 0)
+        for k in range(left.k_max + 1)
+    )
+    return DualityReport(m, n, r, pairs, all(lv == rv for _, _, lv, rv in pairs))

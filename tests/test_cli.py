@@ -140,13 +140,24 @@ class TestPolarCommand:
         assert inline_pool.sizes == [2]
         assert "does not match recomputation" in err
 
-    def test_domain_error_from_the_pool_is_exit_3(self, capsys, inline_pool):
-        code, out, err = run(capsys, "polar", "--m", "3", "--n", "2..3", "--r", "1",
-                             "--jobs", "2")
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs2"])
+    def test_bad_cell_rejected_before_any_profile_is_computed(
+            self, capsys, monkeypatch, inline_pool, jobs):
+        # the bad cell sorts last, after two cells that would be computed first
+        computed = []
+
+        def spy(m, n, r, _real=cli.compute_polar_profile):
+            computed.append((m, n, r))
+            return _real(m, n, r)
+
+        monkeypatch.setattr(cli, "compute_polar_profile", spy)
+        code, out, err = run(capsys, "polar", "--m", "2..4", "--n", "3", "--r", "1",
+                             "--jobs", jobs)
         assert code == 3
-        assert inline_pool.sizes == [2]
-        assert err == "detlinks: error: need 0 <= r <= m <= n, got m=3, n=2, r=1\n"
+        assert err == "detlinks: error: need 0 <= r <= m <= n, got m=4, n=3, r=1\n"
         assert out == ""
+        assert computed == []
+        assert inline_pool.sizes == []
         assert not cache_path().exists()
 
     def test_one_cache_lookup_per_cell(self, capsys, monkeypatch):

@@ -3,26 +3,18 @@ import pytest
 from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassSpec
 from detlinks.links import (
-    KNOWN_REAL_LINK_TORSION,
     DetSpec,
-    betti_real_link_rank1,
     betti_smooth_complex_link,
-    betti_smooth_real_link,
     egz_factor,
     euler_complex_link,
-    euler_step,
     grass_betti,
     hilbert_burch_chi_table,
-    orbit_poincare,
-    poincare_stiefel,
-    poincare_unitary,
     smoothing_bounds,
 )
-from detlinks.partitions import IntPolynomial, gaussian_binomial
 from detlinks.polar import polar_profile
 
 import reference_tables as ref
-from oracles import QuotientRingOracle
+from oracles import QuotientRingOracle, euler_step
 
 M343 = DetSpec(3, 4, 3)
 
@@ -178,6 +170,13 @@ class TestBetti:
         with pytest.raises(DomainError):
             betti_smooth_complex_link(M343, 5)
 
+    def test_non_smooth_message_names_the_smooth_range(self):
+        with pytest.raises(DomainError) as exc:
+            betti_smooth_complex_link(M343, 2)
+        assert str(exc.value) == (
+            "link not smooth at codimension 2 for DetSpec(m=3, n=4, s=3): "
+            "smooth range is 6..9")
+
     def test_euler_relation_and_nonnegative_middle(self):
         for m in range(2, 5):
             for n in range(m, 6):
@@ -197,40 +196,6 @@ class TestHilbertBurchTable:
         rows = hilbert_burch_chi_table(6)
         for d in range(4):
             assert tuple(rows[d]) == ref.EULER_HB[d][:6], f"row d={d}"
-
-
-class TestOrbitModels:
-    def test_unitary_circle(self):
-        assert str(poincare_unitary(1)) == "1 + t"
-
-    def test_full_frames_recover_the_group(self):
-        for n in range(4):
-            assert poincare_stiefel(n, n) == poincare_unitary(n)
-
-    def test_rank_one_orbit(self):
-        got = orbit_poincare(3, 4, 1).polynomial
-        # projective plane times a 7-sphere
-        assert got.coefficients_list() == [1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1]
-
-    def test_euler_characteristic_vanishes(self):
-        for m, n, r in [(2, 2, 1), (3, 4, 1), (3, 4, 2), (4, 5, 3)]:
-            assert orbit_poincare(m, n, r).polynomial(-1) == 0
-
-    def test_orbit_is_grassmannian_times_stiefel(self):
-        for m in range(1, 6):
-            for n in range(m, 7):
-                for r in range(m + 1):
-                    expected = gaussian_binomial(m, r).stretched(2) * poincare_stiefel(r, n)
-                    assert orbit_poincare(m, n, r).polynomial == expected, (m, n, r)
-
-    def test_rank_zero_orbit_is_a_point(self):
-        assert orbit_poincare(3, 4, 0).polynomial == poincare_unitary(0)
-
-    def test_range(self):
-        with pytest.raises(DomainError):
-            orbit_poincare(3, 4, 4)
-        with pytest.raises(DomainError):
-            poincare_stiefel(3, 2)
 
 
 class TestSmoothingBounds:
@@ -262,42 +227,3 @@ class TestSmoothingBounds:
     def test_no_germ_below_m_1(self):
         with pytest.raises(DomainError, match="need 1 <= s <= m <= n"):
             smoothing_bounds(0, "curve")
-
-
-class TestRealLinks:
-    def test_rank_one_closed_form(self):
-        assert betti_real_link_rank1(2, 3) == (1, 0, 1, 0, 0, 1, 0, 1)
-
-    def test_rank_one_is_projective_space_times_sphere(self):
-        for m in range(2, 6):
-            for n in range(m, 7):
-                expected = gaussian_binomial(m, 1).stretched(2) * IntPolynomial({0: 1, 2 * n - 1: 1})
-                assert betti_real_link_rank1(m, n) == tuple(expected.coefficients_list())
-
-    def test_profile_structure(self):
-        spec = DetSpec(2, 3, 2)
-        info = betti_smooth_real_link(spec, 0)
-        assert info.full_betti == (1, 0, 1, 0, 0, 1, 0, 1)
-        assert info.middle_degrees == (3, 4)
-        assert info.below_middle == (1, 0, 1)
-
-    def test_middle_not_claimed_in_general(self):
-        info = betti_smooth_real_link(M343, 6)
-        assert info.full_betti is None
-        assert info.below_middle == (1, 0, 1)
-        assert info.middle_degrees == (3, 4)
-
-    def test_non_smooth_rejected(self):
-        with pytest.raises(DomainError):
-            betti_smooth_real_link(M343, 2)
-
-    @pytest.mark.parametrize("betti", [betti_smooth_complex_link, betti_smooth_real_link])
-    def test_non_smooth_message_names_the_smooth_range(self, betti):
-        with pytest.raises(DomainError) as exc:
-            betti(M343, 2)
-        assert str(exc.value) == (
-            "link not smooth at codimension 2 for DetSpec(m=3, n=4, s=3): "
-            "smooth range is 6..9")
-
-    def test_recorded_torsion_witness(self):
-        assert KNOWN_REAL_LINK_TORSION[((2, 3, 2), 2)]["group"] == "Z/3"

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from detlinks import partitions
+from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassClass, GrassSpec
+from detlinks.links import grass_betti
 from detlinks.partitions import (
-    IntPolynomial,
     as_partition,
     box_complement,
     conjugate,
-    gaussian_binomial,
     partitions_in_box,
     weight,
 )
@@ -27,7 +27,6 @@ SPARSE_CASES = {
     "ProdClass": (ProdClass, ProdSpec(1, 3, 2), ProdSpec(1, 4, 2),
                   [((1,), ()), ((2,), (1,)), ((), (1,))], ((), (2,))),
     "PresentationPoly": (PresentationPoly, 2, 3, [(1, 0), (0, 2), (3, 1)], (1, -1)),
-    "IntPolynomial": (lambda spec, coords: IntPolynomial(coords), None, None, [0, 2, 5], -1),
 }
 
 
@@ -89,40 +88,26 @@ def test_box_complement():
         box_complement((4,), 1, 3)
 
 
+# grass_betti(r, m) holds the Gaussian binomial [m choose r], the partition
+# counts of the r x (m - r) box by weight, in its even degrees
 def test_gaussian_examples():
-    assert gaussian_binomial(3, 1).coefficients_list() == [1, 1, 1]
-    assert gaussian_binomial(4, 2).coefficients_list() == [1, 1, 2, 1, 1]
-    assert gaussian_binomial(5, 0).coefficients_list() == [1]
+    assert grass_betti(1, 3)[::2] == (1, 1, 1)
+    assert grass_betti(2, 4)[::2] == (1, 1, 2, 1, 1)
+    assert grass_betti(0, 5) == (1,)
 
 
 def test_gaussian_rejects_bad_args():
-    with pytest.raises(ValueError):
-        gaussian_binomial(2, 3)
+    with pytest.raises(DomainError):
+        grass_betti(3, 2)
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_gaussian_palindromic_and_counts(m, r):
     if r > m:
         r = m
-    g = gaussian_binomial(m, r)
-    assert g.is_palindromic()
-    assert g(1) == comb(m, r)
-
-
-def test_intpolynomial_arithmetic():
-    p = IntPolynomial({0: 1, 2: 3})
-    q = IntPolynomial({1: -1})
-    assert (p + q).coefficients_list() == [1, -1, 3]
-    assert (p * q).coefficients_list() == [0, -1, 0, -3]
-    assert (p - p) == 0
-    assert p(2) == 1 + 3 * 4
-    assert p.stretched(2).coefficients_list() == [1, 0, 0, 0, 3]
-    assert str(IntPolynomial({0: 1, 1: -1, 3: 2})) == "1 - t + 2*t^3"
-
-
-def test_intpolynomial_drops_zero_coefficients():
-    p = IntPolynomial({5: 0, 1: 2})
-    assert p.coords == {1: 2}
+    betti = grass_betti(r, m)
+    assert betti == betti[::-1]
+    assert sum(betti) == comb(m, r)
 
 
 @pytest.mark.parametrize("name", list(SPARSE_CASES))

@@ -7,13 +7,12 @@ from detlinks.errors import ConsistencyError, DomainError
 from detlinks.polar import (
     certify_polar_profile,
     compute_polar_profile,
-    duality_check,
     euler_obstruction,
-    polar_multiplicity,
     polar_profile,
 )
 
 import reference_tables as ref
+from oracles import duality_check
 
 
 class TestProfiles:
@@ -44,14 +43,14 @@ class TestProfiles:
         assert prof.raw_signs == (1,)
 
     def test_single_value_lookup(self):
-        assert polar_multiplicity(3, 4, 2, 2) == 27
-        assert polar_multiplicity(2, 3, 1, 3) == 0
+        assert polar_profile(3, 4, 2).values[2] == 27
+        assert polar_profile(2, 3, 1).value(3) == 0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            polar_multiplicity(3, 4, 2, 7)
+            polar_profile(3, 4, 2).value(-1)
         with pytest.raises(DomainError):
-            polar_multiplicity(3, 2, 1, 0)  # m > n
+            polar_profile(3, 2, 1)  # m > n
         with pytest.raises(DomainError):
             polar_profile(3, 4, 4)  # r > m
 

@@ -4,11 +4,13 @@ A module-level ``def``, ``class`` or assignment in ``src/detlinks/*.py``
 (dunders excepted) is reached when its name is referenced somewhere under
 ``src/``, ``scripts/`` or ``perfbench/``: as a loaded name, an attribute,
 an import alias, or a string constant equal to the name (which covers
-``getattr`` and patch targets).  The package root's imports count, so the
-exported library API is reached.  Tests do not count: a helper only the
-tests call belongs in ``tests/oracles.py``.  Methods are out of scope,
-because common method names (``rank``, ``unit``, ``basis``) make their
-references ambiguous.
+``getattr`` and patch targets).  The package root's re-exports do not
+count, so exporting a name does not make it reached, and tests do not
+count: a helper only the tests call belongs in ``tests/oracles.py``.
+``LIBRARY_API`` names the few library functions that are exported but
+served by no command yet.  Methods are out of scope, because common
+method names (``rank``, ``unit``, ``basis``) make their references
+ambiguous.
 """
 
 import ast
@@ -16,6 +18,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ("src", "scripts", "perfbench")
+PACKAGE_ROOT = Path("src", "detlinks", "__init__.py")
+
+#: ``module:name`` -> why the name stays although no shipped code reaches it
+LIBRARY_API = {
+    "links:smoothing_bounds": "the documented library answer nearest the paper's "
+    "headline; library API until a command serves it",
+}
 
 
 def defined_names(tree: ast.Module):
@@ -47,6 +56,8 @@ def unreached(root: Path) -> list:
     referenced = set()
     for directory in SHIPPED:
         for path in sorted((root / directory).rglob("*.py")):
+            if path == root / PACKAGE_ROOT:
+                continue
             referenced.update(referenced_names(ast.parse(path.read_text(), str(path))))
     out = []
     for path in sorted((root / "src" / "detlinks").glob("*.py")):
@@ -58,13 +69,14 @@ def unreached(root: Path) -> list:
 
 
 def test_every_module_level_name_is_reached():
-    assert unreached(ROOT) == []
+    assert unreached(ROOT) == list(LIBRARY_API)
 
 
 def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
     package = tmp_path / "src" / "detlinks"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text("from .core import exported\n__version__ = '0'\n")
+    (package / "__init__.py").write_text(
+        "from .core import exported, reexported\n__version__ = '0'\n")
     (package / "core.py").write_text(
         "LIMIT = 3\n"
         "_ROUTES = {}\n"
@@ -72,9 +84,11 @@ def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
         "def _helper(x):\n    return x\n"
         "def _patched():\n    pass\n"
         "def _dead():\n    pass\n"
+        "def reexported():\n    pass\n"
         "_ORPHAN: int = 0\n"
     )
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "tool.py").write_text(
-        "import detlinks.core as core\ngetattr(core, '_patched')\n")
-    assert unreached(tmp_path) == ["core:_ROUTES", "core:_dead", "core:_ORPHAN"]
+        "import detlinks.core as core\ngetattr(core, '_patched')\ncore.exported(1)\n")
+    assert unreached(tmp_path) == [
+        "core:_ROUTES", "core:_dead", "core:reexported", "core:_ORPHAN"]
