@@ -126,10 +126,11 @@ def _gather_profiles(cells, verify: bool, jobs: int):
                 continue
         need[cell] = cached
     route = certify_polar_profile if verify else compute_polar_profile
-    if jobs > 1 and len(need) > 1:
+    workers = min(jobs, len(need), os.cpu_count() or 1)  # a fork pool starts all at once
+    if workers > 1:
         # imported here: it pulls in multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(need))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             profiles = list(pool.map(route, *zip(*need)))
     else:
         profiles = [route(*cell) for cell in need]
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "independent Schubert route and check it against the cache, "
                        "or against the production route where the cache has no entry")
         p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                       help="worker processes for independent table cells")
+                       help="worker processes for independent table cells, one per CPU at most")
 
     p_polar = sub.add_parser("polar", help="polar multiplicity tables")
     p_polar.add_argument("--m", type=_parse_range, required=True)

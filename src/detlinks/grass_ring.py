@@ -8,9 +8,9 @@ Giambelli determinant).  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis.
 
-The tests certify the Pieri/Giambelli products against the polynomial
-presentation Z[x_1..x_r]/J, built degree by degree with exact integer row
-reduction in ``tests/oracles.py``; neither side trusts the other.
+The tests certify the Pieri/Giambelli products against the presentation
+Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every m <= 8 with one
+Hermite normal form per degree up to dim + r; neither side trusts the other.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import ConsistencyError, DomainError
 from .partitions import partitions_in_box
-from .polar import euler_obstruction, polar_profile
+from .polar import euler_obstruction, germ_dim, polar_profile
 
 
 class DetSpec(namedtuple("DetSpec", "m n s")):
@@ -43,12 +43,12 @@ class DetSpec(namedtuple("DetSpec", "m n s")):
     @property
     def d(self) -> int:
         """Complex dimension of the germ: (m+n)r - r^2."""
-        return _stratum_dim(self, self.r)
+        return germ_dim(self.m, self.n, self.r)
 
     @property
     def sing_dim(self) -> int:
         """Dimension of the singular locus (negative when there is none)."""
-        return _stratum_dim(self, self.r - 1)
+        return germ_dim(self.m, self.n, self.r - 1)
 
     def smooth_range(self) -> range:
         """Codimensions i whose links are smooth: sing_dim <= i < d."""
@@ -66,14 +66,10 @@ class DetSpec(namedtuple("DetSpec", "m n s")):
             )
 
 
-def _stratum_dim(spec: DetSpec, rank: int) -> int:
-    return (spec.m + spec.n) * rank - rank**2
-
-
 def link_strata(spec: DetSpec, i: int) -> list:
     """The ranks r' >= 1 whose strata the codimension-i link sums over: those
     of closure dimension (m+n)r' - r'^2 >= i + 1 (the origin's sum is empty)."""
-    return [rank for rank in range(1, spec.s) if _stratum_dim(spec, rank) >= i + 1]
+    return [rank for rank in range(1, spec.s) if germ_dim(spec.m, spec.n, rank) >= i + 1]
 
 
 def egz_factor(spec: DetSpec, stratum_rank: int) -> int:

@@ -79,9 +79,14 @@ class PolarProfile(namedtuple("PolarProfile", "m n r values raw_signs")):
         return self.values[k] if k <= self.k_max else 0
 
 
+def germ_dim(m: int, n: int, r: int) -> int:
+    """Complex dimension (m+n)r - r^2 of the rank <= r germ of m x n matrices."""
+    return (m + n) * r - r * r
+
+
 def profile_length(m: int, n: int, r: int) -> int:
     """Number of values of the (m, n, r) profile: (m+n)r - 2r^2 + 1; 1 at r = 0."""
-    return (m + n) * r - 2 * r * r + 1 if r else 1
+    return (m + n) * r - 2 * r * r + 1
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +96,7 @@ def sign_record(m: int, n: int, r: int) -> tuple:
     so that the computed and the cached profile of a cell share one tuple."""
     if r == 0:
         return (1,)
-    d = (m + n) * r - r * r
+    d = germ_dim(m, n, r)
     return tuple((-1) ** (d - 1 + k) for k in range(profile_length(m, n, r)))
 
 
@@ -314,7 +319,7 @@ def euler_obstruction(m: int, n: int, r: int, i: int, profile=polar_profile) -> 
     the command line served from its cache.
     """
     _validate_params(m, n, r)
-    d = (m + n) * r - r * r
+    d = germ_dim(m, n, r)
     if not 0 <= i <= d:
         raise DomainError(f"obstruction index i={i} outside 0..{d}")
     values = profile(m, n, r).values[: d - i + 1]

@@ -58,6 +58,7 @@ from .partitions import (
     partitions_in_box,
     weight,
 )
+from .polar import _validate_params
 
 SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
@@ -72,10 +73,7 @@ class ProdSpec:
     m: int
 
     def __post_init__(self):
-        if not 0 <= self.r <= self.m <= self.n:
-            raise DomainError(
-                f"need 0 <= r <= m <= n, got r={self.r}, m={self.m}, n={self.n}"
-            )
+        _validate_params(self.m, self.n, self.r)
 
     @property
     def factor1(self) -> GrassSpec:

@@ -8,10 +8,13 @@ served commands.
   classes x_1..x_r; ``presentation_h`` iterates the recursion whose last
   step, ``grassmann_relations``, generates the ideal J of the presentation
   H*(Grass(r, m)) = Z[x_1..x_r]/J.
-* ``QuotientRingOracle`` builds that quotient degree by degree with exact
-  integer row reduction.  With ``schubert_to_presentation`` it certifies
-  the Pieri/Giambelli products of ``grass_ring.mul``, and its graded ranks
-  certify the Grassmannian Betti numbers of ``links.grass_betti``.
+* ``QuotientRingOracle`` builds that quotient in degrees 0..dim + r, one
+  Hermite normal form per degree, and verifies that the e-monomials of the
+  partitions in the box are a Z-basis of it; that holds for every
+  Grass(r, m) with m <= 8, the range the tests certify.  With
+  ``schubert_to_presentation`` it certifies the Pieri/Giambelli products
+  of ``grass_ring.mul``, and its graded ranks certify the Grassmannian
+  Betti numbers of ``links.grass_betti``.
 * ``euler_step`` computes one Morse step chi(L^i) - chi(L^(i+1)) of the
   complex links as a single term per stratum.  It certifies the Euler
   characteristics of ``links.euler_complex_link``, whose stratum sums
@@ -47,9 +50,9 @@ from detlinks.grass_ring import (
     chern_list_quot,
     chern_list_sub,
 )
-from detlinks.links import DetSpec, _stratum_dim, egz_factor, link_strata
+from detlinks.links import DetSpec, egz_factor, link_strata
 from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box
-from detlinks.polar import _validate_params, polar_profile
+from detlinks.polar import _validate_params, germ_dim, polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -240,74 +243,66 @@ def _weighted_monomials(nvars: int, d: int):
     return tuple(sorted(out, reverse=True))
 
 
-def _integer_echelon(rows, ncols):
-    """Exact integer row echelon preferring unit pivots.
+def _add_multiple(row, q, other):
+    """row += q * other for sparse rows {column: entry}, zeros dropped."""
+    for t, v in other.items():
+        x = row.get(t, 0) + q * v
+        if x:
+            row[t] = x
+        else:
+            del row[t]
 
-    The pivot order is chosen greedily at entries of absolute value one
-    (creating them by Euclidean column reduction when necessary), because a
-    left-to-right sweep can get stuck on a non-unit pivot even when the row
-    lattice is a direct summand.  A successful run returns (pivots, []),
-    where every pivot entry is 1, each pivot row vanishes at the other
-    pivot columns, and the non-pivot coordinates are therefore a Z-basis of
-    the quotient.  If no unit pivot can be produced for some rows they are
-    returned unreduced as the second component; the caller treats that as
-    possible torsion.  Pure big-int arithmetic throughout.
+
+def _hermite_form(rows):
+    """Hermite normal form of the lattice the sparse integer ``rows`` span.
+
+    Rows are maps {column: entry}.  Returns [(column, row), ...] in column
+    order: each row vanishes left of its pivot, each pivot entry is
+    positive, and the entries of earlier rows at a pivot column lie in
+    [0, pivot).  Only unimodular row operations are used, so the lattice is
+    unchanged.  Pure big-int arithmetic.
     """
-    work = [list(r) for r in rows if any(r)]
+    by_lead = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(dict(row))
     pivots = []
-    while work:
-        pos = None
-        for ri, row in enumerate(work):
-            for c, v in enumerate(row):
-                if v == 1 or v == -1:
-                    pos = (ri, c)
-                    break
-            if pos:
-                break
-        if pos is None:
-            progressed = False
-            for c in range(ncols):
-                having = [r for r in work if r[c]]
-                if len(having) < 2:
-                    continue
-                having.sort(key=lambda r: abs(r[c]))
-                base = having[0]
-                for r in having[1:]:
-                    q = r[c] // base[c]
-                    if q:
-                        for t in range(ncols):
-                            r[t] -= q * base[t]
-                        progressed = True
-            work = [r for r in work if any(r)]
-            if progressed:
-                continue
-            return sorted(pivots), work
-        ri, c = pos
-        piv = work.pop(ri)
-        if piv[c] < 0:
-            piv = [-x for x in piv]
-        for row in work:
-            if row[c]:
-                q = row[c]
-                for t in range(ncols):
-                    row[t] -= q * piv[t]
-        for _, prow in pivots:
-            if prow[c]:
-                q = prow[c]
-                for t in range(ncols):
-                    prow[t] -= q * piv[t]
-        pivots.append((c, piv))
-        work = [r for r in work if any(r)]
-    return sorted(pivots), []
+    while by_lead:
+        c = min(by_lead)
+        having = by_lead.pop(c)
+        while len(having) > 1:  # Euclid on column c, the sparsest smallest row first
+            having.sort(key=lambda row: (abs(row[c]), len(row)))
+            base, rest = having[0], having[1:]
+            having = [base]
+            for row in rest:
+                _add_multiple(row, -(row[c] // base[c]), base)
+                if c in row:
+                    having.append(row)
+                elif row:
+                    by_lead.setdefault(min(row), []).append(row)
+        row = having[0]
+        pivots.append((c, row if row[c] > 0 else {t: -v for t, v in row.items()}))
+    for i, (c, piv) in enumerate(pivots):  # piv vanishes left of c: earlier columns stay reduced
+        for _, row in pivots[:i]:
+            q = row.get(c, 0) // piv[c]
+            if q:
+                _add_multiple(row, -q, piv)
+    return pivots
 
 
 class QuotientRingOracle:
     """Brute-force model of H*(Grass(r, m)) as Z[x_1..x_r] modulo relations.
 
-    Each weighted-graded piece is handled by exact integer row reduction of
-    the ideal's span over the monomial basis.  Unit pivots are verified, not
-    assumed: a quotient with torsion would be reported loudly instead of
-    being normalized away.
+    Each weighted-graded piece of the ideal is put in Hermite normal form
+    over the monomials, those of exponent sum above m - r first.  The rest,
+    the e-monomials of the partitions in the r x (m - r) box, should be a
+    Z-basis of the quotient.  That is verified, not assumed: every pivot
+    must be 1 (else the quotient may have torsion), every other monomial
+    must have a pivot and no relation may be left on the basis, or a
+    ``ConsistencyError`` names the degree and the fault.
+    Degrees 0..dim + r are reduced.  Those above dim must vanish, and then
+    so does every higher degree, because x_1..x_r generate the ring.  Every
+    Grass(r, m) with m <= 8 passes.
     """
 
     SCALE_LIMIT = 200
@@ -317,68 +312,56 @@ class QuotientRingOracle:
         if rank > self.SCALE_LIMIT:
             raise DomainError(f"oracle limited to rank <= {self.SCALE_LIMIT}, got {rank}")
         self.spec = spec
-        self._pieces = {}  # degree -> (monomials, pivots, standard monomial list)
-        gens = grassmann_relations(spec)
-        top = 2 * spec.dim  # products of two basis monomials stay below this
-        for d in range(top + 1):
-            monos = _weighted_monomials(spec.r, d)
+        self._normal = {}  # monomial of degree <= dim -> {basis monomial: coeff}
+        ranks = []
+        gens = [(weighted_degree(g), g) for g in grassmann_relations(spec)]
+        for d in range(spec.dim + spec.r + 1):
+            monos = sorted(_weighted_monomials(spec.r, d), key=lambda e: sum(e) <= spec.cols)
+            outside = sum(1 for e in monos if sum(e) > spec.cols)
             index = {e: i for i, e in enumerate(monos)}
             rows = []
-            for g in gens:
-                gd = weighted_degree(g)
-                if gd is None or gd > d:
-                    continue
-                for u in _weighted_monomials(spec.r, d - gd):
-                    row = [0] * len(monos)
-                    for e, c in g.coords.items():
-                        prod = tuple(a + b for a, b in zip(e, u))
-                        row[index[prod]] = c
-                    rows.append(row)
-            basis, stuck = _integer_echelon(rows, len(monos))
-            if stuck:
-                raise ConsistencyError(
-                    f"no unit-pivot echelon in degree {d} of {spec}: the "
-                    "quotient may have torsion or no monomial basis there"
-                )
-            pivot_cols = {col for col, _ in basis}
-            standard = tuple(e for i, e in enumerate(monos) if i not in pivot_cols)
-            self._pieces[d] = (monos, basis, standard)
-
-    @property
-    def graded_ranks(self) -> tuple:
-        """Ranks of the graded pieces for degrees 0..dim."""
-        return tuple(len(self._pieces[d][2]) for d in range(self.spec.dim + 1))
-
-    def _reduce_vector(self, d, vec):
-        monos, basis, standard = self._pieces[d]
-        v = list(vec)
-        for col, row in basis:
-            c = v[col]
-            if c:
-                # pivot rows may have support on either side of their pivot
-                for t in range(len(v)):
-                    v[t] -= c * row[t]
-        index = {e: i for i, e in enumerate(monos)}
-        return {e: v[index[e]] for e in standard if v[index[e]]}
+            for gd, g in gens:
+                for u in _weighted_monomials(spec.r, d - gd):  # none if gd > d
+                    rows.append({index[tuple(a + b for a, b in zip(e, u))]: c
+                                 for e, c in g.coords.items()})
+            pivots = _hermite_form(rows)
+            cols = [c for c, _ in pivots]
+            if any(row[c] != 1 for c, row in pivots):
+                fault = "has a pivot other than 1: the quotient may have torsion"
+            elif cols[:outside] != list(range(outside)):
+                fault = "leaves a monomial outside the basis without a pivot"
+            elif len(cols) > outside:
+                fault = "has a relation among the basis monomials"
+            else:
+                fault = None
+            if fault:
+                raise ConsistencyError(f"degree {d} of {spec} {fault}")
+            if d <= spec.dim:
+                ranks.append(len(monos) - outside)
+                self._normal.update((e, {e: 1}) for e in monos[outside:])
+                for c, row in pivots:
+                    self._normal[monos[c]] = {monos[t]: -v for t, v in row.items() if t != c}
+        self.graded_ranks = tuple(ranks)
 
     def reduce_poly(self, poly: PresentationPoly) -> dict:
-        """Normal form of a polynomial: map standard monomial -> coefficient."""
+        """Normal form of a polynomial: map basis monomial -> coefficient.
+
+        Terms of degree above dim are zero in the ring and drop out.
+        """
         if poly.spec != self.spec.r:
             raise ValueError("variable count does not match the spec")
-        buckets = {}
-        for e, c in poly.coords.items():
-            d = PresentationPoly._wdeg(e)
-            buckets.setdefault(d, {})[e] = c
         out = {}
-        for d, terms in buckets.items():
-            if d not in self._pieces:
-                if any(terms.values()):
-                    raise ValueError(f"degree {d} beyond the oracle's table")
-                continue
-            monos = self._pieces[d][0]
-            vec = [terms.get(e, 0) for e in monos]
-            out.update(self._reduce_vector(d, vec))
-        return out
+        for e, c in poly.coords.items():
+            for b, cb in self._normal.get(e, {}).items():
+                out[b] = out.get(b, 0) + c * cb
+        return {b: c for b, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def quotient_ring(spec: GrassSpec) -> QuotientRingOracle:
+    """``QuotientRingOracle(spec)``, built once per process: several tests
+    read the same rings, and an oracle is never changed after it is built."""
+    return QuotientRingOracle(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +520,7 @@ def euler_step(spec: DetSpec, i: int) -> int:
         raise DomainError(f"step index {i} outside 0..{spec.d - 2} for {spec}")
     total = 0
     for rank in link_strata(spec, i):
-        k = _stratum_dim(spec, rank) - i - 1
+        k = germ_dim(spec.m, spec.n, rank) - i - 1
         profile = polar_profile(spec.m, spec.n, rank)
         total += (-1) ** k * profile.value(k) * egz_factor(spec, rank)
     return total

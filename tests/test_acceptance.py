@@ -45,10 +45,10 @@ from detlinks.tensor_calculus import (
 import reference_tables as ref
 from conftest import spec_with_classes
 from oracles import (
-    QuotientRingOracle,
     chern_tensor_via_roots,
     duality_check,
     integrate,
+    quotient_ring,
     schubert,
     schubert_to_presentation,
 )
@@ -184,11 +184,13 @@ def test_criterion_5_betti_profiles():
 
 def test_criterion_6_ring_oracle_equivalence():
     def body():
-        for m in range(1, 7):
+        for m in range(1, 9):
             for r in range(m + 1):
                 spec = GrassSpec(r, m)
-                oracle = QuotientRingOracle(spec)
+                oracle = quotient_ring(spec)
                 assert oracle.graded_ranks == grass_betti(r, m)[::2], spec
+                if m == 8 and r not in (3, 4):
+                    continue  # m = 8 products: the factors of (7, 8, 3) and (7, 8, 4)
                 basis = partitions_in_box(spec.r, spec.cols)
                 polys = {lam: schubert_to_presentation(spec, lam) for lam in basis}
                 reduced = {lam: oracle.reduce_poly(p) for lam, p in polys.items()}
@@ -220,7 +222,7 @@ def test_criterion_6_ring_oracle_equivalence():
                         )
                         assert pairing == (1 if mu == comp else 0), (spec, lam, mu)
 
-    check(6, "ring oracle equivalence m <= 6", 60, body)
+    check(6, "ring oracle equivalence m <= 8", 60, body)
 
 
 def test_criterion_7_tensor_cross_validation():

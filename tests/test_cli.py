@@ -58,6 +58,7 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # pool sizes independent of the machine
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return InlinePool
 
@@ -113,6 +114,16 @@ class TestPolarCommand:
         assert code == 0
         assert inline_pool.sizes == [2]
         assert "2,3,1,0,3" in out
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])], ids=["two", "unknown"])
+    def test_jobs_pool_capped_at_the_cpus(self, capsys, monkeypatch, inline_pool, cpus, sizes):
+        # --jobs 8 over four cells: one worker per CPU, serial if the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..5", "--r", "1",
+                           "--jobs", "8", "--format", "csv")
+        assert code == 0
+        assert inline_pool.sizes == sizes
+        assert "2,5,1,0,5" in out
 
     def test_verify_through_the_pool(self, capsys, inline_pool, monkeypatch):
         args = ("polar", "--m", "3", "--n", "4", "--r", "1..2")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlinks.errors import DomainError
+from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
     GrassClass,
     GrassSpec,
@@ -19,6 +19,7 @@ from detlinks.partitions import (
     weight,
 )
 
+import oracles
 from conftest import partition_tuples, spec_with_classes
 from oracles import (
     PresentationPoly,
@@ -26,6 +27,7 @@ from oracles import (
     grassmann_relations,
     integrate,
     presentation_h,
+    quotient_ring,
     schubert,
     schubert_to_presentation,
     weighted_degree,
@@ -240,29 +242,51 @@ class TestOracle:
         with pytest.raises(DomainError):
             QuotientRingOracle(GrassSpec(5, 12))
 
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("alter, fault", [
+        # 2J puts Z/2 in degree 3: the pivot at x_1^3 is 2
+        (lambda gens: [2 * g for g in gens], r"degree 3 of .* pivot other than 1"),
+        # without the degree-4 relation nothing pivots on x_1^2 x_2
+        (lambda gens: gens[:1], r"degree 4 of .* without a pivot"),
+        # x_1^2 is not in J: a relation among the degree-2 basis monomials
+        (lambda gens: gens + [PresentationPoly(2, {(2, 0): 1})], r"degree 2 of .* among the basis"),
+    ], ids=["doubled", "dropped", "extra"])
+    def test_a_wrong_presentation_of_grass_2_4_raises(self, monkeypatch, alter, fault):
+        real = oracles.grassmann_relations
+        monkeypatch.setattr(oracles, "grassmann_relations", lambda spec: alter(real(spec)))
+        with pytest.raises(ConsistencyError, match=fault):
+            QuotientRingOracle(GrassSpec(2, 4))
+
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_ranks_match_gaussian_binomial(self, m):
         for r in range(m + 1):
             spec = GrassSpec(r, m)
-            assert QuotientRingOracle(spec).graded_ranks == grass_betti(r, m)[::2]
+            assert quotient_ring(spec).graded_ranks == grass_betti(r, m)[::2]
 
-    @pytest.mark.parametrize("m", range(1, 6))
+    @staticmethod
+    def check_products(spec):
+        oracle = quotient_ring(spec)
+        basis = partitions_in_box(spec.r, spec.cols)
+        polys = {lam: schubert_to_presentation(spec, lam) for lam in basis}
+        for lam in basis:
+            for mu in basis:
+                product = mul(sigma(spec, *lam), sigma(spec, *mu))
+                direct = oracle.reduce_poly(polys[lam] * polys[mu])
+                via_schubert = {}
+                for nu, c in product.coords.items():
+                    for e, ce in oracle.reduce_poly(polys[nu]).items():
+                        via_schubert[e] = via_schubert.get(e, 0) + c * ce
+                via_schubert = {e: c for e, c in via_schubert.items() if c}
+                assert direct == via_schubert, (spec, lam, mu)
+
+    @pytest.mark.parametrize("m", range(1, 8))
     def test_structure_constants_match_schubert_mul(self, m):
         for r in range(m + 1):
-            spec = GrassSpec(r, m)
-            oracle = QuotientRingOracle(spec)
-            basis = partitions_in_box(spec.r, spec.cols)
-            polys = {lam: schubert_to_presentation(spec, lam) for lam in basis}
-            for lam in basis:
-                for mu in basis:
-                    product = mul(sigma(spec, *lam), sigma(spec, *mu))
-                    direct = oracle.reduce_poly(polys[lam] * polys[mu])
-                    via_schubert = {}
-                    for nu, c in product.coords.items():
-                        for e, ce in oracle.reduce_poly(polys[nu]).items():
-                            via_schubert[e] = via_schubert.get(e, 0) + c * ce
-                    via_schubert = {e: c for e, c in via_schubert.items() if c}
-                    assert direct == via_schubert, (spec, lam, mu)
+            self.check_products(GrassSpec(r, m))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_structure_constants_of_grass_r_8(self, r):
+        # the factors of the hardest timed cells (7, 8, 3) and (7, 8, 4)
+        self.check_products(GrassSpec(r, 8))
 
 
 class TestPoincare:

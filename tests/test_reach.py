@@ -1,4 +1,5 @@
-"""Every module-level name of the package is reached from shipped code.
+"""Every module-level name of the package is reached from shipped code,
+and every module-level name of the test oracles from the tests.
 
 A module-level ``def``, ``class`` or assignment in ``src/detlinks/*.py``
 (dunders excepted) is reached when its name is referenced somewhere under
@@ -8,11 +9,11 @@ an import alias, or a string constant equal to the name (which covers
 count, so exporting a name does not make it reached, and tests do not
 count: a helper only the tests call belongs in ``tests/oracles.py``.
 ``LIBRARY_API`` names the few library functions that are exported but
-served by no command yet.  Methods are out of scope, because common
-method names (``rank``, ``unit``, ``basis``) make their references
-ambiguous.
+served by no command yet.  A module-level name of ``tests/oracles.py`` is
+used when a file under ``tests/``, ``oracles.py`` included, references it
+the same way.  Methods are out of scope, because common method names
+(``rank``, ``unit``, ``basis``) make their references ambiguous.
 """
-
 import ast
 from pathlib import Path
 
@@ -50,22 +51,41 @@ def referenced_names(tree: ast.Module):
             yield node.value
 
 
-def unreached(root: Path) -> list:
-    """``module:name`` for each module-level name of ``root/src/detlinks``
-    that nothing under the shipped directories references."""
+def _referenced_in(paths) -> set:
     referenced = set()
-    for directory in SHIPPED:
-        for path in sorted((root / directory).rglob("*.py")):
-            if path == root / PACKAGE_ROOT:
-                continue
-            referenced.update(referenced_names(ast.parse(path.read_text(), str(path))))
+    for path in paths:
+        referenced.update(referenced_names(ast.parse(path.read_text(), str(path))))
+    return referenced
+
+
+def _unreferenced(paths, referenced: set) -> list:
     out = []
-    for path in sorted((root / "src" / "detlinks").glob("*.py")):
+    for path in paths:
         for name in defined_names(ast.parse(path.read_text(), str(path))):
             dunder = name.startswith("__") and name.endswith("__")
             if not dunder and name not in referenced:
                 out.append(f"{path.stem}:{name}")
     return out
+
+
+def unreached(root: Path) -> list:
+    """``module:name`` for each module-level name of ``root/src/detlinks``
+    that nothing under the shipped directories references."""
+    shipped = [
+        path
+        for directory in SHIPPED
+        for path in sorted((root / directory).rglob("*.py"))
+        if path != root / PACKAGE_ROOT
+    ]
+    return _unreferenced(sorted((root / "src" / "detlinks").glob("*.py")),
+                         _referenced_in(shipped))
+
+
+def unused_oracles(root: Path) -> list:
+    """``oracles:name`` for each module-level name of ``root/tests/oracles.py``
+    that no file under ``root/tests`` references."""
+    tests = root / "tests"
+    return _unreferenced([tests / "oracles.py"], _referenced_in(sorted(tests.rglob("*.py"))))
 
 
 def test_every_module_level_name_is_reached():
@@ -92,3 +112,23 @@ def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
         "import detlinks.core as core\ngetattr(core, '_patched')\ncore.exported(1)\n")
     assert unreached(tmp_path) == [
         "core:_ROUTES", "core:_dead", "core:reexported", "core:_ORPHAN"]
+
+
+def test_every_oracle_name_is_used():
+    assert unused_oracles(ROOT) == []
+
+
+def test_an_oracle_helper_no_test_uses_is_unused(tmp_path):
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "oracles.py").write_text(
+        "TABLE = {}\n"
+        "def reference(x):\n    return _step(x)\n"
+        "def _step(x):\n    return x\n"
+        "def _old_step(x):\n    return x\n"
+        "_SCALE: int = 2\n"
+    )
+    (tests / "test_thing.py").write_text(
+        "from oracles import TABLE, reference\n"
+        "def test_reference():\n    assert reference(1) == 1 and not TABLE\n")
+    assert unused_oracles(tmp_path) == ["oracles:_old_step", "oracles:_SCALE"]
