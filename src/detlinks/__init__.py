@@ -30,8 +30,8 @@ from .partitions import (
 )
 from .polar import (
     PolarProfile,
+    compute_polar_profile,
     euler_obstruction,
-    polar_profile,
 )
 
 __version__ = "0.1.0"

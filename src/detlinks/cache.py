@@ -1,22 +1,25 @@
 """Persistent JSON cache of polar profiles.
 
-An entry is {"values": [...]}, a list of decimal strings: profiles outgrow
-64-bit integers well within the ranges users ask for, and text keeps the file
-portable and diffable.  ``polar.sign_record`` derives the sign record from
-the key.  A missing file is an empty cache.  A version mismatch or a
-malformed file makes the whole file be ignored (with a warning); an entry
-whose key is not the canonical "m,n,r" or lies outside 0 <= r <= m <= n,
-whose values are not a list of non-negative decimal strings, or whose length
-is not ``polar.profile_length`` is dropped alone, with a warning naming it
-and its first bad value.  The command line checks every cell it serves from
-the cache against the closed forms of ``polar._check_closed_forms`` (the
-degree, the alternating sum C(m, r), the nonzero range and no negative
-value) and drops and recomputes an entry that fails, with a warning naming
-it.  An edit that keeps every one of these invariants is caught only by a
-verify pass, which recomputes the digits through the independent
-Schubert route.  A served entry is trusted only within the command that
-served it: the command line passes it to that command's link sums as an
-argument and never memoizes it for the process.
+The cache is the one file ``cache_path()``, in the directory that
+$DETLINKS_CACHE names, else in the platform cache directory; the load and
+the store take no other path.  An entry is {"values": [...]}, a list of
+decimal strings: profiles outgrow 64-bit integers well within the ranges
+users ask for, and text keeps the file portable and diffable.
+``polar.sign_record`` derives the sign record from the key.  A missing file
+is an empty cache.  A version mismatch or a malformed file makes the whole
+file be ignored (with a warning); an entry whose key is not the canonical
+"m,n,r" or lies outside 0 <= r <= m <= n, whose values are not a list of
+non-negative decimal strings, or whose length is not
+``polar.profile_length`` is dropped alone, with a warning naming it and its
+first bad value.  The command line checks every cell it serves from the
+cache against the closed forms of ``polar._check_closed_forms`` (the degree,
+the alternating sum C(m, r), the nonzero range and no negative value) and
+drops and recomputes an entry that fails, with a warning naming it.  An edit
+that keeps every one of these invariants is caught only by a verify pass,
+which recomputes the digits through the independent Schubert route.  A
+served entry is trusted only within the command that served it: the command
+line passes it to that command's link sums as an argument, and no process
+memo holds a whole profile.
 """
 
 from __future__ import annotations
@@ -99,12 +102,12 @@ def _parse_entry(key: str, raw) -> PolarProfile:
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
-def cache_load(path: Path | None = None) -> CacheFile:
-    """Load the cache.  A missing file is an empty cache; an unreadable,
-    version-mismatched or malformed file means an empty cache plus a
-    warning; an entry that fails its checks is dropped alone, with a warning
-    naming its key."""
-    path = path or cache_path()
+def cache_load() -> CacheFile:
+    """Load the cache at ``cache_path()``.  A missing file is an empty cache;
+    an unreadable, version-mismatched or malformed file means an empty cache
+    plus a warning; an entry that fails its checks is dropped alone, with a
+    warning naming its key."""
+    path = cache_path()
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
@@ -132,10 +135,11 @@ def cache_load(path: Path | None = None) -> CacheFile:
     return CacheFile(entries)
 
 
-def cache_store(cache: CacheFile, path: Path | None = None):
-    """Atomically write the cache through a temp file of its own, so that
-    concurrent writers never share one; I/O trouble is reported, never fatal."""
-    path = path or cache_path()
+def cache_store(cache: CacheFile):
+    """Atomically write the cache to ``cache_path()`` through a temp file of
+    its own, so that concurrent writers never share one; I/O trouble is
+    reported, never fatal."""
+    path = cache_path()
     payload = {
         "version": CACHE_VERSION,
         "entries": {

@@ -4,7 +4,9 @@ Subcommands: ``polar``, ``euler``, ``betti``, ``cache``.  Numeric flags
 accept either a single value or an inclusive range ``a..b``.  Output
 formats: ``csv`` (long form, LF line endings, integers only), ``md``
 (tables laid out like the published ones: k across, sizes down) and
-``json`` (big integers as decimal strings).  Rendering is deterministic:
+``json`` (polar values and Betti numbers as decimal strings; Euler
+characteristics, ``middle`` and the Hilbert-Burch ``rows_d`` as JSON
+integers).  Rendering is deterministic:
 the same request produces byte-identical output no matter what the cache
 holds.
 

@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import ConsistencyError, DomainError
 from .partitions import partitions_in_box
-from .polar import euler_obstruction, germ_dim, polar_profile
+from .polar import compute_polar_profile, euler_obstruction, germ_dim
 
 
 class DetSpec(namedtuple("DetSpec", "m n s")):
@@ -59,10 +59,10 @@ class DetSpec(namedtuple("DetSpec", "m n s")):
         and, with ``smooth``, is smooth."""
         if not 0 <= i < self.d:
             raise DomainError(f"codimension {i} outside 0..{self.d - 1} for {self}")
-        if smooth and i < self.sing_dim:
+        if smooth and i not in self.smooth_range():
             raise DomainError(
-                f"link not smooth at codimension {i} for {self}: "
-                f"smooth range is {max(self.sing_dim, 0)}..{self.d - 1}"
+                f"link not smooth at codimension {i} for {self}: smooth range is "
+                f"{self.smooth_range().start}..{self.d - 1}"
             )
 
 
@@ -85,7 +85,7 @@ def egz_factor(spec: DetSpec, stratum_rank: int) -> int:
     return (-1) ** a * comb(spec.m - stratum_rank - 1, a)
 
 
-def euler_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> int:
+def euler_complex_link(spec: DetSpec, i: int, profile=compute_polar_profile) -> int:
     """Euler characteristic of the codimension-i complex link.
 
     Stratum sum: each rank stratum r' contributes its transverse-link factor
@@ -122,7 +122,7 @@ def _below_middle(spec: DetSpec, i: int) -> tuple:
 
 
 class LinkProfile(namedtuple(
-    "LinkProfile", "spec codim chi smooth middle betti torsion_status"
+    "LinkProfile", "spec codim chi middle betti torsion_status"
 )):
     """Cohomological profile of one smooth complex link.
 
@@ -136,7 +136,8 @@ class LinkProfile(namedtuple(
     __slots__ = ()
 
 
-def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> LinkProfile:
+def betti_smooth_complex_link(spec: DetSpec, i: int,
+                              profile=compute_polar_profile) -> LinkProfile:
     """Betti vector of the codimension-i link; requires a smooth link.
     ``profile`` is passed to ``euler_complex_link``."""
     spec.check_codim(i, smooth=True)
@@ -154,7 +155,6 @@ def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> L
         spec=spec,
         codim=i,
         chi=chi,
-        smooth=True,
         middle=middle,
         betti=below + (mid,),
         torsion_status=torsion,
@@ -165,7 +165,7 @@ def betti_smooth_complex_link(spec: DetSpec, i: int, profile=polar_profile) -> L
 # smoothing bounds and the square-ish (m, m+1, m) family
 # ---------------------------------------------------------------------------
 
-def hilbert_burch_chi_table(max_m: int, profile=polar_profile) -> list:
+def hilbert_burch_chi_table(max_m: int, profile=compute_polar_profile) -> list:
     """Euler characteristics of the d-dimensional smooth links of the
     (m, m+1, m) germs, rows d = 0..3, columns m = 1..max_m.
 

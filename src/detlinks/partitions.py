@@ -151,9 +151,6 @@ class SparseElement:
     def zero(cls, spec=None):
         return cls._trusted(spec, {})
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def __add__(self, other):
         if type(other) is not type(self) or other.spec != self.spec:
             return NotImplemented

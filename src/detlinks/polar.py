@@ -36,8 +36,9 @@ at rank r are those at rank m - r read backwards from kappa, so ranks above
 m/2 are summed at the far smaller dual rank.  Those sums are kept for the
 life of the process and shared by both ranks of a dual pair, so a pair is
 summed once, whichever rank is asked for first; nothing served from the
-cache ever enters them.  The certifier evaluates every integral at rank r
-directly, so the two routes agreeing checks both facts.
+cache ever enters them, and no whole profile is memoized.  The certifier
+evaluates every integral at rank r directly, so the two routes agreeing
+checks both facts.
 
 The published values are the absolute values of the signed ones, which
 strictly alternate in k: the sign at k is (-1)^(d-1+k), fixed by (m, n, r),
@@ -108,14 +109,16 @@ def _validate_params(m: int, n: int, r: int):
 def _revolving_door(n: int, r: int) -> list:
     """The r-subsets of range(n) in revolving-door order: consecutive subsets
     differ by one swap.  R(n, r) is R(n-1, r) followed by the reversed
-    R(n-1, r-1) with n-1 appended (Knuth, TAOCP 7.2.1.3)."""
+    R(n-1, r-1) with n-1 appended (Knuth, TAOCP 7.2.1.3).  Unrolled in n,
+    that is the single subset range(r) followed by, for k = r+1..n, the
+    reversed R(k-1, r-1) with k-1 appended, so the recursion is r deep
+    whatever n is."""
     if r == 0:
         return [()]
-    if r == n:
-        return [tuple(range(n))]
-    return _revolving_door(n - 1, r) + [
-        sub + (n - 1,) for sub in reversed(_revolving_door(n - 1, r - 1))
-    ]
+    walk = [tuple(range(r))]
+    for k in range(r + 1, n + 1):
+        walk.extend(sub + (k - 1,) for sub in reversed(_revolving_door(k - 1, r - 1)))
+    return walk
 
 
 def _euler(sub, weights) -> int:
@@ -285,12 +288,11 @@ def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:
 
 def compute_polar_profile(m: int, n: int, r: int) -> PolarProfile:
     """Evaluate the full profile for one (m, n, r) by Bott's formula over the
-    torus fixed points, checked against the closed forms.
-
-    It bypasses the profile memo ``polar_profile`` and the on-disk cache, so
-    a served profile never stands in for it; it shares the Bott sums of
-    ``_bott_sums`` with every earlier computation of the cell or its dual
-    rank in the process."""
+    torus fixed points, checked against the closed forms: the production
+    route.  It never reads the on-disk cache, so a served profile never
+    stands in for it; it shares the Bott sums of ``_bott_sums`` with every
+    earlier computation of the cell or its dual rank in the process, and a
+    repeated cell costs only the normalization and the closed-form check."""
     return _profile(m, n, r, _bott_integrals)
 
 
@@ -300,14 +302,8 @@ def certify_polar_profile(m: int, n: int, r: int) -> PolarProfile:
     return _profile(m, n, r, _schubert_integrals)
 
 
-@lru_cache(maxsize=None)
-def polar_profile(m: int, n: int, r: int) -> PolarProfile:
-    """Memoized ``compute_polar_profile``: it holds only profiles this
-    process computed, never one served from the cache."""
-    return compute_polar_profile(m, n, r)
-
-
-def euler_obstruction(m: int, n: int, r: int, i: int, profile=polar_profile) -> int:
+def euler_obstruction(m: int, n: int, r: int, i: int,
+                      profile=compute_polar_profile) -> int:
     """Local Euler obstruction of the germ sliced by a generic plane of
     codimension i - 1: the alternating sum of the polar multiplicities,
 

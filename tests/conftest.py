@@ -14,11 +14,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(autouse=True)
 def fresh_polar_memos():
-    """Each test starts with no memoized Bott sums or profiles, so a test
-    that patches a step of the sum (``_reweight``, ``_revolving_door``) sees
-    the sum run, and no test reads a profile an earlier test computed."""
+    """Each test starts with no memoized Bott sums, so a test that patches a
+    step of the sum (``_reweight``, ``_revolving_door``) sees the sum run."""
     polar._bott_sums.cache_clear()
-    polar.polar_profile.cache_clear()
 
 
 def partition_tuples(max_part=8, max_len=6):

@@ -21,7 +21,7 @@ served commands.
   telescope to those steps.
 * ``duality_check`` compares a polar profile with its complementary-rank
   mirror entry by entry (``DualityReport``).  It certifies the rank
-  duality of the polar multiplicities of ``polar.polar_profile``.
+  duality of the polar multiplicities of ``polar.compute_polar_profile``.
 * ``chern_tensor_via_roots`` expands the product of (1 + a_i + b_j) over
   formal Chern roots into universal polynomials in the factor Chern
   classes (``universal_tensor_chern``) and evaluates them on the two
@@ -52,7 +52,7 @@ from detlinks.grass_ring import (
 )
 from detlinks.links import DetSpec, egz_factor, link_strata
 from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box
-from detlinks.polar import _validate_params, germ_dim, polar_profile
+from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -217,7 +217,7 @@ def schubert_to_presentation(spec: GrassSpec, lam) -> PresentationPoly:
         term = constant(r, _perm_sign(perm))
         for i in range(ell):
             term = term * e_poly(mu[i] - i + perm[i])
-            if term.is_zero():
+            if not term.coords:
                 break
         acc = acc + term
     return acc
@@ -521,7 +521,7 @@ def euler_step(spec: DetSpec, i: int) -> int:
     total = 0
     for rank in link_strata(spec, i):
         k = germ_dim(spec.m, spec.n, rank) - i - 1
-        profile = polar_profile(spec.m, spec.n, rank)
+        profile = compute_polar_profile(spec.m, spec.n, rank)
         total += (-1) ** k * profile.value(k) * egz_factor(spec, rank)
     return total
 
@@ -540,8 +540,8 @@ def duality_check(m: int, n: int, r: int) -> DualityReport:
     _validate_params(m, n, r)
     if not 1 <= r <= m - 1:
         raise DomainError(f"duality needs 1 <= r <= m-1, got r={r}, m={m}")
-    left = polar_profile(m, n, r)
-    right = polar_profile(m, n, m - r)
+    left = compute_polar_profile(m, n, r)
+    right = compute_polar_profile(m, n, m - r)
     shift = 2 * (m - r) * r
     pairs = tuple(
         (k, shift - k, left.value(k), right.value(shift - k) if k <= shift else 0)

@@ -19,7 +19,7 @@ from detlinks.links import (
     euler_complex_link,
     hilbert_burch_chi_table,
 )
-from detlinks.polar import PolarProfile, compute_polar_profile, polar_profile
+from detlinks.polar import PolarProfile, compute_polar_profile
 
 EXPECTED_OUTPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -230,7 +230,7 @@ class TestPolarCommand:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (0, "")
-        assert len(cache_load(isolated_cache / "polar_profiles.json").entries) == 4 * 7 * 2
+        assert len(cache_load().entries) == 4 * 7 * 2
 
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
@@ -421,15 +421,17 @@ LINK_COMMANDS = {
 class TestLinkCommandsReadOnlyWhatTheyGathered:
     @staticmethod
     def spy_on_production(monkeypatch) -> dict:
-        """The cells each module's ``compute_polar_profile`` is called on."""
+        """The cells the command line asks ``compute_polar_profile`` for, and
+        the cells whose Bott integrals ``polar`` evaluates by any route, a
+        library default ``profile`` included."""
         seen = {}
-        for module in (cli, polar):
-            def spy(m, n, r, _real=module.compute_polar_profile,
+        for module, name in ((cli, "compute_polar_profile"), (polar, "_bott_integrals")):
+            def spy(m, n, r, _real=getattr(module, name),
                     _seen=seen.setdefault(module.__name__, [])):
                 _seen.append(CacheFile.key(m, n, r))
                 return _real(m, n, r)
 
-            monkeypatch.setattr(module, "compute_polar_profile", spy)
+            monkeypatch.setattr(module, name, spy)
         return seen
 
     @pytest.mark.parametrize("extra", [(), ("--verify",), ("--jobs", "2")],
@@ -441,12 +443,11 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
         cold = extra == ("--jobs", "2")
         if not cold:
             run(capsys, *argv)
-            polar.polar_profile.cache_clear()  # as in a new process
         seen = self.spy_on_production(monkeypatch)
         code, _, err = run(capsys, *argv, *extra)
         assert (code, err) == (0, "")
         assert sorted(seen["detlinks.cli"]) == (sorted(cache_load().entries) if cold else [])
-        assert seen["detlinks.polar"] == []
+        assert seen["detlinks.polar"] == seen["detlinks.cli"]
 
     @pytest.mark.parametrize("command", LINK_COMMANDS)
     def test_served_entry_shows_only_in_its_command(self, capsys, command):
@@ -465,13 +466,12 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
 
 
 class TestCache:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         cache = CacheFile()
         cache.put(PolarProfile(3, 4, 2, (6, 16, 27, 24, 10, 0, 0),
                                (-1, 1, -1, 1, -1, 1, -1)))
-        path = tmp_path / "roundtrip.json"
-        cache_store(cache, path)
-        loaded = cache_load(path)
+        cache_store(cache)
+        loaded = cache_load()
         assert loaded.entries == cache.entries
 
     def test_store_uses_a_private_temp_file(self, tmp_path):
@@ -480,19 +480,18 @@ class TestCache:
         sentinel.write_text("another writer's half-written cache")
         cache = CacheFile()
         cache.put(PolarProfile(2, 3, 1, (3, 4, 3, 0), (-1, 1, -1, 1)))
-        path = tmp_path / "polar_profiles.json"
-        cache_store(cache, path)
+        cache_store(cache)
         assert sentinel.read_text() == "another writer's half-written cache"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "polar_profiles.json", "polar_profiles.tmp"]
-        assert cache_load(path).entries == cache.entries
+        assert cache_load().entries == cache.entries
 
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):
             raise OSError("replace refused")
 
         monkeypatch.setattr("detlinks.cache.os.replace", refuse)
-        cache_store(CacheFile(), tmp_path / "polar_profiles.json")
+        cache_store(CacheFile())
         assert "could not write cache" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -555,7 +554,7 @@ class TestCache:
                            "--format", "csv")
         assert code == 0
         assert "2,3,1,1,5" in out
-        assert polar_profile(2, 3, 1).values == (3, 4, 3, 0)
+        assert compute_polar_profile(2, 3, 1).values == (3, 4, 3, 0)
         spec = DetSpec(2, 3, 2)
         assert [euler_complex_link(spec, i) for i in range(spec.d)] == [
             euler_complex_link(spec, i, compute_polar_profile) for i in range(spec.d)
@@ -725,10 +724,10 @@ class TestCache:
         assert path.read_bytes() == stored  # recomputed and stored again
 
     def test_file_removed_after_it_was_seen_is_an_empty_cache(
-            self, capsys, tmp_path, monkeypatch):
+            self, capsys, monkeypatch):
         # a concurrent ``cache clear`` between a check and the read
         monkeypatch.setattr(Path, "exists", lambda self: True)
-        cache = cache_load(tmp_path / "polar_profiles.json")
+        cache = cache_load()
         assert cache.entries == {}
         assert capsys.readouterr().err == ""
 

@@ -50,7 +50,7 @@ class TestMul:
 
     def test_top_times_positive_degree_vanishes(self):
         spec = GrassSpec(2, 4)
-        assert mul(schubert(spec, spec.box), sigma(spec, 1)).is_zero()
+        assert not mul(schubert(spec, spec.box), sigma(spec, 1)).coords
 
     def test_unit_is_identity(self):
         spec = GrassSpec(2, 5)
@@ -114,7 +114,7 @@ class TestChern:
             + mul(chern_sub(spec, 1), chern_quot(spec, 1))
             + chern_quot(spec, 2)
         )
-        assert total.is_zero()
+        assert not total.coords
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_whitney_all_degrees(self, m):
@@ -128,7 +128,7 @@ class TestChern:
                     j = k - i
                     if i < len(cs) and j < len(cq):
                         acc = acc + mul(cs[i], cq[j])
-                assert acc.is_zero(), (spec, k)
+                assert not acc.coords, (spec, k)
 
 
 class TestIntegrate:

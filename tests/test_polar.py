@@ -8,7 +8,6 @@ from detlinks.polar import (
     certify_polar_profile,
     compute_polar_profile,
     euler_obstruction,
-    polar_profile,
 )
 
 import reference_tables as ref
@@ -17,46 +16,46 @@ from oracles import duality_check
 
 class TestProfiles:
     def test_2x3(self):
-        assert polar_profile(2, 3, 1).values == (3, 4, 3, 0)
+        assert compute_polar_profile(2, 3, 1).values == (3, 4, 3, 0)
 
     def test_2x2(self):
-        assert polar_profile(2, 2, 1).values == (2, 2, 2)
+        assert compute_polar_profile(2, 2, 1).values == (2, 2, 2)
 
     def test_3x3_both_ranks(self):
-        assert polar_profile(3, 3, 1).values == (6, 12, 12, 6, 3)
+        assert compute_polar_profile(3, 3, 1).values == (6, 12, 12, 6, 3)
         # the printed right half of this row ends in 3; the formula and the
         # duality both give the mirror of the rank-1 row
-        assert polar_profile(3, 3, 2).values == (3, 6, 12, 12, 6)
+        assert compute_polar_profile(3, 3, 2).values == (3, 6, 12, 12, 6)
 
     def test_3x4_rank2(self):
-        assert polar_profile(3, 4, 2).values == (6, 16, 27, 24, 10, 0, 0)
+        assert compute_polar_profile(3, 4, 2).values == (6, 16, 27, 24, 10, 0, 0)
 
     def test_4x4_rank2(self):
-        assert polar_profile(4, 4, 2).values == ref.POLAR_4N_R2[4]
+        assert compute_polar_profile(4, 4, 2).values == ref.POLAR_4N_R2[4]
 
     def test_5x5_rank1(self):
-        assert polar_profile(5, 5, 1).values == ref.POLAR_5N_R1[5]
+        assert compute_polar_profile(5, 5, 1).values == ref.POLAR_5N_R1[5]
 
     def test_degenerate_rank_zero(self):
-        prof = polar_profile(1, 2, 0)
+        prof = compute_polar_profile(1, 2, 0)
         assert prof.values == (1,)
         assert prof.raw_signs == (1,)
 
     def test_single_value_lookup(self):
-        assert polar_profile(3, 4, 2).values[2] == 27
-        assert polar_profile(2, 3, 1).value(3) == 0
+        assert compute_polar_profile(3, 4, 2).values[2] == 27
+        assert compute_polar_profile(2, 3, 1).value(3) == 0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            polar_profile(3, 4, 2).value(-1)
+            compute_polar_profile(3, 4, 2).value(-1)
         with pytest.raises(DomainError):
-            polar_profile(3, 2, 1)  # m > n
+            compute_polar_profile(3, 2, 1)  # m > n
         with pytest.raises(DomainError):
-            polar_profile(3, 4, 4)  # r > m
+            compute_polar_profile(3, 4, 4)  # r > m
 
     def test_signs_alternate_strictly(self):
         for m, n, r in [(2, 3, 1), (3, 4, 1), (3, 4, 2), (4, 5, 2)]:
-            prof = polar_profile(m, n, r)
+            prof = compute_polar_profile(m, n, r)
             assert len(prof.raw_signs) == len(prof.values)
             assert all(s in (-1, 1) for s in prof.raw_signs)
             assert all(
@@ -64,12 +63,8 @@ class TestProfiles:
                 for k in range(len(prof.raw_signs) - 1)
             )
 
-    def test_memo(self):
-        prof = polar_profile(2, 4, 1)
-        assert polar_profile(2, 4, 1) is prof
-
     def test_value_accessor_pads_with_zero(self):
-        prof = polar_profile(2, 2, 1)
+        prof = compute_polar_profile(2, 2, 1)
         assert prof.value(17) == 0
         with pytest.raises(DomainError):
             prof.value(-1)
@@ -79,22 +74,22 @@ class TestDuality:
     def test_3x4_pairs(self):
         report = duality_check(3, 4, 1)
         assert report.all_equal
-        left = polar_profile(3, 4, 1).values
-        right = polar_profile(3, 4, 2).values
+        left = compute_polar_profile(3, 4, 1).values
+        right = compute_polar_profile(3, 4, 2).values
         assert left[:5] == tuple(reversed(right[:5]))
 
     def test_2xn_palindromic(self):
         # self-dual rank: the nonzero support (k = 0..2r(m-r)) is a palindrome
         for n in range(2, 8):
-            support = polar_profile(2, n, 1).values[:3]
+            support = compute_polar_profile(2, n, 1).values[:3]
             assert support == tuple(reversed(support))
             assert duality_check(2, n, 1).all_equal
 
     def test_4x4_outer_ranks(self):
         report = duality_check(4, 4, 1)
         assert report.all_equal
-        left = polar_profile(4, 4, 1).values
-        right = polar_profile(4, 4, 3).values
+        left = compute_polar_profile(4, 4, 1).values
+        right = compute_polar_profile(4, 4, 3).values
         assert left == tuple(reversed(right))
 
     def test_rank_range(self):
@@ -132,26 +127,26 @@ class TestAgainstPublishedRows:
     @pytest.mark.parametrize("n", sorted(ref.POLAR_2N_R1))
     def test_2xn(self, n):
         expected = ref.padded_profile(ref.POLAR_2N_R1[n], 2, n, 1)
-        assert polar_profile(2, n, 1).values == expected
+        assert compute_polar_profile(2, n, 1).values == expected
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_3xn_rank1(self, n):
         expected = ref.padded_profile(ref.POLAR_3N_R1[n], 3, n, 1)
-        assert polar_profile(3, n, 1).values == expected
+        assert compute_polar_profile(3, n, 1).values == expected
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_4xn(self, n):
-        assert polar_profile(4, n, 1).values == ref.padded_profile(
+        assert compute_polar_profile(4, n, 1).values == ref.padded_profile(
             ref.POLAR_4N_R1[n], 4, n, 1
         )
-        assert polar_profile(4, n, 2).values == ref.padded_profile(
+        assert compute_polar_profile(4, n, 2).values == ref.padded_profile(
             ref.POLAR_4N_R2[n], 4, n, 2
         )
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_hilbert_burch_rows(self, m):
         expected = ref.padded_profile(ref.HILBERT_BURCH[m], m, m + 1, m - 1)
-        assert polar_profile(m, m + 1, m - 1).values == expected
+        assert compute_polar_profile(m, m + 1, m - 1).values == expected
 
 
 class TestRoutesAgree:
@@ -353,3 +348,6 @@ class TestRevolvingDoor:
             assert sorted(walk) == list(combinations(range(n), r))
             for prev, sub in pairwise(walk):
                 assert len(set(prev) ^ set(sub)) == 2
+
+    def test_long_walk_recurses_on_the_rank_only(self):
+        assert polar._revolving_door(1200, 1) == [(j,) for j in range(1200)]

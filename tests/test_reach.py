@@ -11,10 +11,18 @@ count: a helper only the tests call belongs in ``tests/oracles.py``.
 ``LIBRARY_API`` names the few library functions that are exported but
 served by no command yet.  A module-level name of ``tests/oracles.py`` is
 used when a file under ``tests/``, ``oracles.py`` included, references it
-the same way.  Methods are out of scope, because common method names
-(``rank``, ``unit``, ``basis``) make their references ambiguous.
+the same way.
+
+A method or property defined in a module-level class of the package
+(dunders excepted) is reached when a file under the shipped directories
+reads it as ``.name`` outside the member's own body.  An override of a name
+that a base class outside the package defines (``DetSpec._make`` of the
+named tuple) is exempt: that base calls it.  References match by name
+alone, so a common name read off another object also counts; the check
+catches a member that no shipped code names at all.
 """
 import ast
+from collections import defaultdict, namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,17 +76,79 @@ def _unreferenced(paths, referenced: set) -> list:
     return out
 
 
-def unreached(root: Path) -> list:
-    """``module:name`` for each module-level name of ``root/src/detlinks``
-    that nothing under the shipped directories references."""
-    shipped = [
+def _shipped(root: Path) -> list:
+    return [
         path
         for directory in SHIPPED
         for path in sorted((root / directory).rglob("*.py"))
         if path != root / PACKAGE_ROOT
     ]
-    return _unreferenced(sorted((root / "src" / "detlinks").glob("*.py")),
-                         _referenced_in(shipped))
+
+
+def _package(root: Path) -> list:
+    return sorted((root / "src" / "detlinks").glob("*.py"))
+
+
+def unreached(root: Path) -> list:
+    """``module:name`` for each module-level name of ``root/src/detlinks``
+    that nothing under the shipped directories references."""
+    return _unreferenced(_package(root), _referenced_in(_shipped(root)))
+
+
+def _members(tree: ast.Module):
+    """(class, member) for each method or property of a module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield cls, node
+
+
+def attribute_uses(paths) -> dict:
+    """Attribute name -> the places that read it: (path, class, member) for
+    a read inside a member's body, the path for any other read."""
+    uses = defaultdict(set)
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {
+            node: (path, cls.name, member.name)
+            for cls, member in _members(tree)
+            for node in ast.walk(member)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses[node.attr].add(owner.get(node, path))
+    return uses
+
+
+def _external_names(cls: ast.ClassDef, package_classes: set) -> set:
+    """The names the bases of ``cls`` from outside the package define; a
+    base is evaluated from its source, with ``namedtuple`` in scope."""
+    names = set()
+    for base in cls.bases:
+        if not (isinstance(base, ast.Name) and base.id in package_classes):
+            names.update(dir(eval(ast.unparse(base), {"namedtuple": namedtuple})))
+    return names
+
+
+def unreached_members(root: Path) -> list:
+    """``module:Class.member`` for each method or property of a class in
+    ``root/src/detlinks`` that no shipped file reads outside the member's
+    own body."""
+    uses = attribute_uses(_shipped(root))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _package(root)}
+    package_classes = {cls.name for tree in trees.values() for cls, _ in _members(tree)}
+    out = []
+    for path, tree in trees.items():
+        for cls, member in _members(tree):
+            name = member.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in _external_names(cls, package_classes):
+                continue
+            if not uses[name] - {(path, cls.name, name)}:
+                out.append(f"{path.stem}:{cls.name}.{name}")
+    return out
 
 
 def unused_oracles(root: Path) -> list:
@@ -112,6 +182,37 @@ def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
         "import detlinks.core as core\ngetattr(core, '_patched')\ncore.exported(1)\n")
     assert unreached(tmp_path) == [
         "core:_ROUTES", "core:_dead", "core:reexported", "core:_ORPHAN"]
+
+
+def test_every_class_member_is_reached():
+    assert unreached_members(ROOT) == []
+
+
+def test_a_member_only_its_own_body_or_the_tests_read_is_unreached(tmp_path):
+    package = tmp_path / "src" / "detlinks"
+    package.mkdir(parents=True)
+    (package / "core.py").write_text(
+        "from collections import namedtuple\n"
+        "class Point(namedtuple('Point', 'x y')):\n"
+        "    @classmethod\n"
+        "    def _make(cls, fields):\n        return cls(*fields)\n"
+        "    @property\n"
+        "    def norm(self):\n        return self.x + self.y\n"
+        "    def _double(self):\n        return self.norm * 2\n"
+        "    def chain(self):\n        return self.chain\n"
+        "    def tested(self):\n        return self._double()\n"
+        "    def __repr__(self):\n        return 'P'\n"
+        "class Labeled(Point):\n"
+        "    def label(self):\n        return 'p'\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "tool.py").write_text(
+        "from detlinks.core import Point\nPoint(1, 2).norm\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_core.py").write_text(
+        "from detlinks.core import Labeled\nLabeled(1, 2).tested()\nLabeled(1, 2).label()\n")
+    assert unreached_members(tmp_path) == [
+        "core:Point.chain", "core:Point.tested", "core:Labeled.label"]
 
 
 def test_every_oracle_name_is_used():

@@ -32,7 +32,7 @@ VALUES = {
     ),
     "LinkProfile": (
         lambda: betti_smooth_complex_link(DetSpec(3, 4, 3), 6),
-        "LinkProfile(spec=DetSpec(m=3, n=4, s=3), codim=6, chi=-7, smooth=True, middle=3, "
+        "LinkProfile(spec=DetSpec(m=3, n=4, s=3), codim=6, chi=-7, middle=3, "
         "betti=(1, 0, 1, 9), torsion_status='unknown')",
     ),
 }
