@@ -18,8 +18,13 @@ drops and recomputes an entry that fails, with a warning naming it.  An edit
 that keeps every one of these invariants is caught only by a verify pass,
 which recomputes the digits through the independent Schubert route.  A
 served entry is trusted only within the command that served it: the command
-line passes it to that command's link sums as an argument, and no process
-memo holds a whole profile.
+line passes it to that command's link sums as an argument.  The one process
+memo of whole profiles is the text of this process's last ``cache_store``
+and its entries: a load of a file that holds exactly that text returns a
+copy of them and parses nothing.  That is exact, because the store keeps
+them only when parsing its text gives back every entry unchanged
+(``_parses_back``), and the command line checks a served cell against the
+closed forms as it checks a parsed one.  The file format is unchanged.
 """
 
 from __future__ import annotations
@@ -102,14 +107,61 @@ def _parse_entry(key: str, raw) -> PolarProfile:
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
+def _parses_back(key: str, prof) -> bool:
+    """Whether ``_parse_entry`` rebuilds ``prof`` itself, field for field and
+    with the same ``raw_signs`` tuple, from what cache_store writes for it
+    under ``key``.  These are the checks of ``_parse_entry``, on the values as
+    ints instead of as text."""
+    if type(prof) is not PolarProfile:
+        return False
+    m, n, r, values, signs = prof
+    return (
+        type(m) is type(n) is type(r) is int
+        and key == CacheFile.key(m, n, r)
+        and 0 <= r <= m <= n
+        and type(values) is tuple
+        and len(values) == profile_length(m, n, r)
+        and all(type(v) is int and v >= 0 for v in values)
+        and signs is sign_record(m, n, r)
+    )
+
+
+def _file_text(entries: dict) -> str:
+    """The text ``json.dumps(payload, indent=1, sort_keys=True) + "\\n"`` of
+    the payload {"entries": {key: {"values": [...]}}, "version": ...}, built
+    directly, because json encodes with an indent in pure Python.  Exact for
+    entries that ``_parses_back`` accepts: their keys are digits and commas
+    and their values decimal strings, so nothing needs escaping."""
+    body = ",\n".join(
+        f'  "{key}": {{\n   "values": [\n    "'
+        + '",\n    "'.join(map(str, entries[key].values))
+        + '"\n   ]\n  }'
+        for key in sorted(entries)
+    )
+    body = f"{{\n{body}\n }}" if body else "{}"
+    return f'{{\n "entries": {body},\n "version": {CACHE_VERSION}\n}}\n'
+
+
+# (text, entries) of the last successful cache_store of this process whose
+# every entry _parses_back; None when there is none
+_written = None
+
+
 def cache_load() -> CacheFile:
     """Load the cache at ``cache_path()``.  A missing file is an empty cache;
     an unreadable, version-mismatched or malformed file means an empty cache
     plus a warning; an entry that fails its checks is dropped alone, with a
-    warning naming its key."""
-    path = cache_path()
+    warning naming its key.  A file that holds exactly the text this
+    process's last ``cache_store`` wrote is not parsed again: the result is
+    a fresh dict of the entries that store kept, which are the entries that
+    parsing that text returns, because the store kept them only if each one
+    passed ``_parses_back``."""
+    path, written = cache_path(), _written  # read once: a store may replace it
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text()
+        if written is not None and text == written[0]:
+            return CacheFile(dict(written[1]))
+        raw = json.loads(text)
     except FileNotFoundError:
         return CacheFile()
     except (OSError, ValueError) as exc:
@@ -138,25 +190,39 @@ def cache_load() -> CacheFile:
 def cache_store(cache: CacheFile):
     """Atomically write the cache to ``cache_path()`` through a temp file of
     its own, so that concurrent writers never share one; I/O trouble is
-    reported, never fatal."""
+    reported, never fatal.  After a successful write the text and a copy of
+    the entries are kept for ``cache_load``, but only if every entry
+    ``_parses_back``; otherwise nothing is kept, the file is written by json
+    as ever, and the next load parses it and warns about what it drops."""
+    global _written
+    _written = None
     path = cache_path()
-    payload = {
-        "version": CACHE_VERSION,
-        "entries": {
-            key: {"values": [str(v) for v in prof.values]}
-            for key, prof in sorted(cache.entries.items())
-        },
-    }
+    entries = dict(cache.entries)
+    keep = all(_parses_back(key, prof) for key, prof in entries.items())
+    if keep:
+        text = _file_text(entries)
+    else:  # json escapes whatever such an entry holds
+        payload = {
+            "version": CACHE_VERSION,
+            "entries": {
+                key: {"values": [str(v) for v in prof.values]}
+                for key, prof in sorted(entries.items())
+            },
+        }
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+            handle.write(text)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
         warn(f"could not write cache {path}: {exc}")
+    else:
+        if keep:
+            _written = (text, entries)
     finally:
         if tmp is not None:
             with suppress(OSError):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from detlinks import cache as cache_module
 from detlinks.cache import CacheFile, cache_load, cache_store
 from detlinks.grass_ring import (
     GrassClass,
@@ -321,6 +322,9 @@ class TestCriterion8Properties:
                 for r in range(1, m):
                     cache.put(compute_polar_profile(m, m + 1, r))
             cache_store(cache)
+            assert cache_load().entries == cache.entries
+            # and once more through the parser, not the text this store kept
+            monkeypatch.setattr(cache_module, "_written", None)
             assert cache_load().entries == cache.entries
 
         check("8f", "cache round-trip identity", 60, body)

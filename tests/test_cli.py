@@ -30,6 +30,30 @@ def isolated_cache(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The keys of the entries the cache parser reads, in order."""
+    seen = []
+    parse = cache_module._parse_entry
+
+    def spy(key, raw):
+        seen.append(key)
+        return parse(key, raw)
+
+    monkeypatch.setattr(cache_module, "_parse_entry", spy)
+    return seen
+
+
+def json_text(entries: dict) -> str:
+    """The cache file text as json writes it: the oracle of cache._file_text."""
+    payload = {
+        "version": cache_module.CACHE_VERSION,
+        "entries": {key: {"values": [str(v) for v in prof.values]}
+                    for key, prof in entries.items()},
+    }
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -466,15 +490,17 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
 
 
 class TestCache:
-    def test_round_trip(self):
+    def test_round_trip(self, monkeypatch):
         cache = CacheFile()
         cache.put(PolarProfile(3, 4, 2, (6, 16, 27, 24, 10, 0, 0),
                                (-1, 1, -1, 1, -1, 1, -1)))
         cache_store(cache)
         loaded = cache_load()
         assert loaded.entries == cache.entries
+        monkeypatch.setattr(cache_module, "_written", None)
+        assert cache_load().entries == cache.entries
 
-    def test_store_uses_a_private_temp_file(self, tmp_path):
+    def test_store_uses_a_private_temp_file(self, tmp_path, monkeypatch):
         # another writer's temp file at the old fixed name must survive
         sentinel = tmp_path / "polar_profiles.tmp"
         sentinel.write_text("another writer's half-written cache")
@@ -485,15 +511,119 @@ class TestCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "polar_profiles.json", "polar_profiles.tmp"]
         assert cache_load().entries == cache.entries
+        monkeypatch.setattr(cache_module, "_written", None)
+        assert cache_load().entries == cache.entries
 
-    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys, parses):
         def refuse(src, dst):
             raise OSError("replace refused")
 
-        monkeypatch.setattr("detlinks.cache.os.replace", refuse)
-        cache_store(CacheFile())
+        with monkeypatch.context() as patch:
+            patch.setattr("detlinks.cache.os.replace", refuse)
+            cache_store(CacheFile())
         assert "could not write cache" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        # a refused store keeps nothing: not the text it meant to write, and
+        # not the text of the store before it
+        stored = CacheFile()
+        stored.put(compute_polar_profile(2, 3, 1))
+        cache_store(stored)
+        refused = CacheFile(dict(stored.entries))
+        refused.put(compute_polar_profile(2, 2, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr("detlinks.cache.os.replace", refuse)
+            cache_store(refused)
+        assert "could not write cache" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["polar_profiles.json"]
+        for cache in (stored, refused):
+            cache_path().write_text(json_text(cache.entries))
+            parses.clear()
+            assert cache_load().entries == cache.entries
+            assert sorted(parses) == sorted(cache.entries)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_writer_matches_json(self, count):
+        cache = CacheFile()
+        for cell in [(3, 4, 2), (2, 3, 1)][:count]:
+            cache.put(compute_polar_profile(*cell))
+        assert cache_module._file_text(cache.entries) == json_text(cache.entries)
+        cache_store(cache)
+        assert cache_path().read_text() == json_text(cache.entries)
+
+    def test_writer_matches_json_on_the_sweep(self, capsys, monkeypatch):
+        for command in json.loads(EXPECTED_OUTPUTS.read_text())["sweep_outputs"]:
+            assert run(capsys, *command.split())[0] == 0
+        text = cache_path().read_text()
+        monkeypatch.setattr(cache_module, "_written", None)
+        entries = cache_load().entries
+        assert len(entries) == 91
+        assert cache_module._file_text(entries) == json_text(entries) == text
+
+    def test_file_bytes_are_pinned(self, capsys):
+        # the digest of the file json.dumps(indent=1, sort_keys=True) wrote
+        assert run(capsys, "polar", "--m", "3", "--n", "3..5", "--r", "1..2")[0] == 0
+        assert run(capsys, "euler", "--hilbert-burch", "--max-m", "4")[0] == 0
+        assert hashlib.sha256(cache_path().read_bytes()).hexdigest() == (
+            "ddbea7de8b6c3dc6c1f11609373498308601efb802c5e7fd66cc058c9574968a")
+
+    def test_load_of_the_text_just_written_skips_the_parser(self, capsys, parses):
+        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        parses.clear()
+        assert cache_load().get(2, 3, 1) == compute_polar_profile(2, 3, 1)
+        assert parses == []
+
+    @pytest.mark.parametrize("edited, check", [
+        ('"9"', "alternating sum is not C(m, r) = 2"),
+        ('"-4"', "value '-4' is not a non-negative decimal string"),
+    ], ids=["changed", "negative"])
+    def test_hand_edit_after_a_store_is_parsed(self, capsys, edited, check):
+        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        path = cache_path()
+        text = path.read_text()
+        # 2,3,1 is (3, 4, 3, 0); "9" keeps the length of the file
+        assert text.count('"4"') == 1
+        path.write_text(text.replace('"4"', edited))
+        code, out, err = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
+                             "--format", "csv")
+        assert code == 0
+        assert "2,3,1,1,4" in out
+        assert "dropping cache entry '2,3,1'" in err and check in err
+
+    def test_loaded_entries_are_a_fresh_dict(self, capsys):
+        run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1", "--format", "csv")
+        loaded = cache_load()
+        del loaded.entries["2,3,1"]
+        assert sorted(cache_load().entries) == ["2,2,1", "2,3,1"]
+        stored = CacheFile()
+        stored.put(compute_polar_profile(3, 4, 2))
+        cache_store(stored)
+        stored.entries.clear()
+        assert sorted(cache_load().entries) == ["3,4,2"]
+
+    @pytest.mark.parametrize("key, bad, warning", [
+        ("2,3,1", PolarProfile(2, 3, 1, (3, 4, 3), polar.sign_record(2, 3, 1)),
+         "entry 2,3,1 has 3 values, not 4"),
+        ("2,3,1", PolarProfile(2, 3, 1, (3, -4, 3, 0), polar.sign_record(2, 3, 1)),
+         "value '-4' is not a non-negative decimal string"),
+        ("2,3,01", compute_polar_profile(2, 3, 1), "key 2,3,01 is not the canonical 2,3,1"),
+        ("3,2,1", PolarProfile(3, 2, 1, (3, 4, 3, 0), polar.sign_record(3, 2, 1)),
+         "need 0 <= r <= m <= n, got m=3, n=2, r=1"),
+        ("2,3,1", PolarProfile(2, 3, 1, (3, 4, 3, 0), (1, 1, 1, 1)), None),
+    ], ids=["length", "negative", "key", "domain", "raw_signs"])
+    def test_store_of_an_entry_the_parser_rejects(self, capsys, key, bad, warning):
+        cache = CacheFile()
+        cache.put(compute_polar_profile(2, 2, 1))
+        cache.entries[key] = bad
+        cache_store(cache)
+        loaded = cache_load()
+        err = capsys.readouterr().err
+        assert loaded.get(2, 2, 1) == compute_polar_profile(2, 2, 1)
+        if warning is None:  # the file holds no signs: the load rebuilds them
+            assert loaded.get(2, 3, 1) == compute_polar_profile(2, 3, 1) != bad
+            assert err == ""
+        else:
+            assert sorted(loaded.entries) == ["2,2,1"]
+            assert f"dropping cache entry {key!r} of {cache_path()}: {warning}" in err
 
     def test_populated_by_commands(self, capsys):
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
