@@ -95,45 +95,54 @@ def _values(texts) -> tuple:
     return ()  # only an empty list gets here; the length check rejects it
 
 
-def _parse_entry(key: str, raw) -> PolarProfile:
-    m, n, r = (int(x) for x in key.split(","))
+def _check_entry(key: str, m: int, n: int, r: int, values: tuple):
+    """The rules on one entry once its key and values are ints: the key is the
+    canonical "m,n,r", 0 <= r <= m <= n and there are ``profile_length``
+    values.  Both the parse of a loaded entry and the test of a stored one
+    (``_parses_back``) apply them, so they are stated once."""
     if key != CacheFile.key(m, n, r):
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     _validate_params(m, n, r)
-    values = _values(raw["values"])
     length = profile_length(m, n, r)  # before sign_record, which builds that many
     if len(values) != length:
         raise ValueError(f"entry {key} has {len(values)} values, not {length}")
+
+
+def _parse_entry(key: str, raw) -> PolarProfile:
+    m, n, r = (int(x) for x in key.split(","))
+    values = _values(raw["values"])
+    _check_entry(key, m, n, r, values)
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
 
 
 def _parses_back(key: str, prof) -> bool:
     """Whether ``_parse_entry`` rebuilds ``prof`` itself, field for field and
     with the same ``raw_signs`` tuple, from what cache_store writes for it
-    under ``key``.  These are the checks of ``_parse_entry``, on the values as
-    ints instead of as text."""
+    under ``key``: m, n and r are ints, the values are what ``_values``
+    returns (a tuple of non-negative ints), the entry passes ``_check_entry``,
+    and its signs are the shared ``sign_record`` tuple."""
     if type(prof) is not PolarProfile:
         return False
     m, n, r, values, signs = prof
-    return (
-        type(m) is type(n) is type(r) is int
-        and key == CacheFile.key(m, n, r)
-        and 0 <= r <= m <= n
-        and type(values) is tuple
-        and len(values) == profile_length(m, n, r)
-        and all(type(v) is int and v >= 0 for v in values)
-        and signs is sign_record(m, n, r)
-    )
+    if not (type(m) is type(n) is type(r) is int and type(values) is tuple
+            and all(type(v) is int and v >= 0 for v in values)):
+        return False
+    try:
+        _check_entry(key, m, n, r, values)
+    except ValueError:
+        return False
+    return signs is sign_record(m, n, r)
 
 
 def _file_text(entries: dict) -> str:
     """The text ``json.dumps(payload, indent=1, sort_keys=True) + "\\n"`` of
     the payload {"entries": {key: {"values": [...]}}, "version": ...}, built
-    directly, because json encodes with an indent in pure Python.  Exact for
-    entries that ``_parses_back`` accepts: their keys are digits and commas
-    and their values decimal strings, so nothing needs escaping."""
+    directly, because json encodes with an indent in pure Python.  Keys go
+    through json, which escapes whatever a library caller put there; values
+    are written as ``str`` gives them, decimal strings for the int values of
+    a ``PolarProfile``, which need no escaping."""
     body = ",\n".join(
-        f'  "{key}": {{\n   "values": [\n    "'
+        f'  {json.dumps(key)}: {{\n   "values": [\n    "'
         + '",\n    "'.join(map(str, entries[key].values))
         + '"\n   ]\n  }'
         for key in sorted(entries)
@@ -192,24 +201,13 @@ def cache_store(cache: CacheFile):
     its own, so that concurrent writers never share one; I/O trouble is
     reported, never fatal.  After a successful write the text and a copy of
     the entries are kept for ``cache_load``, but only if every entry
-    ``_parses_back``; otherwise nothing is kept, the file is written by json
-    as ever, and the next load parses it and warns about what it drops."""
+    ``_parses_back``; otherwise nothing is kept, and the next load parses the
+    file and warns about what it drops."""
     global _written
     _written = None
     path = cache_path()
     entries = dict(cache.entries)
-    keep = all(_parses_back(key, prof) for key, prof in entries.items())
-    if keep:
-        text = _file_text(entries)
-    else:  # json escapes whatever such an entry holds
-        payload = {
-            "version": CACHE_VERSION,
-            "entries": {
-                key: {"values": [str(v) for v in prof.values]}
-                for key, prof in sorted(entries.items())
-            },
-        }
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = _file_text(entries)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -221,7 +219,7 @@ def cache_store(cache: CacheFile):
     except OSError as exc:
         warn(f"could not write cache {path}: {exc}")
     else:
-        if keep:
+        if all(_parses_back(key, prof) for key, prof in entries.items()):
             _written = (text, entries)
     finally:
         if tmp is not None:

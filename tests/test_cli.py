@@ -609,7 +609,9 @@ class TestCache:
         ("3,2,1", PolarProfile(3, 2, 1, (3, 4, 3, 0), polar.sign_record(3, 2, 1)),
          "need 0 <= r <= m <= n, got m=3, n=2, r=1"),
         ("2,3,1", PolarProfile(2, 3, 1, (3, 4, 3, 0), (1, 1, 1, 1)), None),
-    ], ids=["length", "negative", "key", "domain", "raw_signs"])
+        ('2,3,"1', compute_polar_profile(2, 3, 1),
+         "invalid literal for int() with base 10: '\"1'"),
+    ], ids=["length", "negative", "key", "domain", "raw_signs", "quote"])
     def test_store_of_an_entry_the_parser_rejects(self, capsys, key, bad, warning):
         cache = CacheFile()
         cache.put(compute_polar_profile(2, 2, 1))
