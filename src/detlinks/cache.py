@@ -44,12 +44,13 @@ CACHE_FILENAME = "polar_profiles.json"
 
 
 def cache_dir() -> Path:
-    """Cache directory: $DETLINKS_CACHE, else the platform cache dir."""
+    """Cache directory: $DETLINKS_CACHE, else the platform cache dir.  A
+    relative $XDG_CACHE_HOME is ignored, as the XDG Base Directory spec says."""
     env = os.environ.get(CACHE_ENV)
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
+    base = Path(xdg) if xdg and os.path.isabs(xdg) else Path.home() / ".cache"
     return base / "detlinks"
 
 

@@ -67,7 +67,10 @@ def _emit(text: str):
     """Write a command's output, flushed, so that a reader that closed the pipe
     is seen here and not at interpreter exit.  Every store is done before a
     command renders, so a closed stdout is no failure: the rest of the output
-    goes to /dev/null."""
+    goes to /dev/null, and a stdout closed at start (``sys.stdout`` is None)
+    takes none."""
+    if sys.stdout is None:
+        return
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()

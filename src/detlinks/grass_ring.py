@@ -6,7 +6,8 @@ r x (m - r) box, with multiplication by iterated Pieri steps (a general
 basis element is first expanded through single-row classes by the
 Giambelli determinant).  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
-``tensor_calculus`` multiplies in this basis.
+``tensor_calculus`` multiplies in this basis, by powers of the total Chern
+classes of the tautological bundles, which are given in closed form.
 
 The tests certify the Pieri/Giambelli products against the presentation
 Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every m <= 8 with one
@@ -163,32 +164,19 @@ def mul(a: GrassClass, b: GrassClass) -> GrassClass:
     return GrassClass._trusted(a.spec, acc)
 
 
-def chern_sub(spec: GrassSpec, i: int) -> GrassClass:
-    """i-th Chern class of the tautological subbundle: (-1)^i times the
-    single-column class of height i.  On Grass(m, m) the subbundle is
-    trivial and the class vanishes."""
-    if not 1 <= i <= spec.r:
-        raise DomainError(f"chern_sub index {i} outside 1..{spec.r}")
+def total_chern_sub(spec: GrassSpec) -> GrassClass:
+    """Total Chern class of the tautological subbundle: the sum over i <= r
+    of (-1)^i times the single-column class of height i.  On Grass(m, m)
+    the subbundle is trivial and the class is 1."""
     if spec.cols == 0:
-        return GrassClass.zero(spec)
-    return GrassClass(spec, {(1,) * i: (-1) ** i})
+        return GrassClass.unit(spec)
+    return GrassClass._trusted(spec, {(1,) * i: (-1) ** i for i in range(spec.r + 1)})
 
-def chern_quot(spec: GrassSpec, k: int) -> GrassClass:
-    """k-th Chern class of the tautological quotient bundle: the single-row
-    class of width k.  On Grass(0, m) the quotient is trivial and the class
-    vanishes."""
-    if not 1 <= k <= spec.cols:
-        raise DomainError(f"chern_quot index {k} outside 1..{spec.cols}")
+
+def total_chern_quot(spec: GrassSpec) -> GrassClass:
+    """Total Chern class of the tautological quotient bundle: the sum over
+    k <= m - r of the single-row classes of width k.  On Grass(0, m) the
+    quotient is trivial and the class is 1."""
     if spec.r == 0:
-        return GrassClass.zero(spec)
-    return GrassClass(spec, {(k,): 1})
-
-
-def chern_list_sub(spec: GrassSpec) -> list:
-    """Total Chern class of the subbundle as the list [1, c_1(S), ..., c_r(S)]."""
-    return [GrassClass.unit(spec)] + [chern_sub(spec, i) for i in range(1, spec.r + 1)]
-
-
-def chern_list_quot(spec: GrassSpec) -> list:
-    """Total Chern class of the quotient bundle as [1, c_1(Q), ..., c_{m-r}(Q)]."""
-    return [GrassClass.unit(spec)] + [chern_quot(spec, k) for k in range(1, spec.cols + 1)]
+        return GrassClass.unit(spec)
+    return GrassClass._trusted(spec, {(k,) if k else (): 1 for k in range(spec.cols + 1)})

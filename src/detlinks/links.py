@@ -56,9 +56,12 @@ class DetSpec(namedtuple("DetSpec", "m n s")):
 
     def check_codim(self, i: int, smooth: bool = False):
         """Raise DomainError unless a codimension-i link exists, 0 <= i < d,
-        and, with ``smooth``, is smooth."""
-        if not 0 <= i < self.d:
-            raise DomainError(f"codimension {i} outside 0..{self.d - 1} for {self}")
+        and, with ``smooth``, is smooth.  For s = 1 the germ is a point."""
+        d = self.d
+        if d == 0:
+            raise DomainError(f"the germ of {self} is a point and has no complex links")
+        if not 0 <= i < d:
+            raise DomainError(f"codimension {i} outside 0..{d - 1} for {self}")
         if smooth and i not in self.smooth_range():
             raise DomainError(
                 f"link not smooth at codimension {i} for {self}: smooth range is "

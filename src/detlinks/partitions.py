@@ -147,10 +147,6 @@ class SparseElement:
         obj.coords = {k: c for k, c in coords.items() if c}
         return obj
 
-    @classmethod
-    def zero(cls, spec=None):
-        return cls._trusted(spec, {})
-
     def __add__(self, other):
         if type(other) is not type(self) or other.spec != self.spec:
             return NotImplemented

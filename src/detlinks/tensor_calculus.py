@@ -47,9 +47,9 @@ from .grass_ring import (
     GrassClass,
     GrassSpec,
     _mul_basis,
-    chern_list_quot,
-    chern_list_sub,
     mul,
+    total_chern_quot,
+    total_chern_sub,
 )
 from .partitions import (
     SparseElement,
@@ -218,10 +218,10 @@ def _lascoux(spec: ProdSpec, bundle: str) -> ProdClass:
     return ProdClass._trusted(spec, coords)
 
 
-def _times_power(coords: dict, factor: int, chern: list, exponent: int) -> dict:
-    """coords times sum(chern)^exponent, a class on one factor (0 or 1):
-    each distinct key of coords on that factor is multiplied by it once."""
-    total, power = sum(chern[1:], chern[0]), chern[0]
+def _times_power(coords: dict, factor: int, total: GrassClass, exponent: int) -> dict:
+    """coords times total^exponent, a class on one factor (0 or 1): each
+    distinct key of coords on that factor is multiplied by it once."""
+    power = GrassClass.unit(total.spec)
     for _ in range(exponent):
         power = mul(power, total)
     others = {}
@@ -238,19 +238,20 @@ def _times_power(coords: dict, factor: int, chern: list, exponent: int) -> dict:
 
 def _tensor_series(spec: ProdSpec, flavor: str, bundle: str, up_to: int) -> tuple:
     """Chern or Segre series of a tensor bundle through degree up_to: one
-    Lascoux class times powers of factor Chern classes, split by degree."""
+    Lascoux class times powers of factor total Chern classes, split by degree."""
     if bundle not in (SUB_TENSOR, QUOT_TENSOR):
         raise ValueError(f"unknown bundle tag {bundle!r}")
-    cq1, cq2 = chern_list_quot(spec.factor1), chern_list_quot(spec.factor2)
     if flavor == "chern":
         coords = _lascoux(spec, SUB_TENSOR).coords
         if bundle == QUOT_TENSOR:
-            coords = _times_power(_times_power(coords, 0, cq1, spec.m), 1, cq2, spec.n)
-    elif bundle == QUOT_TENSOR:
-        cs2 = chern_list_sub(spec.factor2)
-        coords = _times_power(_lascoux(spec, QUOT_TENSOR).coords, 1, cs2, spec.n)
+            coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
+            coords = _times_power(coords, 1, total_chern_quot(spec.factor2), spec.n)
     else:
-        coords = _times_power(_lascoux(spec, QUOT_TENSOR).coords, 0, cq1, spec.m)
+        coords = _lascoux(spec, QUOT_TENSOR).coords
+        if bundle == QUOT_TENSOR:
+            coords = _times_power(coords, 1, total_chern_sub(spec.factor2), spec.n)
+        else:
+            coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
     terms = [{} for _ in range(up_to + 1)]
     for key, c in coords.items():
         k = weight(key[0]) + weight(key[1])

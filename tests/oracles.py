@@ -32,7 +32,8 @@ served commands.
 Neither side trusts the other: each reference reaches its numbers without
 the route it certifies.  ``schubert``, ``schubert_pair``, ``prod_unit``,
 ``constant``, ``integrate`` and ``weighted_degree`` build and read single
-classes for the tests.
+classes for the tests; ``chern_list_sub`` and ``chern_list_quot`` split the
+total Chern classes of ``grass_ring`` into their degrees.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ from detlinks.grass_ring import (
     GrassClass,
     GrassSpec,
     _perm_sign,
-    chern_list_quot,
-    chern_list_sub,
+    total_chern_quot,
+    total_chern_sub,
 )
 from detlinks.links import DetSpec, egz_factor, link_strata
-from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box
+from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box, weight
 from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
@@ -205,14 +206,14 @@ def schubert_to_presentation(spec: GrassSpec, lam) -> PresentationPoly:
         if k == 0:
             return constant(r, 1)
         if k < 0 or k > r:
-            return PresentationPoly.zero(r)
+            return PresentationPoly(r)
         return PresentationPoly.variable(r, k) * ((-1) ** k)
 
     mu = conjugate(lam)
     ell = len(mu)
     if ell == 0:
         return constant(r, 1)
-    acc = PresentationPoly.zero(r)
+    acc = PresentationPoly(r)
     for perm in permutations(range(ell)):
         term = constant(r, _perm_sign(perm))
         for i in range(ell):
@@ -379,6 +380,20 @@ def tensor(spec: ProdSpec, a: GrassClass, b: GrassClass) -> ProdClass:
     return ProdClass(spec, coords)
 
 
+def _by_degree(total: GrassClass, rank: int) -> list:
+    """A total Chern class split into [1, c_1, ..., c_rank]."""
+    return [GrassClass(total.spec, {lam: c for lam, c in total.coords.items() if weight(lam) == i})
+            for i in range(rank + 1)]
+
+
+def chern_list_sub(spec: GrassSpec) -> list:
+    return _by_degree(total_chern_sub(spec), spec.r)
+
+
+def chern_list_quot(spec: GrassSpec) -> list:
+    return _by_degree(total_chern_quot(spec), spec.cols)
+
+
 def _factor_chern(spec: ProdSpec, bundle: str):
     """Chern class lists [1, c_1, ..., c_rank] of the two factor bundles
     being tensored; a list's length is its bundle's rank plus one."""
@@ -492,7 +507,7 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     unit1, unit2 = GrassClass.unit(spec.factor1), GrassClass.unit(spec.factor2)
     terms = []
     for k in range(up_to + 1):
-        acc = ProdClass.zero(spec)
+        acc = ProdClass(spec, {})
         for alpha, beta, coeff in universal_tensor_chern(p, q, k):
             left = unit1
             for idx in alpha:

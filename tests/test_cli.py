@@ -11,7 +11,7 @@ import pytest
 
 from detlinks import cache as cache_module
 from detlinks import cli, polar
-from detlinks.cache import CacheFile, cache_load, cache_path, cache_store
+from detlinks.cache import CacheFile, cache_dir, cache_load, cache_path, cache_store
 from detlinks.cli import main
 from detlinks.links import (
     DetSpec,
@@ -236,21 +236,25 @@ class TestPolarCommand:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["False", "False"]
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_is_not_a_failure(self, isolated_cache, unbuffered):
+    @pytest.mark.parametrize("stdout", ["buffered", "unbuffered", "closed"])
+    def test_closed_stdout_is_not_a_failure(self, isolated_cache, stdout):
         # a reader that stops early (``| head -1``) leaves a pipe with no
-        # reader; the command has stored its profiles by then and exits 0
+        # reader, and ``>&-`` starts the command with no stdout at all; the
+        # command has stored its profiles by then and exits 0
         read_end, write_end = os.pipe()
         os.close(read_end)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
         env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
+        if stdout == "unbuffered":
             env["PYTHONUNBUFFERED"] = "1"
+        closed = stdout == "closed"
         argv = "polar --m 2..5 --n 6..12 --r 1..2 --format json".split()
         try:
             result = subprocess.run([sys.executable, "-m", "detlinks.cli", *argv], env=env,
-                                    stdout=write_end, stderr=subprocess.PIPE, text=True)
+                                    stdout=None if closed else write_end,
+                                    preexec_fn=(lambda: os.close(1)) if closed else None,
+                                    stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (0, "")
@@ -410,7 +414,9 @@ class TestRejectedLinkRequests:
          "smooth range is 6..9"),
         (("euler", "--m", "3", "--n", "5", "--s", "3", "--codim", "-3"),
          "codimension -3 outside 0..11 for DetSpec(m=3, n=5, s=3)"),
-    ], ids=["below_smooth", "range_starting_below_smooth", "negative"])
+        (("euler", "--m", "1", "--n", "2", "--s", "1", "--codim", "0"),
+         "the germ of DetSpec(m=1, n=2, s=1) is a point and has no complex links"),
+    ], ids=["below_smooth", "range_starting_below_smooth", "negative", "point_germ"])
     @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
     def test_rejected_before_any_profile_is_gathered(
             self, capsys, monkeypatch, inline_pool, argv, err, verify):
@@ -490,6 +496,25 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
 
 
 class TestCache:
+    def test_cache_dir_resolution(self, tmp_path, monkeypatch):
+        # $DETLINKS_CACHE, then an absolute $XDG_CACHE_HOME, then ~/.cache;
+        # a relative $XDG_CACHE_HOME is ignored, as the XDG Base Directory
+        # spec says, so the cache does not follow the working directory
+        home = tmp_path / "home"
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "own"))
+        assert cache_dir() == tmp_path / "own"
+        monkeypatch.setenv("DETLINKS_CACHE", "")
+        assert cache_dir() == tmp_path / "xdg" / "detlinks"
+        monkeypatch.delenv("DETLINKS_CACHE")
+        assert cache_dir() == tmp_path / "xdg" / "detlinks"
+        for relative in ("rel", "./rel", ""):
+            monkeypatch.setenv("XDG_CACHE_HOME", relative)
+            assert cache_dir() == home / ".cache" / "detlinks", relative
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert cache_dir() == home / ".cache" / "detlinks"
+
     def test_round_trip(self, monkeypatch):
         cache = CacheFile()
         cache.put(PolarProfile(3, 4, 2, (6, 16, 27, 24, 10, 0, 0),

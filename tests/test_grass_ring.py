@@ -5,11 +5,9 @@ from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
     GrassClass,
     GrassSpec,
-    chern_quot,
-    chern_sub,
-    chern_list_quot,
-    chern_list_sub,
     mul,
+    total_chern_quot,
+    total_chern_sub,
 )
 from detlinks.links import grass_betti
 from detlinks.partitions import (
@@ -96,39 +94,25 @@ class TestChern:
     def test_sub_on_projective_space(self):
         for m in range(2, 6):
             spec = GrassSpec(1, m)
-            assert chern_sub(spec, 1).coords == {(1,): -1}
+            assert total_chern_sub(spec).coords == {(): 1, (1,): -1}
 
     def test_quot_single_row(self):
-        assert chern_quot(GrassSpec(1, 3), 2).coords == {(2,): 1}
+        assert total_chern_quot(GrassSpec(1, 3)).coords == {(): 1, (1,): 1, (2,): 1}
 
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            chern_sub(GrassSpec(2, 4), 3)
-        with pytest.raises(DomainError):
-            chern_quot(GrassSpec(2, 4), 0)
-
-    def test_whitney_degree_two_example(self):
-        spec = GrassSpec(2, 4)
-        total = (
-            chern_sub(spec, 2)
-            + mul(chern_sub(spec, 1), chern_quot(spec, 1))
-            + chern_quot(spec, 2)
-        )
-        assert not total.coords
+    @pytest.mark.parametrize("m", range(0, 5))
+    def test_trivial_bundles_have_total_class_one(self, m):
+        # S on Grass(m, m) and Q on Grass(0, m) are trivial; no key may
+        # leave the empty box
+        assert total_chern_sub(GrassSpec(m, m)).coords == {(): 1}
+        assert total_chern_quot(GrassSpec(0, m)).coords == {(): 1}
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_whitney_all_degrees(self, m):
+        # S + Q is the trivial rank-m bundle: c(S) c(Q) = 1 in every degree
         for r in range(m + 1):
             spec = GrassSpec(r, m)
-            cs = chern_list_sub(spec)
-            cq = chern_list_quot(spec)
-            for k in range(1, m + 1):
-                acc = GrassClass.zero(spec)
-                for i in range(k + 1):
-                    j = k - i
-                    if i < len(cs) and j < len(cq):
-                        acc = acc + mul(cs[i], cq[j])
-                assert not acc.coords, (spec, k)
+            product = mul(total_chern_sub(spec), total_chern_quot(spec))
+            assert product == GrassClass.unit(spec), spec
 
 
 class TestIntegrate:

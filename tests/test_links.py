@@ -219,8 +219,8 @@ class TestSmoothingBounds:
         with pytest.raises(DomainError) as err:
             smoothing_bounds(1, "threefold")
         assert str(err.value) == (
-            "no threefold link for m=1: codimension -4 outside 0..-1 "
-            "for DetSpec(m=1, n=2, s=1)"
+            "no threefold link for m=1: the germ of DetSpec(m=1, n=2, s=1) "
+            "is a point and has no complex links"
         )
 
     def test_no_germ_below_m_1(self):

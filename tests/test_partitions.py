@@ -115,7 +115,7 @@ def test_shared_sparse_arithmetic(name):
     make, spec, other_spec, (k1, k2, k3), bad_key = SPARSE_CASES[name]
     a = make(spec, {k1: 2, k2: -3})
     b = make(spec, {k2: 1, k3: 4})
-    assert not (a + (-a)).coords and a + (-a) == type(a).zero(spec)
+    assert not (a + (-a)).coords and a + (-a) == make(spec, {})
     assert a - b == a + (-1) * b
     assert not (0 * a).coords and not (a * 0).coords
     assert make(spec, [(k2, -3), (k1, 2)]) == a
