@@ -6,7 +6,8 @@ the torus fixed points, halved by their mirror symmetry) and, next to it,
 certify_polar_profile (the Schubert route behind --verify: Lascoux classes
 paired by box complement) on the (m, m+1, m-1) family and on the hardest
 tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
-on a current desktop core.  Every compute time is a full Bott sum: the
+on a current desktop core, and on the frontier cell (9,10,4), about a
+second.  Every compute time is a full Bott sum: the
 process memo of Bott sums, which both ranks of a dual pair share, is
 cleared before each one, so (7,8,4) right after its dual (7,8,3) is summed
 again rather than read back.  A cell whose two routes disagree is reported,
@@ -43,7 +44,7 @@ from detlinks.polar import (  # noqa: E402
 )
 
 
-HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3)]
+HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3), (9, 10, 4)]
 IMPORT_CLI = ("import sys, time; bare = set(sys.modules); started = time.perf_counter(); "
               "import detlinks.cli; print(time.perf_counter() - started, "
               "*sorted(set(sys.modules) - bare))")

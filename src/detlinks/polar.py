@@ -25,7 +25,13 @@ which the reflection j -> n-1-j, l -> m-1-l negates, so mirrored fixed
 points contribute alike and only about half of the second factor's points
 are visited.  For each of those, the first factor's points are walked in
 revolving-door order, one swap at a time, and the two h-series of the
-tensor roots are updated instead of rebuilt at every point.
+tensor roots are updated instead of rebuilt at every point.  A swap only
+applies the roots that change: moving a weight from x_out to x_in trades
+the roots x_in + y for x_out + y, and x_in + y comes straight back as
+x_out + y' when y' = y + (x_in - x_out) is a weight of the same side.
+Truncated multiplication by 1 - a t is undone exactly by division by it, so
+such a pair cancels, and since the second factor's weights are equally
+spaced, which pairs cancel depends only on its point and the shift.
 
 Two classical facts shrink the sum.  The polar classes of the rank <= r
 locus are nonzero exactly in degrees k <= kappa = 2r(m - r), its dimension
@@ -129,6 +135,23 @@ def _euler(sub, weights) -> int:
     return prod(w - weights[i] for i in sub for w in quot)
 
 
+def _unpartnered(roots, shifts) -> dict:
+    """For each shift d, the roots y with no partner y + d among ``roots``,
+    and those with no partner y - d.  Of the roots x + d + y and x + y that
+    a swap from x to x + d trades, these are the ones it changes: the first
+    list's x + d + y and the second list's x + y; the rest cancel in pairs."""
+    keep = {}
+    for d in shifts:
+        ins, outs = [], []
+        for y in roots:
+            if y + d not in roots:
+                ins.append(y)
+            if y - d not in roots:
+                outs.append(y)
+        keep[d] = ins, outs
+    return keep
+
+
 def _reweight(h: list, removed, added) -> list:
     """h * prod(1 - a t) / prod(1 - b t), a in removed, b in added, in
     Z[t]/t^len(h); one pass per (a, b) pair.  Truncated multiplication by
@@ -180,11 +203,15 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
     weight, which leaves each contribution unchanged (both sides have
     degree K), so J runs over the subsets up to the mirror, counted twice
     unless J is its own mirror.  For each J, I walks the revolving-door
-    order and both h-series stay running series: a swap of I changes m - r
-    quotient and r sub roots on each side, applied by ``_reweight``.  e_I
-    is computed once per walk.  The sum runs over the common denominator
-    L1 * L2, the lcms of the Euler classes on each factor, and the final
-    division is checked to be exact.
+    order and both h-series stay running series: a swap of I from x_out to
+    x_in = x_out + d removes the quotient roots x_in + y and adds x_out + y,
+    y in quot2, and the sub series does the reverse over sub2.  x_in + y
+    equals x_out + y' exactly when y' = y + d, and such a pair cancels
+    exactly in Z[t]/t^N, so the swap applies, through ``_reweight``, only
+    the roots ``_unpartnered`` keeps, tabled once per J for each shift d of
+    the walk.  e_I is computed once per walk.  The sum runs over the common
+    denominator L1 * L2, the lcms of the Euler classes on each factor, and
+    the final division is checked to be exact.
 
     The quotient series stop at kappa, the sub series still reach K.
     """
@@ -200,6 +227,7 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
         (xs[(set(prev) - set(sub)).pop()], xs[(set(sub) - set(prev)).pop()])
         for prev, sub in pairwise(walk)
     ]
+    shifts = {x_in - x_out for x_out, x_in in swaps[1:]}
     moves = list(zip(swaps, [l1 // e for e in e1]))
     sub1 = [xs[i] for i in walk[0]]
     quot1 = [x for i, x in enumerate(xs) if i not in walk[0]]
@@ -216,16 +244,15 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
         quot2 = [y for l, y in enumerate(ys) if l not in sub]
         hq = _reweight([1] + [0] * kappa, (), [x + y for x in quot1 for y in quot2])
         hs = _reweight([1] + [0] * big_k, (), [x + y for x in sub1 for y in sub2])
+        keep_q, keep_s = _unpartnered(quot2, shifts), _unpartnered(sub2, shifts)
         acc = [0] * (kappa + 1)
         for swap, w1 in moves:
             if swap:
                 x_out, x_in = swap
-                hq = _reweight(
-                    hq, [x_in + y for y in quot2], [x_out + y for y in quot2]
-                )
-                hs = _reweight(
-                    hs, [x_out + y for y in sub2], [x_in + y for y in sub2]
-                )
+                ins, outs = keep_q[x_in - x_out]
+                hq = _reweight(hq, [x_in + y for y in ins], [x_out + y for y in outs])
+                ins, outs = keep_s[x_in - x_out]
+                hs = _reweight(hs, [x_out + y for y in outs], [x_in + y for y in ins])
             acc = [t + w1 * a * b for t, a, b in zip(acc, hq, reversed(hs))]
         w2 = count * (l2 // e)
         totals = [t + w2 * a for t, a in zip(totals, acc)]

@@ -1,6 +1,7 @@
-from itertools import combinations, pairwise
+from itertools import combinations, pairwise, zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detlinks import polar
 from detlinks.errors import ConsistencyError, DomainError
@@ -351,3 +352,50 @@ class TestRevolvingDoor:
 
     def test_long_walk_recurses_on_the_rank_only(self):
         assert polar._revolving_door(1200, 1) == [(j,) for j in range(1200)]
+
+
+class TestSwapCancellation:
+    """A swap applies only the roots it does not both remove and add."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_unpartnered_roots_give_the_full_swap(self, data):
+        # the second factor's equally spaced weights, J and its complement
+        # as the two sides; x_out of either parity, so roots can be zero
+        m = data.draw(st.integers(min_value=1, max_value=8))
+        ys = [(m - 1) - 2 * l for l in range(m)]
+        sub = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1)))
+        shifts = data.draw(st.sets(
+            st.integers(min_value=-9, max_value=9).filter(bool).map(lambda s: 2 * s),
+            min_size=1, max_size=4))
+        x_out = data.draw(st.integers(min_value=-12, max_value=12))
+        h = data.draw(st.lists(st.integers(min_value=-30, max_value=30),
+                               min_size=1, max_size=10))
+        for roots in ([ys[l] for l in sorted(sub)],
+                      [y for l, y in enumerate(ys) if l not in sub]):
+            keep = polar._unpartnered(roots, shifts)
+            assert set(keep) == shifts
+            for d, (ins, outs) in keep.items():
+                x_in = x_out + d
+                full_in = [x_in + y for y in roots]
+                full_out = [x_out + y for y in roots]
+                kept_in = [x_in + y for y in ins]
+                kept_out = [x_out + y for y in outs]
+                # the quotient direction, then the sub direction
+                assert (polar._reweight(h, kept_in, kept_out)
+                        == polar._reweight(h, full_in, full_out))
+                assert (polar._reweight(h, kept_out, kept_in)
+                        == polar._reweight(h, full_out, full_in))
+
+    def test_swaps_apply_only_the_roots_that_change(self, monkeypatch):
+        reweight = polar._reweight
+        pairs = []
+
+        def spy(h, removed, added):
+            pairs.append(sum(a != b for a, b in zip_longest(removed, added, fillvalue=0)))
+            return reweight(h, removed, added)
+
+        monkeypatch.setattr(polar, "_reweight", spy)
+        compute_polar_profile(6, 7, 3)
+        # the full removed and added lists of every swap apply 2250 pairs
+        assert sum(pairs) == 1690
