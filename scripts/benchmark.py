@@ -7,10 +7,14 @@ certify_polar_profile (the Schubert route behind --verify: Lascoux classes
 paired by box complement) on the (m, m+1, m-1) family and on the hardest
 tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
 on a current desktop core, and on the frontier cell (9,10,4), about a
-second.  Every compute time is a full Bott sum: the
-process memo of Bott sums, which both ranks of a dual pair share, is
-cleared before each one, so (7,8,4) right after its dual (7,8,3) is summed
-again rather than read back.  A cell whose two routes disagree is reported,
+second.  Every time is cold.  The process memo of Bott sums, which both
+ranks of a dual pair share, is cleared before each compute, so (7,8,4)
+right after its dual (7,8,3) is summed again rather than read back.  The
+certifier's memos (the Lascoux class, the Schubert structure constants
+``_mul_basis``, the Pieri strips ``_pieri`` and the Giambelli expansions
+``_h_monomials``) are cleared before each certify, so a repeated --cell, or
+a cell sharing a factor box with an earlier one, builds its structure
+constants again.  A cell whose two routes disagree is reported,
 and the script then exits 1.  A first line reports start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
 after another, the detlinks modules that import loads, and the other
@@ -37,11 +41,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from detlinks.grass_ring import _h_monomials, _mul_basis, _pieri  # noqa: E402
 from detlinks.polar import (  # noqa: E402
     _bott_sums,
     certify_polar_profile,
     compute_polar_profile,
 )
+from detlinks.tensor_calculus import _lascoux  # noqa: E402
 
 
 HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3), (9, 10, 4)]
@@ -93,6 +99,8 @@ def run_cell(m, n, r):
     seconds, whether the routes agree)."""
     _bott_sums.cache_clear()
     prof, compute_s = timed(compute_polar_profile, m, n, r)
+    for memo in (_lascoux, _mul_basis, _pieri, _h_monomials):
+        memo.cache_clear()
     cert, certify_s = timed(certify_polar_profile, m, n, r)
     agree = cert == prof
     print(f"  ({m:2d},{n:2d},{r}) {compute_s:8.2f}s {certify_s:8.2f}s"

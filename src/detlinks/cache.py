@@ -88,7 +88,8 @@ def _values(texts) -> tuple:
         raise ValueError("values are not a list")
     with suppress(TypeError):  # raised by join for an item that is not a string
         digits = "".join(texts)
-        if digits.isascii() and digits.isdigit():  # the common case, checked in one pass
+        # the common case, checked in one pass; the join hides an empty item
+        if digits.isascii() and digits.isdigit() and all(texts):
             return tuple(map(int, texts))
     for text in texts:
         if not (isinstance(text, str) and text.isascii() and text.isdigit()):

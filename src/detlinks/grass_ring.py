@@ -1,10 +1,13 @@
 """Integral cohomology of a Grassmannian in the Schubert basis.
 
-An element of H*(Grass(r, m)) is a ``GrassClass``, the
-``partitions.SparseElement`` whose keys are partitions inside the
-r x (m - r) box, with multiplication by iterated Pieri steps (a general
-basis element is first expanded through single-row classes by the
-Giambelli determinant).  Degrees are Chern degrees: the class indexed by a
+Every ring element of the certifier is a ``SparseElement``: a spec plus a
+map from keys to nonzero integers.  Over a ``GrassSpec`` the keys are
+partitions inside the r x (m - r) box of H*(Grass(r, m)); over a
+``tensor_calculus.ProdSpec`` they are pairs of partitions, one in each
+factor's box.  Multiplication is the function of the spec: ``mul`` here,
+by iterated Pieri steps (a general basis element is first expanded through
+single-row classes by the Giambelli determinant), and ``mul_prod`` in
+``tensor_calculus``.  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis, by powers of the total Chern
 classes of the tautological bundles, which are given in closed form.
@@ -21,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import DomainError
-from .partitions import SparseElement, as_partition, fits_in_box, weight
+from .partitions import as_partition, weight
 
 
 @dataclass(frozen=True)
@@ -50,32 +53,52 @@ class GrassSpec:
         return (self.cols,) * self.r if self.cols else ()
 
 
-class GrassClass(SparseElement):
-    """Element of H*(Grass(r, m)) in the Schubert basis.
+class SparseElement:
+    """Sparse integer combination of keys over a ring spec.
 
-    ``spec`` is a GrassSpec; ``coords`` maps partitions in the box to
-    integers.
+    The constructor drops zero coefficients and checks no key: every
+    producer (``mul``, ``mul_prod``, the total Chern classes, the tensor
+    series) emits keys that are canonical and inside the box of its spec.
+    ``*`` only scales by an integer; the spec's product is a function.
+    Instances are immutable by convention: every operation returns a fresh
+    element.
     """
 
-    __slots__ = ()
+    __slots__ = ("spec", "coords")
+    __hash__ = None
 
-    @staticmethod
-    def _key(spec, lam):
-        lam = as_partition(lam)
-        if not fits_in_box(lam, spec.r, spec.cols):
-            raise ValueError(f"{lam} does not fit the {spec.r}x{spec.cols} box")
-        return lam
+    def __init__(self, spec, coords: dict):
+        self.spec = spec
+        self.coords = {k: c for k, c in coords.items() if c}
 
-    @classmethod
-    def unit(cls, spec):
-        return cls(spec, {(): 1})
+    def __add__(self, other):
+        if type(other) is not type(self) or other.spec != self.spec:
+            return NotImplemented
+        data = dict(self.coords)
+        for k, c in other.coords.items():
+            data[k] = data.get(k, 0) + c
+        return type(self)(self.spec, data)
 
-    def _mul(self, other):
-        return mul(self, other)
+    def __neg__(self):
+        return type(self)(self.spec, {k: -c for k, c in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)(self.spec, {k: c * other for k, c in self.coords.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseElement):
+            return NotImplemented
+        return type(other) is type(self) and (self.spec, self.coords) == (other.spec, other.coords)
 
     def __repr__(self):
-        terms = " + ".join(f"{c}*s{list(k)}" for k, c in sorted(self.coords.items()))
-        return f"<GrassClass({self.spec.r},{self.spec.m}): {terms or '0'}>"
+        return f"{type(self).__name__}({self.spec!r}, {self.coords!r})"
 
 
 def _perm_sign(perm) -> int:
@@ -150,7 +173,7 @@ def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     return tuple((nu, c) for nu, c in sorted(total.items()) if c)
 
 
-def mul(a: GrassClass, b: GrassClass) -> GrassClass:
+def mul(a: SparseElement, b: SparseElement) -> SparseElement:
     """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched ring specs {a.spec} and {b.spec}")
@@ -161,22 +184,22 @@ def mul(a: GrassClass, b: GrassClass) -> GrassClass:
             c = c1 * c2
             for nu, sc in _mul_basis(rows, cols, *((lam, mu) if lam >= mu else (mu, lam))):
                 acc[nu] = acc.get(nu, 0) + c * sc
-    return GrassClass._trusted(a.spec, acc)
+    return SparseElement(a.spec, acc)
 
 
-def total_chern_sub(spec: GrassSpec) -> GrassClass:
+def total_chern_sub(spec: GrassSpec) -> SparseElement:
     """Total Chern class of the tautological subbundle: the sum over i <= r
     of (-1)^i times the single-column class of height i.  On Grass(m, m)
     the subbundle is trivial and the class is 1."""
     if spec.cols == 0:
-        return GrassClass.unit(spec)
-    return GrassClass._trusted(spec, {(1,) * i: (-1) ** i for i in range(spec.r + 1)})
+        return SparseElement(spec, {(): 1})
+    return SparseElement(spec, {(1,) * i: (-1) ** i for i in range(spec.r + 1)})
 
 
-def total_chern_quot(spec: GrassSpec) -> GrassClass:
+def total_chern_quot(spec: GrassSpec) -> SparseElement:
     """Total Chern class of the tautological quotient bundle: the sum over
     k <= m - r of the single-row classes of width k.  On Grass(0, m) the
     quotient is trivial and the class is 1."""
     if spec.r == 0:
-        return GrassClass.unit(spec)
-    return GrassClass._trusted(spec, {(k,) if k else (): 1 for k in range(spec.cols + 1)})
+        return SparseElement(spec, {(): 1})
+    return SparseElement(spec, {(k,) if k else (): 1 for k in range(spec.cols + 1)})

@@ -1,15 +1,10 @@
-"""Partition combinatorics and the sparse integer combinations keyed by them.
+"""Partition combinatorics.
 
 Every cohomology basis downstream is indexed by partitions inside an
 ``rows x cols`` rectangle, so partitions are kept as bare tuples of weakly
 decreasing positive integers with trailing zeros dropped.  Tuples hash and
 compare fast, which matters because they key every sparse ring element in
-the package.
-
-Every such element (a Schubert-basis class, a product-ring class) is one
-``SparseElement`` subclass: a spec plus a map from keys to nonzero
-integers.  The base class owns the additive structure and scaling; a
-subclass supplies its key check and its product.
+the package (``grass_ring.SparseElement``).
 """
 
 from __future__ import annotations
@@ -110,67 +105,3 @@ def partitions_in_box(rows: int, cols: int, weight: int | None = None) -> list:
         out.extend(_box_weight(rows, cols, w))
     return out
 
-
-class SparseElement:
-    """Sparse integer combination of keys over a ring spec.
-
-    ``coords`` maps keys to integers; zero coefficients are never stored.
-    The constructor passes every key through the subclass hook
-    ``_key(spec, key)``, which returns the normalized key or raises
-    ValueError, then merges duplicate keys and drops zeros.  Internal
-    results whose keys are known to be valid are built by ``_trusted``,
-    which skips that check.  Subclasses supply the product as ``_mul``.
-    Instances are immutable by convention: every operation returns a fresh
-    element.
-    """
-
-    __slots__ = ("spec", "coords")
-    __hash__ = None
-
-    def __init__(self, spec, coords=None):
-        data = {}
-        if coords:
-            items = coords.items() if isinstance(coords, dict) else coords
-            for key, c in items:
-                key = self._key(spec, key)
-                if c:
-                    data[key] = data.get(key, 0) + int(c)
-        self.spec = spec
-        self.coords = {k: c for k, c in data.items() if c}
-
-    @classmethod
-    def _trusted(cls, spec, coords: dict):
-        """``cls(spec, coords)`` for keys already valid: drops zero
-        coefficients but skips the key check."""
-        obj = cls.__new__(cls)
-        obj.spec = spec
-        obj.coords = {k: c for k, c in coords.items() if c}
-        return obj
-
-    def __add__(self, other):
-        if type(other) is not type(self) or other.spec != self.spec:
-            return NotImplemented
-        data = dict(self.coords)
-        for k, c in other.coords.items():
-            data[k] = data.get(k, 0) + c
-        return self._trusted(self.spec, data)
-
-    def __neg__(self):
-        return self._trusted(self.spec, {k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._trusted(self.spec, {k: c * other for k, c in self.coords.items()})
-        if type(other) is type(self):
-            return self._mul(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseElement):
-            return NotImplemented
-        return type(other) is type(self) and (self.spec, self.coords) == (other.spec, other.coords)

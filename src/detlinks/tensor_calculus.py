@@ -1,11 +1,12 @@
 """Characteristic classes of tensor bundles on a product of two Grassmannians.
 
 The product ring H*(Grass(r, n) x Grass(r, m)) is handled factorwise in the
-Schubert basis; its elements are ``ProdClass``, the
-``partitions.SparseElement`` keyed by pairs of partitions.  The classes
-the polar integrals consume are the Segre classes of the two tensor
-bundles built from the tautological pairs: the product of the subbundles
-(rank r^2) and the product of the quotient bundles (rank (n-r)(m-r)).
+Schubert basis; its elements are the ``grass_ring.SparseElement`` over a
+``ProdSpec``, keyed by pairs of partitions and multiplied by ``mul_prod``.
+The classes the polar integrals consume are the Segre classes of the two
+tensor bundles built from the tautological pairs: the product of the
+subbundles (rank r^2) and the product of the quotient bundles (rank
+(n-r)(m-r)).
 Polar profiles are computed by torus localization in ``polar``; this
 module is the Schubert route that certifies them
 (``polar.certify_polar_profile``, ``--verify``).
@@ -44,20 +45,14 @@ from math import comb
 
 from .errors import DomainError
 from .grass_ring import (
-    GrassClass,
     GrassSpec,
+    SparseElement,
     _mul_basis,
     mul,
     total_chern_quot,
     total_chern_sub,
 )
-from .partitions import (
-    SparseElement,
-    box_complement,
-    conjugate,
-    partitions_in_box,
-    weight,
-)
+from .partitions import box_complement, conjugate, partitions_in_box, weight
 from .polar import _validate_params
 
 SUB_TENSOR = "sub_tensor"
@@ -92,28 +87,7 @@ class ProdSpec:
         return (self.factor1.box, self.factor2.box)
 
 
-class ProdClass(SparseElement):
-    """Element of the product ring: ``spec`` is a ProdSpec and ``coords`` a
-    sparse map (partition, partition) -> int."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(spec, key):
-        lam, mu = key
-        return GrassClass._key(spec.factor1, lam), GrassClass._key(spec.factor2, mu)
-
-    def _mul(self, other):
-        return mul_prod(self, other)
-
-    def __repr__(self):
-        terms = " + ".join(
-            f"{c}*s{list(l)}x{list(m)}" for (l, m), c in sorted(self.coords.items())
-        )
-        return f"<ProdClass r={self.spec.r} n={self.spec.n} m={self.spec.m}: {terms or '0'}>"
-
-
-def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
+def mul_prod(a: SparseElement, b: SparseElement) -> SparseElement:
     """Factorwise product with truncation outside either box."""
     if a.spec != b.spec:
         raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
@@ -132,15 +106,15 @@ def mul_prod(a: ProdClass, b: ProdClass) -> ProdClass:
                 for mu, cm in right:
                     key = (lam, mu)
                     acc[key] = acc.get(key, 0) + cl * cm
-    return ProdClass._trusted(a.spec, acc)
+    return SparseElement(a.spec, acc)
 
 
-def integrate_prod(a: ProdClass) -> int:
+def integrate_prod(a: SparseElement) -> int:
     """Coefficient of the (box, box) class."""
     return a.coords.get(a.spec.box, 0)
 
 
-def pair_prod(a: ProdClass, b: ProdClass) -> int:
+def pair_prod(a: SparseElement, b: SparseElement) -> int:
     """integrate_prod(mul_prod(a, b)) by the box-complement pairing.
 
     The Schubert basis of each factor is self-dual up to box complement, so
@@ -194,7 +168,7 @@ def _det(rows) -> int:
 
 
 @lru_cache(maxsize=1)
-def _lascoux(spec: ProdSpec, bundle: str) -> ProdClass:
+def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
     by Lascoux's finite formula in the conventions of the module docstring."""
     r, cols1, cols2 = spec.r, spec.n - spec.r, spec.m - spec.r
@@ -215,13 +189,13 @@ def _lascoux(spec: ProdSpec, bundle: str) -> ProdClass:
                 cols = [p + r - j for j, p in enumerate(mu + (0,) * (r - len(mu)), 1)]
                 d = _det([[comb(a, b) for b in cols] for a in rows])
                 coords[(mu, nu)] = (-1) ** weight(mu) * sign * d
-    return ProdClass._trusted(spec, coords)
+    return SparseElement(spec, coords)
 
 
-def _times_power(coords: dict, factor: int, total: GrassClass, exponent: int) -> dict:
+def _times_power(coords: dict, factor: int, total: SparseElement, exponent: int) -> dict:
     """coords times total^exponent, a class on one factor (0 or 1): each
     distinct key of coords on that factor is multiplied by it once."""
-    power = GrassClass.unit(total.spec)
+    power = SparseElement(total.spec, {(): 1})
     for _ in range(exponent):
         power = mul(power, total)
     others = {}
@@ -229,7 +203,7 @@ def _times_power(coords: dict, factor: int, total: GrassClass, exponent: int) ->
         others.setdefault(key[factor], []).append((key[1 - factor], c))
     out = {}
     for lam, rest in others.items():
-        for nu, cn in mul(GrassClass._trusted(power.spec, {lam: 1}), power).coords.items():
+        for nu, cn in mul(SparseElement(power.spec, {lam: 1}), power).coords.items():
             for other, c in rest:
                 key = (nu, other) if factor == 0 else (other, nu)
                 out[key] = out.get(key, 0) + cn * c
@@ -257,7 +231,7 @@ def _tensor_series(spec: ProdSpec, flavor: str, bundle: str, up_to: int) -> tupl
         k = weight(key[0]) + weight(key[1])
         if k <= up_to:
             terms[k][key] = c
-    return tuple(ProdClass._trusted(spec, t) for t in terms)
+    return tuple(SparseElement(spec, t) for t in terms)
 
 
 def _clamp(spec: ProdSpec, up_to: int) -> int:

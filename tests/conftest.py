@@ -5,9 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from detlinks import polar
-from detlinks.grass_ring import GrassClass, GrassSpec
-from detlinks.partitions import partitions_in_box
-from detlinks.tensor_calculus import ProdClass, ProdSpec
+from detlinks.grass_ring import GrassSpec, SparseElement
+from detlinks.partitions import as_partition, fits_in_box, partitions_in_box
+from detlinks.tensor_calculus import ProdSpec
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +17,22 @@ def fresh_polar_memos():
     """Each test starts with no memoized Bott sums, so a test that patches a
     step of the sum (``_reweight``, ``_revolving_door``) sees the sum run."""
     polar._bott_sums.cache_clear()
+
+
+def assert_canonical(cls):
+    """``SparseElement`` checks no key, so check what a producer returns:
+    each key is a canonical partition inside the box of a GrassSpec, or a
+    pair of them inside the two factor boxes of a ProdSpec, and no
+    coefficient is zero."""
+    if isinstance(cls.spec, GrassSpec):
+        boxes, keys = (cls.spec,), [(key,) for key in cls.coords]
+    else:
+        boxes, keys = (cls.spec.factor1, cls.spec.factor2), list(cls.coords)
+    for key in keys:
+        assert type(key) is tuple and len(key) == len(boxes), key
+        for lam, box in zip(key, boxes):
+            assert as_partition(lam) == lam and fits_in_box(lam, box.r, box.cols), key
+    assert all(cls.coords.values())
 
 
 def partition_tuples(max_part=8, max_len=6):
@@ -43,7 +59,7 @@ def spec_with_classes(draw, count=2, max_m=6, max_coeff=4):
                 max_size=len(basis),
             )
         )
-        classes.append(GrassClass(spec, dict(zip(basis, coeffs))))
+        classes.append(SparseElement(spec, dict(zip(basis, coeffs))))
     return spec, classes
 
 
@@ -62,7 +78,7 @@ def _prod_class(draw, spec, deg, max_coeff):
             max_size=len(basis),
         )
     )
-    return ProdClass(spec, dict(zip(basis, coeffs)))
+    return SparseElement(spec, dict(zip(basis, coeffs)))
 
 
 @st.composite

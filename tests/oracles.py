@@ -5,9 +5,10 @@ the tests run them; ``src/`` holds production, the certifier and the four
 served commands.
 
 * ``PresentationPoly`` is an integer polynomial in the subbundle Chern
-  classes x_1..x_r; ``presentation_h`` iterates the recursion whose last
-  step, ``grassmann_relations``, generates the ideal J of the presentation
-  H*(Grass(r, m)) = Z[x_1..x_r]/J.
+  classes x_1..x_r, the one ``grass_ring.SparseElement`` subclass, with its
+  own key check and polynomial product.  ``presentation_h`` iterates the
+  recursion whose last step, ``grassmann_relations``, generates the ideal
+  J of the presentation H*(Grass(r, m)) = Z[x_1..x_r]/J.
 * ``QuotientRingOracle`` builds that quotient in degrees 0..dim + r, one
   Hermite normal form per degree, and verifies that the e-monomials of the
   partitions in the box are a Z-basis of it; that holds for every
@@ -32,8 +33,9 @@ served commands.
 Neither side trusts the other: each reference reaches its numbers without
 the route it certifies.  ``schubert``, ``schubert_pair``, ``prod_unit``,
 ``constant``, ``integrate`` and ``weighted_degree`` build and read single
-classes for the tests; ``chern_list_sub`` and ``chern_list_quot`` split the
-total Chern classes of ``grass_ring`` into their degrees.
+classes for the tests; ``SparseElement`` checks no key, so they take
+partitions inside the box.  ``chern_list_sub`` and ``chern_list_quot``
+split the total Chern classes of ``grass_ring`` into their degrees.
 """
 
 from __future__ import annotations
@@ -45,20 +47,20 @@ from math import comb
 
 from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
-    GrassClass,
     GrassSpec,
+    SparseElement,
     _perm_sign,
+    mul,
     total_chern_quot,
     total_chern_sub,
 )
 from detlinks.links import DetSpec, egz_factor, link_strata
-from detlinks.partitions import SparseElement, as_partition, conjugate, fits_in_box, weight
+from detlinks.partitions import as_partition, conjugate, fits_in_box, weight
 from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
     CharSeries,
-    ProdClass,
     ProdSpec,
     _clamp,
 )
@@ -73,20 +75,21 @@ class PresentationPoly(SparseElement):
 
     The spec is the number of variables; keys are exponent tuples of that
     length.  The weighted degree convention is deg x_i = i, matching Chern
-    degrees.
+    degrees.  Unlike the Schubert-basis elements it checks every key, merges
+    repeated ones (``terms`` may be a dict or a list of pairs) and
+    multiplies polynomials with ``*``.
     """
 
     __slots__ = ()
 
     def __init__(self, nvars: int, terms=None):
-        super().__init__(nvars, terms)
-
-    @staticmethod
-    def _key(nvars, expo):
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != nvars or any(e < 0 for e in expo):
-            raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
-        return expo
+        data = {}
+        for expo, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            expo = tuple(map(int, expo))
+            if len(expo) != nvars or min(expo, default=0) < 0:
+                raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
+            data[expo] = data.get(expo, 0) + int(c)
+        super().__init__(nvars, data)
 
     @classmethod
     def variable(cls, nvars, i):
@@ -100,7 +103,9 @@ class PresentationPoly(SparseElement):
     def _wdeg(expo):
         return sum((i + 1) * e for i, e in enumerate(expo))
 
-    def _mul(self, other):
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return super().__mul__(other)
         if other.spec != self.spec:
             return NotImplemented
         data = {}
@@ -108,10 +113,7 @@ class PresentationPoly(SparseElement):
             for e2, c2 in other.coords.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 data[e] = data.get(e, 0) + c1 * c2
-        return self._trusted(self.spec, data)
-
-    def __repr__(self):
-        return f"PresentationPoly({self.spec}, {self.coords!r})"
+        return PresentationPoly(self.spec, data)
 
 
 def presentation_h(r: int, n_max: int) -> list:
@@ -154,23 +156,23 @@ def grassmann_relations(spec: GrassSpec) -> list:
 # single classes
 # ---------------------------------------------------------------------------
 
-def schubert(spec: GrassSpec, lam) -> GrassClass:
-    """The Schubert class of the partition lam."""
-    return GrassClass(spec, {as_partition(lam): 1})
+def schubert(spec: GrassSpec, lam) -> SparseElement:
+    """The Schubert class of the partition lam; ``schubert(spec, ())`` is the unit."""
+    return SparseElement(spec, {as_partition(lam): 1})
 
 
-def integrate(a: GrassClass) -> int:
+def integrate(a: SparseElement) -> int:
     """Coefficient of the full-box class; zero if there is no top component."""
     return a.coords.get(a.spec.box, 0)
 
 
-def schubert_pair(spec: ProdSpec, lam, mu) -> ProdClass:
+def schubert_pair(spec: ProdSpec, lam, mu) -> SparseElement:
     """The product-ring class of the pair of Schubert classes (lam, mu)."""
-    return ProdClass(spec, {(as_partition(lam), as_partition(mu)): 1})
+    return SparseElement(spec, {(as_partition(lam), as_partition(mu)): 1})
 
 
-def prod_unit(spec: ProdSpec) -> ProdClass:
-    return ProdClass(spec, {((), ()): 1})
+def prod_unit(spec: ProdSpec) -> SparseElement:
+    return SparseElement(spec, {((), ()): 1})
 
 
 def constant(nvars: int, c: int) -> PresentationPoly:
@@ -369,7 +371,7 @@ def quotient_ring(spec: GrassSpec) -> QuotientRingOracle:
 # universal polynomials from formal Chern roots
 # ---------------------------------------------------------------------------
 
-def tensor(spec: ProdSpec, a: GrassClass, b: GrassClass) -> ProdClass:
+def tensor(spec: ProdSpec, a: SparseElement, b: SparseElement) -> SparseElement:
     """Kuenneth embedding of a pair of single-factor classes."""
     if a.spec != spec.factor1 or b.spec != spec.factor2:
         raise ValueError("factor classes do not match the product spec")
@@ -377,12 +379,12 @@ def tensor(spec: ProdSpec, a: GrassClass, b: GrassClass) -> ProdClass:
     for lam, ca in a.coords.items():
         for mu, cb in b.coords.items():
             coords[(lam, mu)] = ca * cb
-    return ProdClass(spec, coords)
+    return SparseElement(spec, coords)
 
 
-def _by_degree(total: GrassClass, rank: int) -> list:
+def _by_degree(total: SparseElement, rank: int) -> list:
     """A total Chern class split into [1, c_1, ..., c_rank]."""
-    return [GrassClass(total.spec, {lam: c for lam, c in total.coords.items() if weight(lam) == i})
+    return [SparseElement(total.spec, {lam: c for lam, c in total.coords.items() if weight(lam) == i})
             for i in range(rank + 1)]
 
 
@@ -504,17 +506,15 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     up_to = _clamp(spec, up_to)
     c1, c2 = _factor_chern(spec, bundle)
     p, q = len(c1) - 1, len(c2) - 1
-    unit1, unit2 = GrassClass.unit(spec.factor1), GrassClass.unit(spec.factor2)
     terms = []
     for k in range(up_to + 1):
-        acc = ProdClass(spec, {})
+        acc = SparseElement(spec, {})
         for alpha, beta, coeff in universal_tensor_chern(p, q, k):
-            left = unit1
+            left, right = c1[0], c2[0]
             for idx in alpha:
-                left = left * c1[idx]
-            right = unit2
+                left = mul(left, c1[idx])
             for idx in beta:
-                right = right * c2[idx]
+                right = mul(right, c2[idx])
             acc = acc + coeff * tensor(spec, left, right)
         terms.append(acc)
     return CharSeries(spec, bundle, tuple(terms))

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from detlinks import cache as cache_module
 from detlinks.cache import CacheFile, cache_load, cache_store
 from detlinks.grass_ring import (
-    GrassClass,
     GrassSpec,
+    SparseElement,
     mul,
     total_chern_quot,
     total_chern_sub,
@@ -36,7 +36,6 @@ from detlinks.polar import compute_polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
-    ProdClass,
     ProdSpec,
     chern_tensor,
     mul_prod,
@@ -252,7 +251,7 @@ def test_criterion_7_tensor_cross_validation():
                 c = chern_tensor(spec, bundle, spec.dim)
                 s = segre_tensor(spec, bundle, spec.dim)
                 for k in range(1, spec.dim + 1):
-                    acc = ProdClass(spec, {})
+                    acc = SparseElement(spec, {})
                     for j in range(k + 1):
                         acc = acc + mul_prod(c[j], s[k - j])
                     assert not acc.coords, (spec, bundle, k)
@@ -271,7 +270,7 @@ class TestCriterion8Properties:
                 for r in range(m + 1):
                     spec = GrassSpec(r, m)
                     product = mul(total_chern_sub(spec), total_chern_quot(spec))
-                    assert product == GrassClass.unit(spec), spec
+                    assert product == schubert(spec, ()), spec
 
         check("8a", "Whitney relations m <= 7", 60, body)
 

@@ -928,7 +928,7 @@ class TestCache:
         assert str(cache_path()) in err and err.count("\n") == 1
         assert cache_path().is_dir()
 
-    @pytest.mark.parametrize("value", ["-5", 7, "1e3"])
+    @pytest.mark.parametrize("value", ["-5", 7, "1e3", ""])
     def test_bad_value_named_and_dropped_alone(self, capsys, value):
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
         path = cache_path()

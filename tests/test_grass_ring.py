@@ -1,24 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
-    GrassClass,
     GrassSpec,
     mul,
     total_chern_quot,
     total_chern_sub,
 )
 from detlinks.links import grass_betti
-from detlinks.partitions import (
-    box_complement,
-    fits_in_box,
-    partitions_in_box,
-    weight,
-)
+from detlinks.partitions import box_complement, partitions_in_box, weight
 
 import oracles
-from conftest import partition_tuples, spec_with_classes
+from conftest import assert_canonical, spec_with_classes
 from oracles import (
     PresentationPoly,
     QuotientRingOracle,
@@ -53,7 +47,7 @@ class TestMul:
     def test_unit_is_identity(self):
         spec = GrassSpec(2, 5)
         cls = sigma(spec, 2, 1)
-        assert mul(GrassClass.unit(spec), cls) == cls
+        assert mul(schubert(spec, ()), cls) == cls
 
     def test_mismatched_specs_raise(self):
         with pytest.raises(ValueError):
@@ -75,19 +69,7 @@ class TestMul:
     @given(spec_with_classes(count=2))
     def test_results_are_canonical(self, data):
         _, (a, b) = data
-        got = mul(a, b)
-        assert got == GrassClass(got.spec, dict(got.coords))
-        assert all(got.coords.values())
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 4), st.integers(0, 4), partition_tuples(max_part=6, max_len=5))
-    def test_public_constructor_checks_the_box(self, r, cols, lam):
-        spec = GrassSpec(r, r + cols)
-        if fits_in_box(lam, r, cols):
-            assert GrassClass(spec, {lam: 1}).coords == {lam: 1}
-        else:
-            with pytest.raises(ValueError):
-                GrassClass(spec, {lam: 1})
+        assert_canonical(mul(a, b))
 
 
 class TestChern:
@@ -112,7 +94,7 @@ class TestChern:
         for r in range(m + 1):
             spec = GrassSpec(r, m)
             product = mul(total_chern_sub(spec), total_chern_quot(spec))
-            assert product == GrassClass.unit(spec), spec
+            assert product == schubert(spec, ()), spec
 
 
 class TestIntegrate:
@@ -254,6 +236,7 @@ class TestOracle:
         for lam in basis:
             for mu in basis:
                 product = mul(sigma(spec, *lam), sigma(spec, *mu))
+                assert_canonical(product)
                 direct = oracle.reduce_poly(polys[lam] * polys[mu])
                 via_schubert = {}
                 for nu, c in product.coords.items():

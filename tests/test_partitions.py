@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from detlinks import partitions
 from detlinks.errors import DomainError
-from detlinks.grass_ring import GrassClass, GrassSpec
+from detlinks.grass_ring import GrassSpec, SparseElement
 from detlinks.links import grass_betti
 from detlinks.partitions import (
     as_partition,
@@ -15,17 +15,17 @@ from detlinks.partitions import (
     partitions_in_box,
     weight,
 )
-from detlinks.tensor_calculus import ProdClass, ProdSpec
+from detlinks.tensor_calculus import ProdSpec
 
 from conftest import partition_tuples
 from oracles import PresentationPoly
 
-# name -> (constructor taking (spec, coords), spec, another spec or None,
-#          three valid keys, a key the constructor must reject)
+# name -> (constructor taking (spec, coords), spec, another spec, three
+#          valid keys, a key the constructor must reject or None if it
+#          checks no key)
 SPARSE_CASES = {
-    "GrassClass": (GrassClass, GrassSpec(2, 4), GrassSpec(2, 5), [(1,), (2, 1), (1, 1)], (3,)),
-    "ProdClass": (ProdClass, ProdSpec(1, 3, 2), ProdSpec(1, 4, 2),
-                  [((1,), ()), ((2,), (1,)), ((), (1,))], ((), (2,))),
+    "SparseElement": (SparseElement, GrassSpec(2, 4), ProdSpec(1, 3, 2),
+                      [(1,), (2, 1), (1, 1)], None),
     "PresentationPoly": (PresentationPoly, 2, 3, [(1, 0), (0, 2), (3, 1)], (1, -1)),
 }
 
@@ -118,15 +118,21 @@ def test_shared_sparse_arithmetic(name):
     assert not (a + (-a)).coords and a + (-a) == make(spec, {})
     assert a - b == a + (-1) * b
     assert not (0 * a).coords and not (a * 0).coords
-    assert make(spec, [(k2, -3), (k1, 2)]) == a
-    assert make(spec, [(k1, 2), (k1, 3), (k2, 0), (k3, 1), (k3, -1)]).coords == {k1: 5}
+    assert make(spec, {k1: 2, k2: 0}).coords == {k1: 2}
     for other_name, (other_make, spec2, *_) in SPARSE_CASES.items():
         if other_name != name:
             assert make(spec, {}) != other_make(spec2, {})
-    if other_spec is not None:
-        assert make(spec, {}) != make(other_spec, {})
-    with pytest.raises(ValueError):
-        make(spec, {bad_key: 1})
+    assert make(spec, {}) != make(other_spec, {})
+    with pytest.raises(TypeError):
+        a + make(other_spec, {})
+    if bad_key is None:
+        with pytest.raises(TypeError):  # the product is the function of the spec
+            a * b
+    else:
+        assert make(spec, [(k2, -3), (k1, 2)]) == a
+        assert make(spec, [(k1, 2), (k1, 3), (k2, 0), (k3, 1), (k3, -1)]).coords == {k1: 5}
+        with pytest.raises(ValueError):
+            make(spec, {bad_key: 1})
     with pytest.raises(TypeError):
         hash(a)
 

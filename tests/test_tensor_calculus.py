@@ -3,13 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from detlinks import tensor_calculus
 from detlinks.errors import DomainError
-from detlinks.grass_ring import GrassClass, GrassSpec, mul
-from detlinks.partitions import fits_in_box
+from detlinks.grass_ring import GrassSpec, SparseElement, mul
 from detlinks.polar import certify_polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
-    ProdClass,
     ProdSpec,
     _lascoux,
     chern_tensor,
@@ -19,12 +17,13 @@ from detlinks.tensor_calculus import (
     segre_tensor,
 )
 
-from conftest import partition_tuples, prod_spec_with_classes
+from conftest import assert_canonical, prod_spec_with_classes
 from oracles import (
     chern_list_quot,
     chern_list_sub,
     chern_tensor_via_roots,
     prod_unit,
+    schubert,
     schubert_pair,
     tensor,
     universal_tensor_chern,
@@ -81,12 +80,6 @@ class TestProductRing:
         assert pair_prod(a, b) == integrate_prod(mul_prod(a, b))
 
 
-def assert_canonical(cls):
-    """Trusted results must equal their re-validated form, with no zeros."""
-    assert cls == ProdClass(cls.spec, dict(cls.coords))
-    assert all(cls.coords.values())
-
-
 class TestTrustedResults:
     @settings(deadline=None, max_examples=40)
     @given(prod_spec_with_classes(count=2))
@@ -103,18 +96,6 @@ class TestTrustedResults:
                            segre_tensor(spec, bundle, spec.dim)):
                 for term in series.terms:
                     assert_canonical(term)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
-           partition_tuples(max_part=6, max_len=4), partition_tuples(max_part=6, max_len=4))
-    def test_public_constructor_checks_both_boxes(self, r, cols1, cols2, lam, mu):
-        spec = ProdSpec(r, r + max(cols1, cols2), r + min(cols1, cols2))
-        f1, f2 = spec.factor1, spec.factor2
-        if fits_in_box(lam, r, f1.cols) and fits_in_box(mu, r, f2.cols):
-            assert ProdClass(spec, {(lam, mu): 1}).coords == {(lam, mu): 1}
-        else:
-            with pytest.raises(ValueError):
-                ProdClass(spec, {(lam, mu): 1})
 
 
 class TestChernTensor:
@@ -166,7 +147,7 @@ class TestSegreTensor:
                 c = chern_tensor(spec, bundle, spec.dim)
                 s = segre_tensor(spec, bundle, spec.dim)
                 for k in range(1, spec.dim + 1):
-                    acc = ProdClass(spec, {})
+                    acc = SparseElement(spec, {})
                     for j in range(k + 1):
                         acc = acc + mul_prod(c[j], s[k - j])
                     assert not acc.coords, (spec, bundle, k)
@@ -184,19 +165,16 @@ class TestPullbackDegeneration:
         # S2 is the trivial rank-r bundle, so c(S1 x S2) = c(S1)^r
         spec = ProdSpec(2, 5, 2)
         f1 = GrassSpec(2, 5)
-        total = GrassClass.unit(f1)
-        c_s1 = [GrassClass.unit(f1)] + [
-            GrassClass(f1, {(1,) * i: (-1) ** i}) for i in (1, 2)
-        ]
+        c_s1 = [schubert(f1, ())] + [(-1) ** i * schubert(f1, (1,) * i) for i in (1, 2)]
         square = {}
         for i in range(3):
             for j in range(3):
                 term = mul(c_s1[i], c_s1[j])
                 square[i + j] = square.get(i + j, term * 0) + term
         series = chern_tensor(spec, SUB_TENSOR, 4)
-        unit2 = GrassClass.unit(GrassSpec(2, 2))
+        unit2 = schubert(GrassSpec(2, 2), ())
         for k in range(5):
-            expected = tensor(spec, square.get(k, GrassClass(f1, {})), unit2)
+            expected = tensor(spec, square.get(k, SparseElement(f1, {})), unit2)
             assert series[k] == expected, k
 
 
@@ -234,13 +212,13 @@ class TestLascoux:
         lascoux = _lascoux(spec, QUOT_TENSOR)
         assert lascoux.coords[((), ())] == 1
         for k in range(r * (m - r) + 1):
-            expected = ProdClass(spec, {})
+            expected = SparseElement(spec, {})
             for alpha, beta, coeff in universal_tensor_chern(r, m - r, k):
                 left, right = c1[0], c2[0]
                 for idx in alpha:
-                    left = left * c1[idx]
+                    left = mul(left, c1[idx])
                 for idx in beta:
-                    right = right * c2[idx]
+                    right = mul(right, c2[idx])
                 expected = expected + coeff * tensor(spec, left, right)
             got = {key: c for key, c in lascoux.coords.items()
                    if sum(key[0]) + sum(key[1]) == k}
