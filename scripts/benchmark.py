@@ -103,7 +103,7 @@ def run_cell(m, n, r):
         memo.cache_clear()
     cert, certify_s = timed(certify_polar_profile, m, n, r)
     agree = cert == prof
-    print(f"  ({m:2d},{n:2d},{r}) {compute_s:8.2f}s {certify_s:8.2f}s"
+    print(f"  ({m:2d},{n:2d},{r}) {compute_s * 1e3:9.1f}ms {certify_s * 1e3:9.1f}ms"
           f"  {fmt_values(prof.values)}{'' if agree else '  ROUTES DISAGREE'}")
     return compute_s, certify_s, agree
 
@@ -118,12 +118,12 @@ def main(argv=None):
 
     startup()
     print("polar-profile timings (informational):")
-    print(f"  {'cell':9s} {'compute':>9s} {'certify':>9s}  values")
+    print(f"  {'cell':9s} {'compute':>11s} {'certify':>11s}  values")
     cells = [(m, m + 1, m - 1) for m in range(2, args.max_hb + 1)]
     cells += HARD_CELLS + args.cell
     times = [run_cell(*cell) for cell in cells]
-    print(f"total: compute {sum(t[0] for t in times):.2f}s, "
-          f"certify {sum(t[1] for t in times):.2f}s")
+    print(f"total: compute {sum(t[0] for t in times) * 1e3:.1f} ms, "
+          f"certify {sum(t[1] for t in times) * 1e3:.1f} ms")
     return 0 if all(t[2] for t in times) else 1
 
 

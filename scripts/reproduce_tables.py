@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate all the published tables in markdown, via the CLI renderer.
 
-Writes to stdout; pipe to a file to diff against the literature.
+Writes to stdout; pipe to a file to diff against the literature.  The
+titles go out through the CLI's writer, so a reader that closes the pipe
+early (``| head -1``) changes no exit code.
 """
 
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from detlinks.cli import main as cli_main  # noqa: E402
+from detlinks.cli import _emit, main as cli_main  # noqa: E402
 
 
 SECTIONS = [
@@ -31,12 +33,12 @@ SECTIONS = [
 
 def main():
     for title, argvs in SECTIONS:
-        print(f"## {title}\n")
+        _emit(f"## {title}\n\n")
         for argv in argvs:
             code = cli_main(argv)
             if code:
                 return code
-        print()
+        _emit("\n")
     return 0
 
 

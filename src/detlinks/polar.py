@@ -39,12 +39,14 @@ minus its dual defect (Holme, Manuscripta Math. 61, 1988), so only those
 integrals are summed and the rest are zero.  Its dual variety is the
 rank <= m - r locus (Kleiman, Tangency and duality, 1986), and the integrals
 at rank r are those at rank m - r read backwards from kappa, so ranks above
-m/2 are summed at the far smaller dual rank.  Those sums are kept for the
+m/2 are summed at the far smaller dual rank.  At 2r = m the rank is its own
+dual, so its integrals read the same backwards: only k <= kappa/2 is summed
+and the rest is that half mirrored.  Those sums are kept for the
 life of the process and shared by both ranks of a dual pair, so a pair is
 summed once, whichever rank is asked for first; nothing served from the
 cache ever enters them, and no whole profile is memoized.  The certifier
 evaluates every integral at rank r directly, so the two routes agreeing
-checks both facts.
+checks both facts, the mirror included.
 
 The published values are the absolute values of the signed ones, which
 strictly alternate in k: the sign at k is (-1)^(d-1+k), fixed by (m, n, r),
@@ -178,7 +180,8 @@ def _bott_integrals(m: int, n: int, r: int) -> list:
     reversed (Kleiman): at k <= kappa the value at rank r equals the value
     at rank m - r and position kappa - k, with the same sign; r = m folds
     onto [1].  Both ranks of a dual pair read the one memoized
-    ``_bott_sums`` of the lower rank.
+    ``_bott_sums`` of the lower rank, and a self-dual rank, 2r = m, reads a
+    palindrome.
     """
     sums = _bott_sums(m, n, min(r, m - r))
     if 2 * r > m:
@@ -213,10 +216,15 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
     denominator L1 * L2, the lcms of the Euler classes on each factor, and
     the final division is checked to be exact.
 
-    The quotient series stop at kappa, the sub series still reach K.
+    The quotient series stop at degree top = kappa; the sub series still
+    reach K, since degree k reads hs[K - k].  At 2r = m the rank is its own
+    dual and the integrals are a palindrome in k, so top = kappa/2: that
+    half is summed and checked for exact division, and it is returned
+    followed by its mirror, kappa + 1 entries as at any other rank.
     """
     big_k = profile_length(m, n, r) - 1
     kappa = 2 * r * (m - r)
+    top = kappa // 2 if 2 * r == m else kappa
     xs = [2 * j - (n - 1) for j in range(n)]
     ys = [(m - 1) - 2 * l for l in range(m)]
     walk = _revolving_door(n, r)
@@ -238,14 +246,14 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
             halves.append((sub, 1 if sub == mirror else 2))
     e2 = [_euler(sub, ys) for sub, _ in halves]
     l2 = lcm(*e2)
-    totals = [0] * (kappa + 1)
+    totals = [0] * (top + 1)
     for (sub, count), e in zip(halves, e2):
         sub2 = [ys[l] for l in sub]
         quot2 = [y for l, y in enumerate(ys) if l not in sub]
-        hq = _reweight([1] + [0] * kappa, (), [x + y for x in quot1 for y in quot2])
+        hq = _reweight([1] + [0] * top, (), [x + y for x in quot1 for y in quot2])
         hs = _reweight([1] + [0] * big_k, (), [x + y for x in sub1 for y in sub2])
         keep_q, keep_s = _unpartnered(quot2, shifts), _unpartnered(sub2, shifts)
-        acc = [0] * (kappa + 1)
+        acc = [0] * (top + 1)
         for swap, w1 in moves:
             if swap:
                 x_out, x_in = swap
@@ -263,7 +271,8 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
             f"denominator {denom}: {totals}"
         )
     sign = (-1) ** big_k
-    return tuple(sign * (total // denom) for total in totals)
+    half = tuple(sign * (total // denom) for total in totals)
+    return half + half[top - 1::-1] if top < kappa else half
 
 
 def _schubert_integrals(m: int, n: int, r: int) -> list:

@@ -396,3 +396,24 @@ class TestCriterion8Properties:
             assert hashlib.sha256(done.stdout).hexdigest() == digest
 
         check("8h", "reproduce_tables.py output byte-identical", 120, body)
+
+    @pytest.mark.parametrize("closed", ["at start", "after one line"])
+    def test_reproduced_tables_survive_a_closed_pipe(self, tmp_path, closed):
+        # ``reproduce_tables.py | head -1``: the reader goes away after the
+        # first line, or before any; unbuffered, so the section titles meet
+        # the closed pipe themselves, and the script still exits 0
+        script = Path(__file__).parent.parent / "scripts" / "reproduce_tables.py"
+        env = dict(os.environ, DETLINKS_CACHE=str(tmp_path), PYTHONUNBUFFERED="1")
+        read_end, write_end = os.pipe()
+        if closed == "at start":
+            os.close(read_end)
+        try:
+            proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                    stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        if closed == "after one line":
+            with os.fdopen(read_end, "rb") as reader:
+                assert reader.readline() == b"## polar multiplicities of 2 x n matrices\n"
+        err = proc.communicate(timeout=120)[1]
+        assert (proc.returncode, err) == (0, b"")

@@ -161,6 +161,9 @@ class TestRoutesAgree:
         # cells where the fold onto rank m - r and the truncation at
         # 2r(m - r) do the work
         (3, 25, 2), (4, 14, 3), (5, 9, 4), (5, 10, 3), (6, 8, 5), (6, 9, 4),
+        # self-dual cells past the tables, where the mirror of the degrees
+        # k <= kappa/2 gives the rest
+        (2, 20, 1), (4, 14, 2), (6, 8, 3), (6, 9, 3),
         # the hardest tabulated cells
         (7, 8, 3), (7, 8, 4), (6, 12, 3),
     ]
@@ -399,3 +402,23 @@ class TestSwapCancellation:
         compute_polar_profile(6, 7, 3)
         # the full removed and added lists of every swap apply 2250 pairs
         assert sum(pairs) == 1690
+
+
+class TestSelfDualRank:
+    """At 2r = m only the degrees k <= kappa/2 are summed; the rest mirror them."""
+
+    @pytest.mark.parametrize("cell, updates", [((6, 7, 3), 26860), ((4, 5, 2), 1224)],
+                             ids=["6,7,3", "4,5,2"])
+    def test_quotient_series_stop_at_half_kappa(self, monkeypatch, cell, updates):
+        reweight = polar._reweight
+        counted = []
+
+        def spy(h, removed, added):
+            applied = sum(a != b for a, b in zip_longest(removed, added, fillvalue=0))
+            counted.append(len(h) * applied)
+            return reweight(h, removed, added)
+
+        monkeypatch.setattr(polar, "_reweight", spy)
+        compute_polar_profile(*cell)
+        # quotient series that run to kappa make 34600 and 1552 updates
+        assert sum(counted) == updates
