@@ -23,7 +23,6 @@ from .links import (
     smoothing_bounds,
 )
 from .partitions import (
-    as_partition,
     conjugate,
     partitions_in_box,
     weight,

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from contextlib import suppress
 from pathlib import Path
 
+from .errors import report
 from .polar import PolarProfile, _validate_params, profile_length, sign_record
 
 CACHE_VERSION = 2
@@ -73,10 +73,6 @@ class CacheFile:
 
     def put(self, profile: PolarProfile):
         self.entries[self.key(profile.m, profile.n, profile.r)] = profile
-
-
-def warn(msg: str):
-    print(f"detlinks: warning: {msg}", file=sys.stderr)
 
 
 def _values(texts) -> tuple:
@@ -176,25 +172,26 @@ def cache_load() -> CacheFile:
     except FileNotFoundError:
         return CacheFile()
     except (OSError, ValueError) as exc:
-        warn(f"ignoring unreadable cache {path}: {exc}")
+        report("warning", f"ignoring unreadable cache {path}: {exc}")
         return CacheFile()
     try:
         if raw["version"] != CACHE_VERSION:
-            warn(
+            report(
+                "warning",
                 f"ignoring cache {path} with version {raw['version']} "
                 f"(current is {CACHE_VERSION})"
             )
             return CacheFile()
         items = raw["entries"].items()
     except (KeyError, TypeError, AttributeError) as exc:
-        warn(f"ignoring malformed cache {path}: {exc}")
+        report("warning", f"ignoring malformed cache {path}: {exc}")
         return CacheFile()
     entries = {}
     for key, val in items:
         try:
             entries[key] = _parse_entry(key, val)
         except (KeyError, TypeError, ValueError) as exc:
-            warn(f"dropping cache entry {key!r} of {path}: {exc}")
+            report("warning", f"dropping cache entry {key!r} of {path}: {exc}")
     return CacheFile(entries)
 
 
@@ -219,7 +216,7 @@ def cache_store(cache: CacheFile):
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
-        warn(f"could not write cache {path}: {exc}")
+        report("warning", f"could not write cache {path}: {exc}")
     else:
         if all(_parses_back(key, prof) for key, prof in entries.items()):
             _written = (text, entries)

@@ -15,7 +15,9 @@ error (for example a non-smooth link), 4 internal consistency failure (a
 computed profile failing a closed form or holding a negative value, an
 inexact Bott division, a --verify mismatch, a negative middle Betti number).
 A reader that closes stdout early does not change the exit code: the rest
-of the output is discarded.
+of the output is discarded.  A closed stderr drops the warning and error
+lines and changes neither the exit code nor stdout: ``errors.report``
+writes them all, and ``main`` opens /dev/null for a stderr closed at start.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import sys
 
 from . import links as links_mod
 from . import polar as polar_mod
-from .cache import CacheFile, cache_load, cache_path, cache_store, warn
-from .errors import ConsistencyError, DomainError
+from .cache import CacheFile, cache_load, cache_path, cache_store
+from .errors import ConsistencyError, DomainError, report
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
 from .polar import certify_polar_profile, compute_polar_profile
 
@@ -123,7 +125,7 @@ def _gather_profiles(cells, verify: bool, jobs: int):
             try:
                 polar_mod._check_closed_forms(*cell, cached.values)
             except ConsistencyError as exc:
-                warn(f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
+                report("warning", f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
                 del cache.entries[CacheFile.key(*cell)]
                 cached = None
             else:
@@ -327,7 +329,7 @@ def cmd_cache(args) -> int:
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
-            print(f"detlinks: error: could not clear the cache: {exc}", file=sys.stderr)
+            report("error", f"could not clear the cache: {exc}")
             return 1
         _emit(f"cleared {path}")
         return 0
@@ -400,17 +402,19 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:  # argparse would print its usage errors to stdout
+        sys.stderr = open(os.devnull, "w")
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:
-        print(f"detlinks: usage error: {exc}", file=sys.stderr)
+        report("usage error", exc)
         return 2
     except DomainError as exc:
-        print(f"detlinks: error: {exc}", file=sys.stderr)
+        report("error", exc)
         return 3
     except ConsistencyError as exc:
-        print(f"detlinks: consistency failure: {exc}", file=sys.stderr)
+        report("consistency failure", exc)
         return 4
 
 

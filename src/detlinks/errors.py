@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types and the one diagnostic writer shared across the package."""
+
+import sys
+
+
+def report(kind: str, msg):
+    """Write the line ``detlinks: <kind>: <msg>`` to stderr, flushed.  A closed
+    stderr drops the line: ``sys.stderr`` is None when fd 2 was closed at
+    start, and a write raises OSError when fd 2 is not writable.  So a
+    diagnostic never changes a command's exit code or its stdout."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(f"detlinks: {kind}: {msg}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 class DomainError(ValueError):

@@ -12,6 +12,12 @@ partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis, by powers of the total Chern
 classes of the tautological bundles, which are given in closed form.
 
+This ring is an internal of the certifier, and it trusts its callers as
+``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m, the
+two factors of ``mul`` share one spec, and every key is a partition inside
+the spec's box.  Nothing here checks that.  ``polar._profile`` checks
+(m, n, r) before the certifier builds any spec.
+
 The tests certify the Pieri/Giambelli products against the presentation
 Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every m <= 8 with one
 Hermite normal form per degree up to dim + r; neither side trusts the other.
@@ -23,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .errors import DomainError
-from .partitions import as_partition, weight
+from .partitions import weight
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,6 @@ class GrassSpec:
 
     r: int
     m: int
-
-    def __post_init__(self):
-        if not 0 <= self.r <= self.m:
-            raise DomainError(f"need 0 <= r <= m, got r={self.r}, m={self.m}")
 
     @property
     def cols(self) -> int:
@@ -120,12 +121,13 @@ def _pieri(rows: int, cols: int, lam: tuple, k: int):
     def place(i, budget, acc):
         if i == rows:
             if budget == 0:
-                out.append(as_partition(acc))
+                out.append(acc)
             return
         low = padded[i]
         high = cols if i == 0 else padded[i - 1]
         for v in range(low, min(high, low + budget) + 1):
-            place(i + 1, budget - (v - low), acc + (v,))
+            # zeros come last, so skipping them drops the trailing zeros
+            place(i + 1, budget - (v - low), acc + (v,) if v else acc)
 
     place(0, k, ())
     return tuple(out)
@@ -175,8 +177,6 @@ def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
 
 def mul(a: SparseElement, b: SparseElement) -> SparseElement:
     """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched ring specs {a.spec} and {b.spec}")
     rows, cols = a.spec.r, a.spec.cols
     acc = {}
     for lam, c1 in a.coords.items():

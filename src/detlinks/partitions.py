@@ -16,25 +16,12 @@ from functools import lru_cache
 Partition = tuple
 
 
-def as_partition(parts) -> Partition:
-    """Normalize ``parts`` into a partition tuple.
-
-    Trailing zeros are dropped; anything not weakly decreasing and positive
-    is rejected.
-
-    >>> as_partition([3, 1, 0])
-    (3, 1)
-    """
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if p and (p[-1] < 0 or any(p[i] < p[i + 1] for i in range(len(p) - 1))):
-        raise ValueError(f"not a partition: {parts!r}")
-    return p
-
-
 def weight(p: Partition) -> int:
-    """Number of boxes of the Young diagram."""
+    """Number of boxes of the Young diagram.
+
+    >>> weight((3, 1))
+    4
+    """
     return sum(p)
 
 
@@ -49,22 +36,16 @@ def conjugate(p: Partition) -> Partition:
     return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
 
 
-def fits_in_box(p: Partition, rows: int, cols: int) -> bool:
-    """Whether ``p`` has at most ``rows`` parts, each at most ``cols``."""
-    return len(p) <= rows and (not p or p[0] <= cols)
-
-
 def box_complement(p: Partition, rows: int, cols: int) -> Partition:
-    """Complement of ``p`` inside the rows x cols rectangle, rotated by 180 degrees.
+    """Complement of ``p`` inside the rows x cols rectangle, rotated by 180
+    degrees.  ``p`` must fit in the box; nothing checks it.  A full row of
+    ``p`` leaves an empty row, so those parts are dropped.
 
     >>> box_complement((2,), 2, 3)
     (3, 1)
     """
-    if not fits_in_box(p, rows, cols):
-        raise ValueError(f"{p} does not fit in a {rows}x{cols} box")
     padded = p + (0,) * (rows - len(p))
-    comp = tuple(cols - padded[rows - 1 - i] for i in range(rows))
-    return as_partition(comp)
+    return tuple(cols - part for part in reversed(padded) if part < cols)
 
 
 def _descending(w, max_part, max_len):

@@ -15,7 +15,9 @@ integers; ``certify_polar_profile`` (certifier) pairs the Segre series of
 both tensor bundles in the Schubert basis by box complement.  Those series
 come in closed form from Lascoux's class c(S1 (x) Q2) times a power of one
 factor's Chern class (``tensor_calculus``), with no torus weights and no
-fixed points, so the routes share nothing but the normalizer.
+fixed points, so the routes share nothing but the normalizer ``_profile``,
+which checks (m, n, r) before either route runs; the certifier's modules
+import nothing from this one.
 ``_schubert_integrals`` imports ``tensor_calculus`` on the certifier's first
 call, so loading this module and running production load no Schubert
 calculus.

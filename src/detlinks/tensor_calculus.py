@@ -32,6 +32,12 @@ All four series come in closed form from two finite classes:
   recursive, and the one memo keeps the last Lascoux class, which both Segre
   series of one cell share.
 
+``ProdSpec``, ``mul_prod`` and ``pair_prod`` trust their callers as
+``grass_ring`` does: a spec has 0 <= r <= m <= n, the operands of a
+product share one spec, and every key is a pair of partitions inside the
+factor boxes.  ``polar._profile`` checks (m, n, r) before the certifier
+builds a spec, and this module imports nothing from ``polar``.
+
 The tests certify the Chern series against a Chern-root expansion into
 universal polynomials in the factor Chern classes (``tests/oracles.py``),
 at small scale because it blows up with the ranks.  The Bott route in
@@ -53,7 +59,6 @@ from .grass_ring import (
     total_chern_sub,
 )
 from .partitions import box_complement, conjugate, partitions_in_box, weight
-from .polar import _validate_params
 
 SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
@@ -66,9 +71,6 @@ class ProdSpec:
     r: int
     n: int
     m: int
-
-    def __post_init__(self):
-        _validate_params(self.m, self.n, self.r)
 
     @property
     def factor1(self) -> GrassSpec:
@@ -89,8 +91,6 @@ class ProdSpec:
 
 def mul_prod(a: SparseElement, b: SparseElement) -> SparseElement:
     """Factorwise product with truncation outside either box."""
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
     r = a.spec.r
     cols1, cols2 = a.spec.n - r, a.spec.m - r
     acc = {}
@@ -121,8 +121,6 @@ def pair_prod(a: SparseElement, b: SparseElement) -> int:
     only b's coefficient at the factorwise complement of each key of a
     contributes.
     """
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched product specs {a.spec} and {b.spec}")
     r = a.spec.r
     cols1, cols2 = a.spec.n - r, a.spec.m - r
     total = 0

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from detlinks import polar
 from detlinks.grass_ring import GrassSpec, SparseElement
-from detlinks.partitions import as_partition, fits_in_box, partitions_in_box
+from detlinks.partitions import partitions_in_box
 from detlinks.tensor_calculus import ProdSpec
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import as_partition, fits_in_box  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -31,11 +31,13 @@ served commands.
   blows up with the ranks, so it runs at small scale only.
 
 Neither side trusts the other: each reference reaches its numbers without
-the route it certifies.  ``schubert``, ``schubert_pair``, ``prod_unit``,
-``constant``, ``integrate`` and ``weighted_degree`` build and read single
-classes for the tests; ``SparseElement`` checks no key, so they take
-partitions inside the box.  ``chern_list_sub`` and ``chern_list_quot``
-split the total Chern classes of ``grass_ring`` into their degrees.
+the route it certifies.  ``as_partition`` and ``fits_in_box`` state what a
+canonical key inside a box is, for the tests' key checks.  ``schubert``,
+``schubert_pair``, ``prod_unit``, ``constant``, ``integrate`` and
+``weighted_degree`` build and read single classes for the tests;
+``SparseElement`` checks no key, so they take partitions inside the box.
+``chern_list_sub`` and ``chern_list_quot`` split the total Chern classes of
+``grass_ring`` into their degrees.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from detlinks.grass_ring import (
     total_chern_sub,
 )
 from detlinks.links import DetSpec, egz_factor, link_strata
-from detlinks.partitions import as_partition, conjugate, fits_in_box, weight
+from detlinks.partitions import conjugate, weight
 from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
@@ -155,6 +157,22 @@ def grassmann_relations(spec: GrassSpec) -> list:
 # ---------------------------------------------------------------------------
 # single classes
 # ---------------------------------------------------------------------------
+
+def as_partition(parts) -> tuple:
+    """Normalize ``parts`` into a partition tuple: trailing zeros are
+    dropped, and anything not weakly decreasing and positive is rejected."""
+    p = tuple(int(x) for x in parts)
+    while p and p[-1] == 0:
+        p = p[:-1]
+    if p and (p[-1] < 0 or any(p[i] < p[i + 1] for i in range(len(p) - 1))):
+        raise ValueError(f"not a partition: {parts!r}")
+    return p
+
+
+def fits_in_box(p: tuple, rows: int, cols: int) -> bool:
+    """Whether ``p`` has at most ``rows`` parts, each at most ``cols``."""
+    return len(p) <= rows and (not p or p[0] <= cols)
+
 
 def schubert(spec: GrassSpec, lam) -> SparseElement:
     """The Schubert class of the partition lam; ``schubert(spec, ())`` is the unit."""

@@ -195,6 +195,19 @@ class TestPolarCommand:
         assert inline_pool.sizes == []
         assert not cache_path().exists()
 
+    def test_bad_cell_under_verify_runs_neither_route(self, capsys, monkeypatch):
+        called = []
+
+        def route(m, n, r):
+            called.append((m, n, r))
+            raise AssertionError("a rejected cell reached a route")
+
+        monkeypatch.setattr(cli, "compute_polar_profile", route)
+        monkeypatch.setattr(cli, "certify_polar_profile", route)
+        code, out, err = run(capsys, "polar", "--m", "4", "--n", "3", "--r", "2", "--verify")
+        assert (code, out, called) == (3, "", [])
+        assert err == "detlinks: error: need 0 <= r <= m <= n, got m=4, n=3, r=2\n"
+
     def test_one_cache_lookup_per_cell(self, capsys, monkeypatch):
         lookups = []
         get = CacheFile.get
@@ -971,6 +984,51 @@ class TestCache:
                        "entry 3000,3000,1500 has 1 values, not 4500001\n")
         assert "3,4,2" in out and "3000,3000,1500" not in out
         assert built == [(3, 4, 2)]
+
+
+class TestClosedStderr:
+    """A closed stderr drops the warning and error lines and nothing else: the
+    exit code and the stdout bytes are those of the same run with stderr open."""
+
+    FAILING_ENTRY = json.dumps(
+        {"version": cache_module.CACHE_VERSION,
+         "entries": {"2,3,1": {"values": ["3", "4", "3", "1"]}}})  # alternating sum 1
+    CASES = {
+        "domain": ("euler --m 3 --n 4 --s 3 --codim 99", None, 3, ""),
+        "usage": ("euler --hilbert-burch", None, 2, ""),
+        "argparse": ("polar --m 2", None, 2, ""),
+        "failing-entry": ("polar --m 2 --n 3 --r 1", FAILING_ENTRY, 0, "| 2 x 3 | 3 | 4 | 3 |"),
+        "garbage-cache": ("polar --m 2 --n 3 --r 1", "garbage", 0, "| 2 x 3 | 3 | 4 | 3 |"),
+    }
+
+    @staticmethod
+    def _run(argv: str, cache_text, cache_dir: Path, stderr: str):
+        """Run the command in a fresh process on a fresh cache.  ``stderr`` is
+        "open" (a pipe), "closed" (fd 2 closed at start, so ``sys.stderr`` is
+        None) or "read-only" (fd 2 open for reading, so every write fails)."""
+        cache_dir.mkdir()
+        if cache_text is not None:
+            (cache_dir / cache_module.CACHE_FILENAME).write_text(cache_text)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(cache_dir))
+        command = [sys.executable, "-m", "detlinks.cli", *argv.split()]
+        if stderr == "read-only":
+            with open(__file__, "rb") as unwritable:
+                return subprocess.run(command, env=env, stdout=subprocess.PIPE,
+                                      stderr=unwritable)
+        return subprocess.run(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE if stderr == "open" else None,
+                              preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_stdout_unchanged(self, tmp_path, case, stderr):
+        argv, cache_text, code, line = self.CASES[case]
+        opened = self._run(argv, cache_text, tmp_path / "open", "open")
+        assert opened.returncode == code and opened.stderr  # each case writes a diagnostic
+        assert line.encode() in opened.stdout and bool(line) == bool(opened.stdout)
+        shut = self._run(argv, cache_text, tmp_path / "shut", stderr)
+        assert (shut.returncode, shut.stdout) == (code, opened.stdout)
 
 
 class TestRecordedOutputs:

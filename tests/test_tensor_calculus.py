@@ -49,11 +49,6 @@ class TestProductRing:
         got = mul_prod(pair(P23, (1,), (1,)), pair(P23, (1,), ()))
         assert got == pair(P23, (2,), (1,))
 
-    def test_spec_mismatch_raises(self):
-        other = ProdSpec(1, 4, 2)
-        with pytest.raises(ValueError):
-            mul_prod(prod_unit(P23), prod_unit(other))
-
     def test_integrate_box(self):
         assert integrate_prod(pair(P23, (2,), (1,))) == 1
 
@@ -66,9 +61,21 @@ class TestProductRing:
     def test_integrate_non_top_is_zero(self):
         assert integrate_prod(pair(P23, (1,), (1,))) == 0
 
-    def test_invalid_spec_order(self):
-        with pytest.raises(DomainError):
-            ProdSpec(1, 2, 3)  # needs m <= n
+    def test_certifier_rejects_a_bad_cell_before_building_a_spec(self, monkeypatch):
+        # ProdSpec checks nothing: polar._profile checks (m, n, r) first
+        built = []
+
+        def spy(r, n, m, _real=ProdSpec):
+            built.append((r, n, m))
+            return _real(r, n, m)
+
+        monkeypatch.setattr(tensor_calculus, "ProdSpec", spy)
+        for cell in [(4, 3, 2), (3, 4, 4)]:  # m > n, then r > m
+            with pytest.raises(DomainError, match="need 0 <= r <= m <= n"):
+                certify_polar_profile(*cell)
+        assert built == []
+        certify_polar_profile(2, 3, 1)
+        assert built == [(1, 3, 2)]
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(
