@@ -20,7 +20,6 @@ from .links import (
     euler_complex_link,
     grass_betti,
     hilbert_burch_chi_table,
-    smoothing_bounds,
 )
 from .partitions import (
     conjugate,

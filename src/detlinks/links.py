@@ -8,6 +8,16 @@ polar multiplicities; for i at or above the dimension of the singular locus
 the links are smooth and the cohomology below the middle degree is that of
 Grass(s-1, m), which pins every Betti number once the Euler characteristic
 is known.
+
+Reading a smoothing's Betti numbers: an isolated, smoothable determinantal
+singularity of type (m, n, s) in C^p has dimension D = p - (m-s+1)(n-s+1).
+Its smoothing M is a bouquet of the codimension-i link L with spheres S^D,
+where i = mn - p - 1 = d - D - 1, and that i is in ``smooth_range()``
+exactly when p < (m-s+2)(n-s+2).  So ``betti --codim i`` prints b_0..b_D of
+L, with b_k(M) = b_k(L) for k < D and b_D(M) = b_D(L) + (number of
+spheres).  The three coordinate axes in C^3 are a generic section of type
+(2, 3, 2), so M = L: i = 2, and (1, 2) holds the curve's Milnor number
+b_1 = 2 delta - branches + 1 = 2.
 """
 
 from __future__ import annotations
@@ -165,7 +175,7 @@ def betti_smooth_complex_link(spec: DetSpec, i: int,
 
 
 # ---------------------------------------------------------------------------
-# smoothing bounds and the square-ish (m, m+1, m) family
+# the square-ish (m, m+1, m) family
 # ---------------------------------------------------------------------------
 
 def hilbert_burch_chi_table(max_m: int, profile=compute_polar_profile) -> list:
@@ -194,26 +204,3 @@ def hilbert_burch_chi_table(max_m: int, profile=compute_polar_profile) -> list:
                 row.append(0)
         rows.append(row)
     return rows
-
-
-_BOUNDS = {"curve": (4, -1, -1), "surface": (5, 1, -2), "threefold": (6, -1, -2)}
-
-
-def smoothing_bounds(m: int, dim_kind: str) -> int:
-    """Lower bound for the interesting Betti number of a determinantal
-    smoothing cut out by an m x (m+1) matrix:
-
-    * threefold: b_3 >= -chi(L^(m(m+1)-6)) - 2
-    * surface:   b_2 >=  chi(L^(m(m+1)-5)) - 2
-    * curve:     b_1 >= -chi(L^(m(m+1)-4)) - 1
-    """
-    if dim_kind not in _BOUNDS:
-        raise DomainError(f"dim_kind must be one of {tuple(_BOUNDS)}")
-    offset, sign, constant = _BOUNDS[dim_kind]
-    spec = DetSpec(m, m + 1, m)
-    i = m * (m + 1) - offset
-    try:
-        spec.check_codim(i)
-    except DomainError as exc:
-        raise DomainError(f"no {dim_kind} link for m={m}: {exc}") from None
-    return sign * euler_complex_link(spec, i) + constant

@@ -7,7 +7,9 @@ full profiles continue with zeros up to k = (m+n)r - 2r^2.
 The published right-hand halves of the 3 x n table were filled by the rank
 duality, and four printed digits contradict it (the computed values agree
 with the left half and with each other); those printed values are kept in
-PRINTED_3N_R2_OVERRIDES so the tests can flag them explicitly.
+PRINTED_3N_R2_OVERRIDES so the tests can flag them explicitly.  One printed
+Euler characteristic of the Hilbert-Burch family contradicts the published
+polar row it is summed from; it is kept in PRINTED_EULER_HB_OVERRIDES.
 """
 
 # e_{2,n}^{1,k}, nonzero part k = 0..2
@@ -109,6 +111,13 @@ EULER_HB = [
     (0, 2, 17, 75, 220, 511, 1022, 1842, 3075, 4840),
     (0, 2, -7, -101, -476, -1505, -3794, -9138, -16077, -28952),
 ]
+
+# Printed EULER_HB entries that contradict the published HILBERT_BURCH rows:
+# {(d, m): printed_value}.  Every other entry with m >= 2 is the alternating
+# sum of HILBERT_BURCH[m][:d + 1], and so is the computed value.
+PRINTED_EULER_HB_OVERRIDES = {
+    (3, 8): -9138,  # 36 - 336 + 2142 - 10080 = -8238
+}
 
 
 def padded_profile(nonzero, m, n, r):

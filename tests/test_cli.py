@@ -410,6 +410,14 @@ class TestBettiCommand:
         payload = json.loads(out)
         assert payload["links"][0]["betti"] == ["1", "0", "1", "0"]
 
+    def test_three_coordinate_axes(self, capsys):
+        # the generic curve of type (2, 3, 2) in C^3 smooths to the link at
+        # codimension 2, and b_1 is its Milnor number 2 delta - branches + 1 = 2
+        code, out, _ = run(capsys, "betti", "--m", "2", "--n", "3", "--s", "2",
+                           "--codim", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["links"][0]["betti"] == ["1", "2"]
+
     def test_non_smooth_is_exit_3(self, capsys):
         code, _, err = run(capsys, "betti", "--m", "3", "--n", "4", "--s", "3",
                            "--codim", "5")

@@ -9,7 +9,6 @@ from detlinks.links import (
     euler_complex_link,
     grass_betti,
     hilbert_burch_chi_table,
-    smoothing_bounds,
 )
 from detlinks.polar import compute_polar_profile
 
@@ -190,39 +189,53 @@ class TestBetti:
                         )
 
 
+@pytest.fixture(scope="module")
+def hb_rows():
+    return hilbert_burch_chi_table(10)
+
+
 class TestHilbertBurchTable:
-    def test_chi_table(self):
-        rows = hilbert_burch_chi_table(6)
+    def test_chi_table(self, hb_rows):
         for d in range(4):
-            assert tuple(rows[d]) == ref.EULER_HB[d][:6], f"row d={d}"
+            for m in range(1, 11):
+                if (d, m) not in ref.PRINTED_EULER_HB_OVERRIDES:
+                    assert hb_rows[d][m - 1] == ref.EULER_HB[d][m - 1], (d, m)
+
+    def test_printed_misprint_is_flagged(self, hb_rows):
+        for (d, m), printed in ref.PRINTED_EULER_HB_OVERRIDES.items():
+            computed = hb_rows[d][m - 1]
+            assert ref.EULER_HB[d][m - 1] == printed
+            assert computed != printed, (
+                f"d={d}, m={m}: computed value agrees with the printed {printed}, "
+                "which was expected to be a misprint")
+            assert computed == sum(
+                (-1) ** k * e for k, e in enumerate(ref.HILBERT_BURCH[m][:d + 1]))
+        # the computed threefold row is a quintic in m over m = 2..10
+        row = hb_rows[3][1:]
+        for _ in range(5):
+            row = [b - a for a, b in zip(row, row[1:])]
+        assert row == [-56] * 4
 
 
-class TestSmoothingBounds:
-    def test_threefold_bound(self):
-        assert smoothing_bounds(3, "threefold") == 5
+class TestSmoothingLinks:
+    """The links a smoothing of dimension D = 1..3 of an (m, m+1, m) germ
+    reads: codimension i = m(m+1) - D - 3 (the ``links`` docstring)."""
 
-    def test_surface_bound(self):
-        assert smoothing_bounds(3, "surface") == 15
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_link_is_smooth_of_middle_degree_d(self, m, hb_rows):
+        spec = DetSpec(m, m + 1, m)
+        for dim in (1, 2, 3):
+            i = m * (m + 1) - dim - 3
+            assert i in spec.smooth_range()
+            prof = betti_smooth_complex_link(spec, i)
+            assert prof.middle == dim
+            assert prof.chi == hb_rows[dim][m - 1]
+            assert prof.betti[:dim] == (1, 0, 1)[:dim]
 
-    def test_curve_bound(self):
-        assert smoothing_bounds(2, "curve") == 0
-
-    def test_bad_kind(self):
-        with pytest.raises(DomainError):
-            smoothing_bounds(3, "fourfold")
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            smoothing_bounds(1, "threefold")
-
-    def test_out_of_range_names_the_kind(self):
-        with pytest.raises(DomainError) as err:
-            smoothing_bounds(1, "threefold")
-        assert str(err.value) == (
-            "no threefold link for m=1: the germ of DetSpec(m=1, n=2, s=1) "
-            "is a point and has no complex links"
-        )
-
-    def test_no_germ_below_m_1(self):
-        with pytest.raises(DomainError, match="need 1 <= s <= m <= n"):
-            smoothing_bounds(0, "curve")
+    # (2, curve) is the link of the three coordinate axes in C^3, whose
+    # Milnor number is 2 delta - branches + 1 = 2 * 2 - 3 + 1 = 2
+    @pytest.mark.parametrize("m, dim, middle", [(2, 1, 2), (3, 2, 16), (3, 3, 9)],
+                             ids=["2-curve", "3-surface", "3-threefold"])
+    def test_middle_betti_number(self, m, dim, middle):
+        prof = betti_smooth_complex_link(DetSpec(m, m + 1, m), m * (m + 1) - dim - 3)
+        assert prof.betti[dim] == middle

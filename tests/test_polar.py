@@ -144,7 +144,7 @@ class TestAgainstPublishedRows:
             ref.POLAR_4N_R2[n], 4, n, 2
         )
 
-    @pytest.mark.parametrize("m", range(2, 6))
+    @pytest.mark.parametrize("m", range(2, 11))
     def test_hilbert_burch_rows(self, m):
         expected = ref.padded_profile(ref.HILBERT_BURCH[m], m, m + 1, m - 1)
         assert compute_polar_profile(m, m + 1, m - 1).values == expected

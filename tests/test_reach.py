@@ -7,33 +7,27 @@ A module-level ``def``, ``class`` or assignment in ``src/detlinks/*.py``
 an import alias, or a string constant equal to the name (which covers
 ``getattr`` and patch targets).  The package root's re-exports do not
 count, so exporting a name does not make it reached, and tests do not
-count: a helper only the tests call belongs in ``tests/oracles.py``.
-``LIBRARY_API`` names the few library functions that are exported but
-served by no command yet.  A module-level name of ``tests/oracles.py`` is
-used when a file under ``tests/``, ``oracles.py`` included, references it
-the same way.
+count: a helper only the tests call belongs in ``tests/oracles.py``.  A
+module-level name of ``tests/oracles.py`` is used when a file under
+``tests/``, ``oracles.py`` included, references it the same way.
 
 A method or property defined in a module-level class of the package
 (dunders excepted) is reached when a file under the shipped directories
 reads it as ``.name`` outside the member's own body.  An override of a name
 that a base class outside the package defines (``DetSpec._make`` of the
-named tuple) is exempt: that base calls it.  References match by name
-alone, so a common name read off another object also counts; the check
-catches a member that no shipped code names at all.
+named tuple, ``error`` of an ``argparse.ArgumentParser``) is exempt: that
+base calls it.  A base is evaluated in the scope of its module's imports.
+References match by name alone, so a common name read off another object
+also counts; the check catches a member that no shipped code names at all.
 """
 import ast
-from collections import defaultdict, namedtuple
+import importlib
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ("src", "scripts", "perfbench")
 PACKAGE_ROOT = Path("src", "detlinks", "__init__.py")
-
-#: ``module:name`` -> why the name stays although no shipped code reaches it
-LIBRARY_API = {
-    "links:smoothing_bounds": "the documented library answer nearest the paper's "
-    "headline; library API until a command serves it",
-}
 
 
 def defined_names(tree: ast.Module):
@@ -121,13 +115,33 @@ def attribute_uses(paths) -> dict:
     return uses
 
 
-def _external_names(cls: ast.ClassDef, package_classes: set) -> set:
+def _imported(tree: ast.Module) -> dict:
+    """The names a module's top-level absolute imports bind, to the objects
+    they bind; ``tests/test_imports.py`` keeps those to the standard library."""
+    scope = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = importlib.import_module(alias.name)
+                if alias.asname is None:
+                    top = alias.name.partition(".")[0]
+                    scope[top] = importlib.import_module(top)
+                else:
+                    scope[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                scope[alias.asname or alias.name] = getattr(module, alias.name)
+    return scope
+
+
+def _external_names(cls: ast.ClassDef, package_classes: set, scope: dict) -> set:
     """The names the bases of ``cls`` from outside the package define; a
-    base is evaluated from its source, with ``namedtuple`` in scope."""
+    base is evaluated from its source, in ``scope``."""
     names = set()
     for base in cls.bases:
         if not (isinstance(base, ast.Name) and base.id in package_classes):
-            names.update(dir(eval(ast.unparse(base), {"namedtuple": namedtuple})))
+            names.update(dir(eval(ast.unparse(base), scope)))
     return names
 
 
@@ -140,11 +154,12 @@ def unreached_members(root: Path) -> list:
     package_classes = {cls.name for tree in trees.values() for cls, _ in _members(tree)}
     out = []
     for path, tree in trees.items():
+        scope = _imported(tree)
         for cls, member in _members(tree):
             name = member.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in _external_names(cls, package_classes):
+            if name in _external_names(cls, package_classes, scope):
                 continue
             if not uses[name] - {(path, cls.name, name)}:
                 out.append(f"{path.stem}:{cls.name}.{name}")
@@ -159,7 +174,7 @@ def unused_oracles(root: Path) -> list:
 
 
 def test_every_module_level_name_is_reached():
-    assert unreached(ROOT) == list(LIBRARY_API)
+    assert unreached(ROOT) == []
 
 
 def test_a_helper_only_its_definition_names_is_unreached(tmp_path):
@@ -192,6 +207,7 @@ def test_a_member_only_its_own_body_or_the_tests_read_is_unreached(tmp_path):
     package = tmp_path / "src" / "detlinks"
     package.mkdir(parents=True)
     (package / "core.py").write_text(
+        "import argparse\n"
         "from collections import namedtuple\n"
         "class Point(namedtuple('Point', 'x y')):\n"
         "    @classmethod\n"
@@ -204,6 +220,9 @@ def test_a_member_only_its_own_body_or_the_tests_read_is_unreached(tmp_path):
         "    def __repr__(self):\n        return 'P'\n"
         "class Labeled(Point):\n"
         "    def label(self):\n        return 'p'\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n"
+        "    def unread(self):\n        return self.prog\n"
     )
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "tool.py").write_text(
@@ -212,7 +231,8 @@ def test_a_member_only_its_own_body_or_the_tests_read_is_unreached(tmp_path):
     (tmp_path / "tests" / "test_core.py").write_text(
         "from detlinks.core import Labeled\nLabeled(1, 2).tested()\nLabeled(1, 2).label()\n")
     assert unreached_members(tmp_path) == [
-        "core:Point.chain", "core:Point.tested", "core:Labeled.label"]
+        "core:Point.chain", "core:Point.tested", "core:Labeled.label",
+        "core:Parser.unread"]
 
 
 def test_every_oracle_name_is_used():
