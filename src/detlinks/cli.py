@@ -126,7 +126,6 @@ def _gather_profiles(cells, verify: bool, jobs: int):
                 polar_mod._check_closed_forms(*cell, cached.values)
             except ConsistencyError as exc:
                 report("warning", f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
-                del cache.entries[CacheFile.key(*cell)]
                 cached = None
             else:
                 out[cell] = cached
@@ -170,8 +169,7 @@ def _nonzero_width(profiles) -> int:
     width = 1
     for prof in profiles:
         nz = [k for k, v in enumerate(prof.values) if v]
-        if nz:
-            width = max(width, nz[-1] + 1)
+        width = max(width, nz[-1] + 1)
     return width
 
 

@@ -32,11 +32,13 @@ All four series come in closed form from two finite classes:
   recursive, and the one memo keeps the last Lascoux class, which both Segre
   series of one cell share.
 
-``ProdSpec``, ``mul_prod`` and ``pair_prod`` trust their callers as
-``grass_ring`` does: a spec has 0 <= r <= m <= n, the operands of a
-product share one spec, and every key is a pair of partitions inside the
-factor boxes.  ``polar._profile`` checks (m, n, r) before the certifier
-builds a spec, and this module imports nothing from ``polar``.
+``ProdSpec``, ``mul_prod``, ``pair_prod``, ``chern_tensor`` and
+``segre_tensor`` trust their callers as ``grass_ring`` does: a spec has
+0 <= r <= m <= n, the operands of a product share one spec, every key is a
+pair of partitions inside the factor boxes, a bundle is SUB_TENSOR or
+QUOT_TENSOR and a series degree is nonnegative.  ``polar._profile`` checks
+(m, n, r) before the certifier builds a spec, and this module imports
+nothing from ``polar``.
 
 The tests certify the Chern series against a Chern-root expansion into
 universal polynomials in the factor Chern classes (``tests/oracles.py``),
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError
 from .grass_ring import (
     GrassSpec,
     SparseElement,
@@ -208,50 +209,29 @@ def _times_power(coords: dict, factor: int, total: SparseElement, exponent: int)
     return out
 
 
-def _tensor_series(spec: ProdSpec, flavor: str, bundle: str, up_to: int) -> tuple:
-    """Chern or Segre series of a tensor bundle through degree up_to: one
-    Lascoux class times powers of factor total Chern classes, split by degree."""
-    if bundle not in (SUB_TENSOR, QUOT_TENSOR):
-        raise ValueError(f"unknown bundle tag {bundle!r}")
-    if flavor == "chern":
-        coords = _lascoux(spec, SUB_TENSOR).coords
-        if bundle == QUOT_TENSOR:
-            coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
-            coords = _times_power(coords, 1, total_chern_quot(spec.factor2), spec.n)
-    else:
-        coords = _lascoux(spec, QUOT_TENSOR).coords
-        if bundle == QUOT_TENSOR:
-            coords = _times_power(coords, 1, total_chern_sub(spec.factor2), spec.n)
-        else:
-            coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
-    terms = [{} for _ in range(up_to + 1)]
+def _by_degree(spec: ProdSpec, bundle: str, coords: dict, up_to: int) -> CharSeries:
+    """coords split by degree into dim G + 1 terms, kept through up_to."""
+    terms = [{} for _ in range(spec.dim + 1)]
     for key, c in coords.items():
-        k = weight(key[0]) + weight(key[1])
-        if k <= up_to:
-            terms[k][key] = c
-    return tuple(SparseElement(spec, t) for t in terms)
-
-
-def _clamp(spec: ProdSpec, up_to: int) -> int:
-    if up_to < 0:
-        raise DomainError("series degree must be nonnegative")
-    return min(up_to, spec.dim)
+        terms[weight(key[0]) + weight(key[1])][key] = c
+    return CharSeries(spec, bundle, tuple(SparseElement(spec, t) for t in terms[:up_to + 1]))
 
 
 def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
-    """Total Chern class of the tensor bundle, truncated at degree ``up_to``.
-
-    Requests above dim G are clamped: every class vanishes there anyway.
-    """
-    up_to = _clamp(spec, up_to)
-    return CharSeries(spec, bundle, _tensor_series(spec, "chern", bundle, up_to))
+    """Total Chern class of the tensor bundle through degree min(up_to, dim G)."""
+    coords = _lascoux(spec, SUB_TENSOR).coords
+    if bundle == QUOT_TENSOR:
+        coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
+        coords = _times_power(coords, 1, total_chern_quot(spec.factor2), spec.n)
+    return _by_degree(spec, bundle, coords, up_to)
 
 
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
-    """Segre series s = c(-E) of the tensor bundle, truncated at ``up_to``.
-
-    Built from c(S1 (x) Q2) without the Chern series; requests above dim G
-    are clamped as in chern_tensor.
-    """
-    up_to = _clamp(spec, up_to)
-    return CharSeries(spec, bundle, _tensor_series(spec, "segre", bundle, up_to))
+    """Segre series s = c(-E) of the tensor bundle through degree
+    min(up_to, dim G), built from c(S1 (x) Q2) without the Chern series."""
+    coords = _lascoux(spec, QUOT_TENSOR).coords
+    if bundle == QUOT_TENSOR:
+        coords = _times_power(coords, 1, total_chern_sub(spec.factor2), spec.n)
+    else:
+        coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
+    return _by_degree(spec, bundle, coords, up_to)

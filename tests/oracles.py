@@ -64,7 +64,6 @@ from detlinks.tensor_calculus import (
     SUB_TENSOR,
     CharSeries,
     ProdSpec,
-    _clamp,
 )
 
 
@@ -521,7 +520,7 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
     Slow and memory-hungry for large ranks; meant for cross-checking the
     Lascoux series at small scale.
     """
-    up_to = _clamp(spec, up_to)
+    up_to = min(up_to, spec.dim)
     c1, c2 = _factor_chern(spec, bundle)
     p, q = len(c1) - 1, len(c2) - 1
     terms = []

@@ -132,10 +132,6 @@ class TestChernTensor:
         for k in range(2, len(series)):  # rank of S1 x S2 is 1
             assert not series[k].coords
 
-    def test_unknown_bundle_tag(self):
-        with pytest.raises(ValueError):
-            chern_tensor(P23, "mystery", 1)
-
 
 class TestSegreTensor:
     def test_s1_is_minus_c1(self):
