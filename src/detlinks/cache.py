@@ -13,18 +13,19 @@ non-negative decimal strings, or whose length is not
 ``polar.profile_length`` is dropped alone, with a warning naming it and its
 first bad value.  The command line checks every cell it serves from the
 cache against the closed forms of ``polar._check_closed_forms`` (the degree,
-the alternating sum C(m, r), the nonzero range and no negative value) and
-drops and recomputes an entry that fails, with a warning naming it.  An edit
-that keeps every one of these invariants is caught only by a verify pass,
-which recomputes the digits through the independent Schubert route.  A
-served entry is trusted only within the command that served it: the command
-line passes it to that command's link sums as an argument.  The one process
-memo of whole profiles is the text of this process's last ``cache_store``
-and its entries: a load of a file that holds exactly that text returns a
-copy of them and parses nothing.  That is exact, because the store keeps
-them only when parsing its text gives back every entry unchanged
-(``_parses_back``), and the command line checks a served cell against the
-closed forms as it checks a parsed one.  The file format is unchanged.
+the alternating sum C(m, r), the nonzero range, no negative value and the
+alternating first moment r(m - r) C(m, r)) and drops and recomputes an entry
+that fails, with a warning naming it.  An edit that keeps every one of these
+invariants is caught only by a verify pass, which recomputes the digits
+through the independent Schubert route.  A served entry is trusted only
+within the command that served it: the command line passes it to that
+command's link sums as an argument.  The one process memo of whole profiles
+is the text of this process's last ``cache_store`` and its entries: a load
+of a file that holds exactly that text returns a copy of them and parses
+nothing.  That is exact, because the store keeps them only when parsing its
+text gives back every entry unchanged (``_parses_back``), and the command
+line checks a served cell against the closed forms as it checks a parsed
+one.  The file format is unchanged.
 """
 
 from __future__ import annotations
@@ -82,11 +83,12 @@ def _values(texts) -> tuple:
     digit)."""
     if type(texts) is not list:
         raise ValueError("values are not a list")
-    with suppress(TypeError):  # raised by join for an item that is not a string
+    try:  # the common case, checked in one pass; the join hides an empty item
         digits = "".join(texts)
-        # the common case, checked in one pass; the join hides an empty item
         if digits.isascii() and digits.isdigit() and all(texts):
             return tuple(map(int, texts))
+    except TypeError:  # raised by join for an item that is not a string
+        pass
     for text in texts:
         if not (isinstance(text, str) and text.isascii() and text.isdigit()):
             raise ValueError(f"value {text!r} is not a non-negative decimal string")
@@ -107,7 +109,7 @@ def _check_entry(key: str, m: int, n: int, r: int, values: tuple):
 
 
 def _parse_entry(key: str, raw) -> PolarProfile:
-    m, n, r = (int(x) for x in key.split(","))
+    m, n, r = map(int, key.split(","))
     values = _values(raw["values"])
     _check_entry(key, m, n, r, values)
     return PolarProfile(m, n, r, values, sign_record(m, n, r))

@@ -65,6 +65,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, pairwise, zip_longest
 from math import comb, lcm, prod
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 
@@ -292,23 +293,35 @@ def _schubert_integrals(m: int, n: int, r: int) -> list:
 def _check_closed_forms(m: int, n: int, r: int, values):
     """The zeroth value is the degree prod_i C(n+i, r) / C(r+i, r), i < m-r;
     the alternating sum is C(m, r); values[k] is nonzero exactly for
-    k <= 2r(m - r); no value is negative."""
+    k <= 2r(m - r); no value is negative; the alternating first moment
+    sum_k (-1)^k k values[k] is r(m - r) C(m, r).  Tested in that order; only
+    the first form that fails builds its message.
+
+    The moment: Piene's formula inverted makes sum_k (-1)^k (d - k) values[k],
+    d the germ's dimension, the top Chern-Mather degree of X = P(rank <= r),
+    which is chi(Eu_X) (MacPherson), with Eu_X = C(m - p, r - p) on the rank-p
+    stratum.  The torus fixes only the mn matrix units of P(C^(m x n)), all of
+    rank 1, so only that stratum has chi != 0, namely mn: the degree is
+    mn C(m - 1, r - 1) = nr C(m, r), and the moment is (d - nr) C(m, r)."""
     degree = prod(comb(n + i, r) for i in range(m - r)) // prod(
         comb(r + i, r) for i in range(m - r)
     )
-    kappa = 2 * r * (m - r)
-    for ok, what in [
-        (values[0] == degree, f"zeroth value is not the degree {degree}"),
-        (sum((-1) ** k * v for k, v in enumerate(values)) == comb(m, r),
-         f"alternating sum is not C(m, r) = {comb(m, r)}"),
-        (all((v != 0) == (k <= kappa) for k, v in enumerate(values)),
-         f"nonzero values are not exactly k <= {kappa}"),
-        (all(v >= 0 for v in values), "a value is negative"),
-    ]:
-        if not ok:
-            raise ConsistencyError(
-                f"polar profile of (m, n, r) = ({m}, {n}, {r}): {what}: {values}"
-            )
+    kappa, alt = 2 * r * (m - r), comb(m, r)
+    evens, odds = values[0::2], values[1::2]
+    if values[0] != degree:
+        what = f"zeroth value is not the degree {degree}"
+    elif sum(evens) - sum(odds) != alt:
+        what = f"alternating sum is not C(m, r) = {alt}"
+    elif not all(values[:kappa + 1]) or any(values[kappa + 1:]):
+        what = f"nonzero values are not exactly k <= {kappa}"
+    elif min(values) < 0:
+        what = "a value is negative"
+    elif (sum(map(mul, range(0, len(values), 2), evens))
+          - sum(map(mul, range(1, len(values), 2), odds))) != r * (m - r) * alt:
+        what = f"alternating first moment is not r(m - r) C(m, r) = {r * (m - r) * alt}"
+    else:
+        return
+    raise ConsistencyError(f"polar profile of (m, n, r) = ({m}, {n}, {r}): {what}: {values}")
 
 
 def _profile(m: int, n: int, r: int, integrals) -> PolarProfile:

@@ -54,6 +54,13 @@ def json_text(entries: dict) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def edit_keeping_every_closed_form(values: list):
+    """Add (1, 2, 1) at k = 1..3 of a list of value strings: the degree, the
+    alternating sum, its first moment and, when kappa >= 3, the nonzero range
+    stay as they were."""
+    values[1:4] = [str(int(v) + d) for v, d in zip(values[1:4], (1, 2, 1))]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -464,7 +471,7 @@ LINK_COMMANDS = {
     "betti": (("betti", "--m", "3", "--n", "4", "--s", "3", "--codim", "6..9"), "3,4,2",
               lambda *profile: [betti_smooth_complex_link(DetSpec(3, 4, 3), i, *profile)
                                 for i in range(6, 10)]),
-    "hilbert_burch": (("euler", "--hilbert-burch", "--max-m", "4"), "2,3,1",
+    "hilbert_burch": (("euler", "--hilbert-burch", "--max-m", "4"), "4,5,3",
                       lambda *profile: hilbert_burch_chi_table(4, *profile)),
 }
 
@@ -506,9 +513,7 @@ class TestLinkCommandsReadOnlyWhatTheyGathered:
         _, clean, _ = run(capsys, *argv)
         path = cache_path()
         payload = json.loads(path.read_text())
-        # +1 at k = 1 and at k = 2 keeps every closed form
-        values = payload["entries"][key]["values"]
-        values[1:3] = [str(int(v) + 1) for v in values[1:3]]
+        edit_keeping_every_closed_form(payload["entries"][key]["values"])
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -710,47 +715,49 @@ class TestCache:
             assert "version" in err
 
     def test_tampered_value_used_without_verify(self, capsys):
-        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
         path = cache_path()
         payload = json.loads(path.read_text())
-        # (3, 4, 3, 0) -> (3, 5, 4, 0) keeps the degree, the alternating sum
-        # and the nonzero range
-        payload["entries"]["2,3,1"]["values"][1:3] = ["5", "4"]
+        # (50, 240, 595, 960, ...) -> (50, 241, 597, 961, ...)
+        edit_keeping_every_closed_form(payload["entries"]["4,5,2"]["values"])
         path.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
+        code, out, _ = run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2",
                            "--format", "csv")
         assert code == 0
-        assert "2,3,1,1,5" in out  # documented: trusted unless verifying
+        assert "4,5,2,1,241" in out  # documented: trusted unless verifying
 
     def test_served_profile_stays_inside_its_command(self, capsys):
-        run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1", "--format", "csv")
+        run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
         path = cache_path()
         payload = json.loads(path.read_text())
-        payload["entries"]["2,3,1"]["values"][1:3] = ["5", "4"]
+        edit_keeping_every_closed_form(payload["entries"]["4,5,2"]["values"])
         path.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "3", "--r", "1",
+        code, out, _ = run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2",
                            "--format", "csv")
         assert code == 0
-        assert "2,3,1,1,5" in out
-        assert compute_polar_profile(2, 3, 1).values == (3, 4, 3, 0)
-        spec = DetSpec(2, 3, 2)
+        assert "4,5,2,1,241" in out
+        assert compute_polar_profile(4, 5, 2).values == (
+            50, 240, 595, 960, 1116, 960, 595, 240, 50, 0, 0)
+        spec = DetSpec(4, 5, 3)
         assert [euler_complex_link(spec, i) for i in range(spec.d)] == [
             euler_complex_link(spec, i, compute_polar_profile) for i in range(spec.d)
         ]
 
-    @pytest.mark.parametrize("position, value, check", [
-        (2, "28", "alternating sum is not C(m, r) = 3"),
-        (0, "7", "zeroth value is not the degree 6"),
-    ], ids=["alternating_sum", "degree"])
-    def test_served_entry_failing_a_closed_form_is_recomputed(
-            self, capsys, position, value, check):
+    @pytest.mark.parametrize("edits, check", [
+        ({2: "28"}, "alternating sum is not C(m, r) = 3"),
+        ({0: "7"}, "zeroth value is not the degree 6"),
+        # +1 at k = 1 and at k = 2 keeps the four other forms
+        ({1: "17", 2: "28"}, "alternating first moment is not r(m - r) C(m, r) = 6"),
+    ], ids=["alternating_sum", "degree", "first_moment"])
+    def test_served_entry_failing_a_closed_form_is_recomputed(self, capsys, edits, check):
         code, clean, _ = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
                              "--codim", "0..6")
         assert code == 0
         path = cache_path()
         payload = json.loads(path.read_text())
         # 3,4,2 is (6, 16, 27, 24, 10, 0, 0); length and signs stay valid
-        payload["entries"]["3,4,2"]["values"][position] = value
+        for position, value in edits.items():
+            payload["entries"]["3,4,2"]["values"][position] = value
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
                              "--codim", "0..6")
@@ -815,8 +822,8 @@ class TestCache:
             if (m, n, r) != (4, 5, 2):
                 return prof
             values = list(prof.values)
-            # +1 at k = 1 and at k = 2 keeps every closed form
-            values[1:3] = [v + 1 for v in values[1:3]]
+            # (1, 2, 1) at k = 1..3 keeps every closed form
+            values[1:4] = [v + d for v, d in zip(values[1:4], (1, 2, 1))]
             return PolarProfile(m, n, r, tuple(values), prof.raw_signs)
 
         monkeypatch.setattr(cli, "certify_polar_profile", wrong_certifier)
@@ -961,6 +968,20 @@ class TestCache:
         assert err == (f"detlinks: warning: dropping cache entry '3,4,1' of {path}: "
                        f"value {value!r} is not a non-negative decimal string\n")
         assert "3,4,2" in out and "3,4,1" not in out
+
+    @pytest.mark.parametrize("key, values, warning", [
+        ("2,3,1", ["3", "x", "3"], "value 'x' is not a non-negative decimal string"),
+        ("03,4,2", ["6", "16"], "key 03,4,2 is not the canonical 3,4,2"),
+        ("3,4,2", [], "entry 3,4,2 has 0 values, not 7"),
+    ], ids=["value_before_length", "key_before_length", "empty"])
+    def test_first_fault_of_an_entry_is_named(self, capsys, key, values, warning):
+        # the value, then the key, then the domain, then the length
+        path = cache_path()
+        path.write_text(json.dumps({"version": 2, "entries": {key: {"values": values}}}))
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert err == f"detlinks: warning: dropping cache entry {key!r} of {path}: {warning}\n"
+        assert key not in out
 
     def test_key_outside_the_domain_dropped_alone(self, capsys):
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")

@@ -245,6 +245,22 @@ class TestClosedFormChecks:
                     values = compute_polar_profile(m, n, r).values
                     polar._check_closed_forms(m, n, r, values)
 
+    # (3,4,2) is (6, 16, 27, 24, 10, 0, 0): degree 6, alternating sum 3,
+    # kappa 4 and first moment 6
+    @pytest.mark.parametrize("values, what", [
+        ((7, -16, 27, 24, 10, 0, 0), "zeroth value is not the degree 6"),
+        ((6, 16, 27, 24, 10, 0, -1), "alternating sum is not C(m, r) = 3"),
+        ((6, 16, 27, 24, 10, -1, -1), "nonzero values are not exactly k <= 4"),
+        ((6, 16, 27, 13, -1, 0, 0), "a value is negative"),
+        ((6, 17, 28, 24, 10, 0, 0), "alternating first moment is not r(m - r) C(m, r) = 6"),
+    ], ids=["degree", "alternating_sum", "nonzero_range", "negative", "first_moment"])
+    def test_first_failing_form_is_named(self, values, what):
+        # every profile but the last also breaks a later form, so a check
+        # moved ahead of the one that should fire names the wrong form
+        with pytest.raises(ConsistencyError) as exc:
+            polar._check_closed_forms(3, 4, 2, values)
+        assert str(exc.value) == f"polar profile of (m, n, r) = (3, 4, 2): {what}: {values}"
+
     def test_dual_integrals_not_reversed(self, monkeypatch):
         # (3,4,2) gets the rank-1 integrals (10, 24, 27, 16, 6) front to back:
         # same alternating sum and nonzero range, wrong degree
