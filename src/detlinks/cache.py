@@ -20,12 +20,14 @@ invariants is caught only by a verify pass, which recomputes the digits
 through the independent Schubert route.  A served entry is trusted only
 within the command that served it: the command line passes it to that
 command's link sums as an argument.  The one process memo of whole profiles
-is the text of this process's last ``cache_store`` and its entries: a load
-of a file that holds exactly that text returns a copy of them and parses
-nothing.  That is exact, because the store keeps them only when parsing its
-text gives back every entry unchanged (``_parses_back``), and the command
-line checks a served cell against the closed forms as it checks a parsed
-one.  The file format is unchanged.
+is the text of this process's last ``cache_store`` and what ``_parse_entry``
+returns on the decimal strings that store wrote for each entry: a load of a
+file that holds exactly that text returns a copy of them and parses nothing.
+That is exact by construction, since the memo is the parser's own output; a
+store skips the parse of an entry only when it is the very object the
+previous memo kept under the same key.  The command line checks a served
+cell against the closed forms as it checks a parsed one.  The file format
+is unchanged.
 """
 
 from __future__ import annotations
@@ -95,43 +97,19 @@ def _values(texts) -> tuple:
     return ()  # only an empty list gets here; the length check rejects it
 
 
-def _check_entry(key: str, m: int, n: int, r: int, values: tuple):
-    """The rules on one entry once its key and values are ints: the key is the
+def _parse_entry(key: str, raw) -> PolarProfile:
+    """The profile of one entry: its values pass ``_values``, its key is the
     canonical "m,n,r", 0 <= r <= m <= n and there are ``profile_length``
-    values.  Both the parse of a loaded entry and the test of a stored one
-    (``_parses_back``) apply them, so they are stated once."""
+    values.  The first of these that fails is named."""
+    m, n, r = map(int, key.split(","))
+    values = _values(raw["values"])
     if key != CacheFile.key(m, n, r):
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     _validate_params(m, n, r)
     length = profile_length(m, n, r)  # before sign_record, which builds that many
     if len(values) != length:
         raise ValueError(f"entry {key} has {len(values)} values, not {length}")
-
-
-def _parse_entry(key: str, raw) -> PolarProfile:
-    m, n, r = map(int, key.split(","))
-    values = _values(raw["values"])
-    _check_entry(key, m, n, r, values)
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
-
-
-def _parses_back(key: str, prof) -> bool:
-    """Whether ``_parse_entry`` rebuilds ``prof`` itself, field for field and
-    with the same ``raw_signs`` tuple, from what cache_store writes for it
-    under ``key``: m, n and r are ints, the values are what ``_values``
-    returns (a tuple of non-negative ints), the entry passes ``_check_entry``,
-    and its signs are the shared ``sign_record`` tuple."""
-    if type(prof) is not PolarProfile:
-        return False
-    m, n, r, values, signs = prof
-    if not (type(m) is type(n) is type(r) is int and type(values) is tuple
-            and all(type(v) is int and v >= 0 for v in values)):
-        return False
-    try:
-        _check_entry(key, m, n, r, values)
-    except ValueError:
-        return False
-    return signs is sign_record(m, n, r)
 
 
 def _file_text(entries: dict) -> str:
@@ -152,7 +130,7 @@ def _file_text(entries: dict) -> str:
 
 
 # (text, entries) of the last successful cache_store of this process whose
-# every entry _parses_back; None when there is none
+# every entry parses, the entries being what _parse_entry returned; else None
 _written = None
 
 
@@ -162,9 +140,8 @@ def cache_load() -> CacheFile:
     plus a warning; an entry that fails its checks is dropped alone, with a
     warning naming its key.  A file that holds exactly the text this
     process's last ``cache_store`` wrote is not parsed again: the result is
-    a fresh dict of the entries that store kept, which are the entries that
-    parsing that text returns, because the store kept them only if each one
-    passed ``_parses_back``."""
+    a fresh dict of the entries that store kept, which are what
+    ``_parse_entry`` returned on the strings it wrote."""
     path, written = cache_path(), _written  # read once: a store may replace it
     try:
         text = path.read_text()
@@ -173,7 +150,7 @@ def cache_load() -> CacheFile:
         raw = json.loads(text)
     except FileNotFoundError:
         return CacheFile()
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json: too deeply nested
         report("warning", f"ignoring unreadable cache {path}: {exc}")
         return CacheFile()
     try:
@@ -200,11 +177,14 @@ def cache_load() -> CacheFile:
 def cache_store(cache: CacheFile):
     """Atomically write the cache to ``cache_path()`` through a temp file of
     its own, so that concurrent writers never share one; I/O trouble is
-    reported, never fatal.  After a successful write the text and a copy of
-    the entries are kept for ``cache_load``, but only if every entry
-    ``_parses_back``; otherwise nothing is kept, and the next load parses the
+    reported, never fatal.  After a successful write the text is kept for
+    ``cache_load`` with what ``_parse_entry`` returns on the decimal strings
+    written for each entry; an entry that is the very object the previous
+    store kept under its key is that parse already and is kept as it is.  If
+    an entry fails to parse nothing is kept, and the next load parses the
     file and warns about what it drops."""
     global _written
+    kept = _written[1] if _written is not None else {}
     _written = None
     path = cache_path()
     entries = dict(cache.entries)
@@ -220,8 +200,12 @@ def cache_store(cache: CacheFile):
     except OSError as exc:
         report("warning", f"could not write cache {path}: {exc}")
     else:
-        if all(_parses_back(key, prof) for key, prof in entries.items()):
-            _written = (text, entries)
+        with suppress(AttributeError, ValueError):  # a key that is no str, a bad entry
+            _written = (text, {
+                key: prof if kept.get(key) is prof
+                else _parse_entry(key, {"values": list(map(str, prof.values))})
+                for key, prof in entries.items()
+            })
     finally:
         if tmp is not None:
             with suppress(OSError):

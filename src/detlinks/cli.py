@@ -10,10 +10,11 @@ integers).  Rendering is deterministic:
 the same request produces byte-identical output no matter what the cache
 holds.
 
-Exit codes: 0 success, 1 I/O failure of ``cache clear``, 2 usage, 3 domain
-error (for example a non-smooth link), 4 internal consistency failure (a
-computed profile failing a closed form or holding a negative value, an
-inexact Bott division, a --verify mismatch, a negative middle Betti number).
+Exit codes: 0 success, 1 I/O failure of ``cache clear`` or of writing the
+output (a full disk, say), 2 usage, 3 domain error (for example a non-smooth
+link), 4 internal consistency failure (a computed profile failing a closed
+form or holding a negative value, an inexact Bott division, a --verify
+mismatch, a negative middle Betti number).
 A reader that closes stdout early does not change the exit code: the rest
 of the output is discarded.  A closed stderr drops the warning and error
 lines and changes neither the exit code nor stdout: ``errors.report``
@@ -65,21 +66,28 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot express declaratively."""
 
 
+class _OutputError(Exception):
+    """stdout refused a command's output for a reason other than a closed pipe."""
+
+
 def _emit(text: str):
     """Write a command's output, flushed, so that a reader that closed the pipe
     is seen here and not at interpreter exit.  Every store is done before a
     command renders, so a closed stdout is no failure: the rest of the output
     goes to /dev/null, and a stdout closed at start (``sys.stdout`` is None)
-    takes none."""
+    takes none.  Any other failed write (a full disk) sends the rest there
+    too, so that exit prints nothing more, and raises ``_OutputError``."""
     if sys.stdout is None:
         return
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise _OutputError(exc)
 
 
 def _md_table(header: list, rows: list) -> str:
@@ -99,6 +107,17 @@ def _csv(header: list, rows: list) -> str:
 # ---------------------------------------------------------------------------
 # profile gathering through the persistent cache
 # ---------------------------------------------------------------------------
+
+def _passes_closed_forms(prof) -> bool:
+    """Whether a cache entry passes ``polar._check_closed_forms``; a failing one is reported."""
+    cell = prof.m, prof.n, prof.r
+    try:
+        polar_mod._check_closed_forms(*cell, prof.values)
+    except ConsistencyError as exc:
+        report("warning", f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
+        return False
+    return True
+
 
 def _gather_profiles(cells, verify: bool, jobs: int):
     """Fetch profiles for the requested cells, consulting and updating the
@@ -121,16 +140,10 @@ def _gather_profiles(cells, verify: bool, jobs: int):
     need = {}  # cell -> the cache entry to compare with, or None to store it
     for cell in cells:
         cached = cache.get(*cell)
-        if not verify and cached is not None:
-            try:
-                polar_mod._check_closed_forms(*cell, cached.values)
-            except ConsistencyError as exc:
-                report("warning", f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
-                cached = None
-            else:
-                out[cell] = cached
-                continue
-        need[cell] = cached
+        if not verify and cached is not None and _passes_closed_forms(cached):
+            out[cell] = cached
+        else:
+            need[cell] = cached if verify else None
     route = certify_polar_profile if verify else compute_polar_profile
     workers = min(jobs, len(need), os.cpu_count() or 1)  # a fork pool starts all at once
     if workers > 1:
@@ -331,10 +344,9 @@ def cmd_cache(args) -> int:
             return 1
         _emit(f"cleared {path}")
         return 0
-    cache = cache_load()
     rows = [
         (key, len(prof.values), str(prof.values[0]))
-        for key, prof in sorted(cache.entries.items())
+        for key, prof in sorted(cache_load().entries.items()) if _passes_closed_forms(prof)
     ]
     _emit(_md_table(["entry (m,n,r)", "length", "multiplicity"], rows))
     return 0
@@ -414,6 +426,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         report("consistency failure", exc)
         return 4
+    except _OutputError as exc:
+        report("error", f"could not write the output: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -280,6 +280,21 @@ class TestPolarCommand:
         assert (result.returncode, result.stderr) == (0, "")
         assert len(cache_load().entries) == 4 * 7 * 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_output_write_is_one_error_line(self, isolated_cache):
+        # a full device refuses the write: one error line, exit 1, and no
+        # traceback when the interpreter flushes stdout at exit
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "detlinks.cli", "polar", "--m", "2", "--n", "3",
+                 "--r", "1"], env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (result.returncode, result.stderr) == (
+            1, "detlinks: error: could not write the output: "
+               "[Errno 28] No space left on device\n")
+        assert sorted(cache_load().entries) == ["2,3,1"]
+
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
         # load only for --verify; every other command runs without them
@@ -623,6 +638,31 @@ class TestCache:
         assert cache_load().get(2, 3, 1) == compute_polar_profile(2, 3, 1)
         assert parses == []
 
+    def test_equal_entry_that_is_not_the_kept_object_is_parsed(self, capsys):
+        # (3.0, 4.0, 3.0, 0.0) == (3, 4, 3, 0), but the store writes "3.0"
+        stored = CacheFile()
+        stored.put(compute_polar_profile(2, 3, 1))
+        cache_store(stored)
+        floats = CacheFile(dict(stored.entries))
+        floats.put(PolarProfile(2, 3, 1, (3.0, 4.0, 3.0, 0.0), polar.sign_record(2, 3, 1)))
+        cache_store(floats)
+        assert cache_load().entries == {}
+        assert capsys.readouterr().err == (
+            f"detlinks: warning: dropping cache entry '2,3,1' of {cache_path()}: "
+            "value '3.0' is not a non-negative decimal string\n")
+
+    def test_store_after_a_load_from_the_memo_parses_only_what_was_put(
+            self, capsys, parses):
+        run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1", "--format", "csv")
+        parses.clear()
+        cache = cache_load()
+        cache.put(compute_polar_profile(3, 4, 2))
+        cache_store(cache)
+        assert parses == ["3,4,2"]
+        parses.clear()
+        assert cache_load().entries == cache.entries
+        assert parses == []
+
     @pytest.mark.parametrize("edited, check", [
         ('"9"', "alternating sum is not C(m, r) = 2"),
         ('"-4"', "value '-4' is not a non-negative decimal string"),
@@ -677,6 +717,12 @@ class TestCache:
         else:
             assert sorted(loaded.entries) == ["2,2,1"]
             assert f"dropping cache entry {key!r} of {cache_path()}: {warning}" in err
+
+    def test_store_of_a_key_that_is_not_a_string(self, capsys):
+        # json writes the int key bare, so the file is no JSON and nothing is kept
+        cache_store(CacheFile({5: compute_polar_profile(2, 3, 1)}))
+        assert cache_load().entries == {}
+        assert "ignoring unreadable cache" in capsys.readouterr().err
 
     def test_populated_by_commands(self, capsys):
         run(capsys, "polar", "--m", "3", "--n", "4", "--r", "2", "--format", "csv")
@@ -940,6 +986,28 @@ class TestCache:
         code, _, _ = run(capsys, "cache", "clear")
         assert code == 0
         assert not cache_path().exists()
+
+    def test_show_leaves_out_an_entry_failing_a_closed_form(self, capsys):
+        run(capsys, "polar", "--m", "2", "--n", "2..3", "--r", "1", "--format", "csv")
+        path = cache_path()
+        text = path.read_text()
+        assert text.count('"3"') == 2  # 2,3,1 is (3, 4, 3, 0)
+        path.write_text(text.replace('"3"', '"7"', 1))
+        edited = path.read_bytes()
+        code, out, err = run(capsys, "cache", "show")
+        assert code == 0
+        assert err == ("detlinks: warning: dropping cache entry '2,3,1': polar profile of "
+                       "(m, n, r) = (2, 3, 1): zeroth value is not the degree 3: (7, 4, 3, 0)\n")
+        assert "| 2,2,1 | 3 | 2 |" in out and "2,3,1" not in out
+        assert path.read_bytes() == edited
+
+    def test_deeply_nested_file_is_unreadable(self, capsys):
+        path = cache_path()
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "cache", "show")
+        assert (code, out.count("\n")) == (0, 2)  # the header rows only
+        assert err.startswith(f"detlinks: warning: ignoring unreadable cache {path}: ")
+        assert "recursion" in err and err.count("\n") == 1
 
     def test_clear_without_a_cache_file(self, capsys, monkeypatch):
         # also a concurrent ``cache clear`` that removed the file after it was seen
