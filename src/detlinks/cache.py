@@ -19,15 +19,18 @@ that fails, with a warning naming it.  An edit that keeps every one of these
 invariants is caught only by a verify pass, which recomputes the digits
 through the independent Schubert route.  A served entry is trusted only
 within the command that served it: the command line passes it to that
-command's link sums as an argument.  The one process memo of whole profiles
-is the text of this process's last ``cache_store`` and what ``_parse_entry``
-returns on the decimal strings that store wrote for each entry: a load of a
-file that holds exactly that text returns a copy of them and parses nothing.
-That is exact by construction, since the memo is the parser's own output; a
-store skips the parse of an entry only when it is the very object the
-previous memo kept under the same key.  The command line checks a served
-cell against the closed forms as it checks a parsed one.  The file format
-is unchanged.
+command's link sums as an argument.  The process keeps two memos.  The one
+memo of whole profiles is the text of this process's last ``cache_store``
+and what ``_parse_entry`` returns on the decimal strings that store wrote
+for each entry: a load of a file that holds exactly that text returns a
+copy of them and parses nothing.  That is exact by construction, since the
+memo is the parser's own output; a store skips the parse of an entry only
+when it is the very object the previous memo kept under the same key.  The
+command line checks a served cell against the closed forms as it checks a
+parsed one.  The other memo, ``_cell``, holds what a key string alone
+determines, its (m, n, r) and profile length once the key has passed its
+checks, and never a value: it is a pure function of the string, and a key
+that fails is checked again on every load.  The file format is unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import os
 import tempfile
 from contextlib import suppress
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import report
@@ -97,17 +101,27 @@ def _values(texts) -> tuple:
     return ()  # only an empty list gets here; the length check rejects it
 
 
-def _parse_entry(key: str, raw) -> PolarProfile:
-    """The profile of one entry: its values pass ``_values``, its key is the
-    canonical "m,n,r", 0 <= r <= m <= n and there are ``profile_length``
-    values.  The first of these that fails is named."""
+@lru_cache(maxsize=None)
+def _cell(key: str) -> tuple:
+    """(m, n, r, profile_length) of a key that is the canonical "m,n,r" with
+    0 <= r <= m <= n.  Memoized on the string, which alone determines them
+    ("03,4,2" is no hit for "3,4,2"); a key that fails raises, so it is not
+    memoized and is named on every load."""
     m, n, r = map(int, key.split(","))
-    values = _values(raw["values"])
     if key != CacheFile.key(m, n, r):
         raise ValueError(f"key {key} is not the canonical {CacheFile.key(m, n, r)}")
     _validate_params(m, n, r)
-    length = profile_length(m, n, r)  # before sign_record, which builds that many
-    if len(values) != length:
+    return m, n, r, profile_length(m, n, r)
+
+
+def _parse_entry(key: str, raw) -> PolarProfile:
+    """The profile of one entry: its values pass ``_values``, its key passes
+    ``_cell`` (the canonical "m,n,r", then 0 <= r <= m <= n; checked once per
+    key string in a process) and there are ``profile_length`` values.  The
+    first of these that fails is named."""
+    values = _values(raw["values"])
+    m, n, r, length = _cell(key)
+    if len(values) != length:  # before sign_record, which builds that many
         raise ValueError(f"entry {key} has {len(values)} values, not {length}")
     return PolarProfile(m, n, r, values, sign_record(m, n, r))
 

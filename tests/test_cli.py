@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -294,6 +295,35 @@ class TestPolarCommand:
             1, "detlinks: error: could not write the output: "
                "[Errno 28] No space left on device\n")
         assert sorted(cache_load().entries) == ["2,3,1"]
+
+    @pytest.mark.parametrize("error, raised", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), False),
+        (OSError(errno.ENOSPC, "No space left on device"), True),
+    ], ids=["closed_pipe", "full_device"])
+    def test_failed_flush_points_stdout_at_devnull(self, tmp_path, monkeypatch, error, raised):
+        # whatever a stream still holds after a failed flush goes to
+        # /dev/null at exit, not to the reader or device that refused it
+        class Stdout:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise error
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", Stdout())
+            if raised:
+                with pytest.raises(cli._OutputError):
+                    cli._emit("1,2")
+            else:
+                cli._emit("1,2")
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
 
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
@@ -1041,7 +1071,10 @@ class TestCache:
         ("2,3,1", ["3", "x", "3"], "value 'x' is not a non-negative decimal string"),
         ("03,4,2", ["6", "16"], "key 03,4,2 is not the canonical 3,4,2"),
         ("3,4,2", [], "entry 3,4,2 has 0 values, not 7"),
-    ], ids=["value_before_length", "key_before_length", "empty"])
+        ("x,4,2", ["a"], "value 'a' is not a non-negative decimal string"),
+        ("3,4", ["a"], "value 'a' is not a non-negative decimal string"),
+    ], ids=["value_before_length", "key_before_length", "empty", "value_before_bad_digit",
+            "value_before_short_key"])
     def test_first_fault_of_an_entry_is_named(self, capsys, key, values, warning):
         # the value, then the key, then the domain, then the length
         path = cache_path()
@@ -1081,6 +1114,61 @@ class TestCache:
                        "entry 3000,3000,1500 has 1 values, not 4500001\n")
         assert "3,4,2" in out and "3000,3000,1500" not in out
         assert built == [(3, 4, 2)]
+
+
+class TestKeyMemo:
+    """``cache._cell`` checks each key string once per process; a key that
+    fails is checked, and named, again on every load."""
+
+    @pytest.fixture(autouse=True)
+    def restore_written(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_written", cache_module._written)
+
+    @staticmethod
+    def forget():
+        """The next load parses the file, and no key has been checked."""
+        cache_module._written = None
+        cache_module._cell.cache_clear()
+
+    @staticmethod
+    def misses():
+        return cache_module._cell.cache_info().misses
+
+    def test_two_loads_of_the_sweep_check_each_key_once(self, capsys):
+        for command in json.loads(EXPECTED_OUTPUTS.read_text())["sweep_outputs"]:
+            assert run(capsys, *command.split())[0] == 0
+        self.forget()
+        counts = []
+        for _ in range(2):
+            assert len(cache_load().entries) == 91
+            counts.append(self.misses())
+        assert counts == [91, 91]
+
+    @pytest.mark.parametrize("bad, values, warning", [
+        ("03,4,2", ["6", "16", "27", "24", "10", "0", "0"],
+         "key 03,4,2 is not the canonical 3,4,2"),
+        ("5,4,2", ["1"] * 11, "need 0 <= r <= m <= n, got m=5, n=4, r=2"),
+    ], ids=["non_canonical", "out_of_domain"])
+    def test_bad_key_is_named_on_every_load(self, capsys, bad, values, warning):
+        # 3,4,2 is checked first, and each bad entry has the length its key
+        # names, so only the key check drops it
+        path = cache_path()
+        path.write_text(json.dumps({"version": 2, "entries": {
+            "3,4,2": {"values": ["6", "16", "27", "24", "10", "0", "0"]},
+            bad: {"values": values}}}))
+        for _ in range(2):
+            assert sorted(cache_load().entries) == ["3,4,2"]
+            assert capsys.readouterr().err == (
+                f"detlinks: warning: dropping cache entry {bad!r} of {path}: {warning}\n")
+
+    def test_store_after_a_parsed_load_checks_no_key_again(self, capsys):
+        run(capsys, "polar", "--m", "2..3", "--n", "4", "--r", "1", "--format", "csv")
+        self.forget()
+        cache = cache_load()
+        assert self.misses() == len(cache.entries) == 2
+        cache_store(cache)
+        assert self.misses() == 2
+        assert cache_load().entries == cache.entries
 
 
 class TestClosedStderr:

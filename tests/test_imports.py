@@ -12,6 +12,9 @@ both import ``detlinks.polar``.  Three rules hold:
   share no code but the normalizer that calls them;
 * the Schubert internals (``TRUSTING``) contain no ``raise``: they trust
   their callers, and the checks sit at the boundaries (README).
+
+The process memos are listed here too (``MEMOS``), so that adding one is a
+reviewed edit of this file.
 """
 import ast
 import sys
@@ -22,6 +25,12 @@ PACKAGE = "detlinks"
 CERTIFIER = ("partitions", "grass_ring", "tensor_calculus")
 PRODUCTION = ("polar", "links", "cache", "cli")
 TRUSTING = ("grass_ring", "tensor_calculus")
+MEMOS = {
+    "grass_ring._pieri", "grass_ring._h_monomials", "grass_ring._mul_basis",
+    "partitions._box_weight", "polar.sign_record", "polar._bott_sums",
+    "tensor_calculus._lascoux", "cache._written", "cache._cell",
+}
+MEMO_DECORATORS = ("lru_cache", "cache")  # functools'
 
 
 def imported_modules(path: Path) -> set:
@@ -72,6 +81,24 @@ def raise_statements(root: Path) -> list:
     return out
 
 
+def process_memos(root: Path) -> set:
+    """``module.name`` for each function of the package under a functools
+    memo decorator and each module name rebound under ``global``."""
+    out = set()
+    for path in sorted((root / "src" / PACKAGE).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else (
+                        getattr(target, "id", None))
+                    if name in MEMO_DECORATORS:
+                        out.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Global):
+                out.update(f"{path.stem}.{name}" for name in node.names)
+    return out
+
+
 def test_only_the_stdlib_and_the_package_are_imported():
     assert foreign_imports(ROOT) == []
 
@@ -105,3 +132,20 @@ def test_both_rules_catch_a_violation(tmp_path):
     assert foreign_imports(tmp_path) == ["grass_ring: numpy.linalg"]
     assert certifier_imports_of_production(tmp_path) == [
         "grass_ring: detlinks.cache", "grass_ring: detlinks.polar"]
+
+
+def test_every_process_memo_is_listed(tmp_path):
+    """A process memo outlives the command that filled it, so each one is a
+    pure function of its arguments (the ``lru_cache``s) or exact by
+    construction (``cache._written``, the parser's own output on the text
+    last written).  A new memo must be argued so and added to ``MEMOS``."""
+    assert process_memos(ROOT) == MEMOS
+    package = tmp_path / "src" / PACKAGE
+    package.mkdir(parents=True)
+    (package / "links.py").write_text(
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache\ndef euler(m):\n    return m\n"
+        "@functools.lru_cache(maxsize=8)\ndef betti(m):\n    return m\n"
+        "@staticmethod\ndef plain(m):\n    return m\n"
+        "def warm():\n    global _sums\n    _sums = {}\n")
+    assert process_memos(tmp_path) == {"links.euler", "links.betti", "links._sums"}
