@@ -2,9 +2,11 @@
 
 The cache is the one file ``cache_path()``, in the directory that
 $DETLINKS_CACHE names, else in the platform cache directory; the load and
-the store take no other path.  An entry is {"values": [...]}, a list of
-decimal strings: profiles outgrow 64-bit integers well within the ranges
-users ask for, and text keeps the file portable and diffable.
+the store take no other path.  With no such directory (no home directory
+either) the load is an empty cache and the store writes nothing, each with
+a warning.  An entry is {"values": [...]}, a list of decimal strings:
+profiles outgrow 64-bit integers well within the ranges users ask for, and
+text keeps the file portable and diffable.
 ``polar.sign_record`` derives the sign record from the key.  A missing file
 is an empty cache.  A version mismatch or a malformed file makes the whole
 file be ignored (with a warning); an entry whose key is not the canonical
@@ -15,11 +17,13 @@ first bad value.  The command line checks every cell it serves from the
 cache against the closed forms of ``polar._check_closed_forms`` (the degree,
 the alternating sum C(m, r), the nonzero range, no negative value and the
 alternating first moment r(m - r) C(m, r)) and drops and recomputes an entry
-that fails, with a warning naming it.  An edit that keeps every one of these
-invariants is caught only by a verify pass, which recomputes the digits
-through the independent Schubert route.  A served entry is trusted only
-within the command that served it: the command line passes it to that
-command's link sums as an argument.  The process keeps two memos.  The one
+that fails, with a warning naming it; it checks each identical served
+profile once per process (``cli._check_served``), and a profile that fails
+is checked and named again in every command.  An edit that keeps every one
+of these invariants is caught only by a verify pass, which recomputes the
+digits through the independent Schubert route.  A served entry is trusted
+only within the command that served it: the command line passes it to that
+command's link sums as an argument.  This module keeps two memos.  Its one
 memo of whole profiles is the text of this process's last ``cache_store``
 and what ``_parse_entry`` returns on the decimal strings that store wrote
 for each entry: a load of a file that holds exactly that text returns a
@@ -52,13 +56,20 @@ CACHE_FILENAME = "polar_profiles.json"
 
 def cache_dir() -> Path:
     """Cache directory: $DETLINKS_CACHE, else the platform cache dir.  A
-    relative $XDG_CACHE_HOME is ignored, as the XDG Base Directory spec says."""
+    relative $XDG_CACHE_HOME is ignored, as the XDG Base Directory spec says.
+    With neither set and no home directory (no $HOME and no passwd entry for
+    the uid) there is no cache directory, and OSError is raised."""
     env = os.environ.get(CACHE_ENV)
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg and os.path.isabs(xdg) else Path.home() / ".cache"
-    return base / "detlinks"
+    if xdg and os.path.isabs(xdg):
+        return Path(xdg) / "detlinks"
+    try:
+        home = Path.home()
+    except RuntimeError as exc:  # pathlib's "Could not determine home directory."
+        raise OSError(f"no cache directory: {exc} Set ${CACHE_ENV}.") from None
+    return home / ".cache" / "detlinks"
 
 
 def cache_path() -> Path:
@@ -150,13 +161,18 @@ _written = None
 
 def cache_load() -> CacheFile:
     """Load the cache at ``cache_path()``.  A missing file is an empty cache;
-    an unreadable, version-mismatched or malformed file means an empty cache
-    plus a warning; an entry that fails its checks is dropped alone, with a
-    warning naming its key.  A file that holds exactly the text this
-    process's last ``cache_store`` wrote is not parsed again: the result is
-    a fresh dict of the entries that store kept, which are what
-    ``_parse_entry`` returned on the strings it wrote."""
-    path, written = cache_path(), _written  # read once: a store may replace it
+    no cache directory, or an unreadable, version-mismatched or malformed
+    file, means an empty cache plus a warning; an entry that fails its
+    checks is dropped alone, with a warning naming its key.  A file that
+    holds exactly the text this process's last ``cache_store`` wrote is not
+    parsed again: the result is a fresh dict of the entries that store kept,
+    which are what ``_parse_entry`` returned on the strings it wrote."""
+    try:
+        path = cache_path()
+    except OSError as exc:
+        report("warning", f"ignoring the cache: {exc}")
+        return CacheFile()
+    written = _written  # read once: a store may replace it
     try:
         text = path.read_text()
         if written is not None and text == written[0]:
@@ -190,17 +206,22 @@ def cache_load() -> CacheFile:
 
 def cache_store(cache: CacheFile):
     """Atomically write the cache to ``cache_path()`` through a temp file of
-    its own, so that concurrent writers never share one; I/O trouble is
-    reported, never fatal.  After a successful write the text is kept for
-    ``cache_load`` with what ``_parse_entry`` returns on the decimal strings
-    written for each entry; an entry that is the very object the previous
-    store kept under its key is that parse already and is kept as it is.  If
+    its own, so that concurrent writers never share one; I/O trouble, and
+    no cache directory, is reported, never fatal.  After a successful write
+    the text is kept for ``cache_load`` with what ``_parse_entry`` returns
+    on the decimal strings written for each entry; an entry that is the very
+    object the previous store kept under its key is that parse already and
+    is kept as it is.  If
     an entry fails to parse nothing is kept, and the next load parses the
     file and warns about what it drops."""
     global _written
     kept = _written[1] if _written is not None else {}
     _written = None
-    path = cache_path()
+    try:
+        path = cache_path()
+    except OSError as exc:
+        report("warning", f"could not write the cache: {exc}")
+        return
     entries = dict(cache.entries)
     text = _file_text(entries)
     tmp = None

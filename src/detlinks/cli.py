@@ -11,10 +11,12 @@ the same request produces byte-identical output no matter what the cache
 holds.
 
 Exit codes: 0 success, 1 I/O failure of ``cache clear`` or of writing the
-output (a full disk, say), 2 usage, 3 domain error (for example a non-smooth
-link), 4 internal consistency failure (a computed profile failing a closed
-form or holding a negative value, an inexact Bott division, a --verify
-mismatch, a negative middle Betti number).
+output (a full disk, say), or no cache directory for ``cache path`` and
+``cache clear`` (no $DETLINKS_CACHE, $XDG_CACHE_HOME or home directory; the
+other commands then warn, compute and store nothing), 2 usage, 3 domain
+error (for example a non-smooth link), 4 internal consistency failure (a
+computed profile failing a closed form or holding a negative value, an
+inexact Bott division, a --verify mismatch, a negative middle Betti number).
 A reader that closes stdout early does not change the exit code: the rest
 of the output is discarded.  A closed stderr drops the warning and error
 lines and changes neither the exit code nor stdout: ``errors.report``
@@ -27,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import links as links_mod
 from . import polar as polar_mod
@@ -108,13 +111,24 @@ def _csv(header: list, rows: list) -> str:
 # profile gathering through the persistent cache
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _check_served(prof):
+    """Run ``polar._check_closed_forms`` on a profile served from the cache,
+    once per process for each distinct profile.  The memo is keyed on the
+    whole profile, (m, n, r) and values, which ``cache._values`` builds as
+    ints, so an edited entry never hits a clean one; a failing profile
+    raises ``ConsistencyError`` and so is never memoized.  Computed profiles
+    are checked by ``polar._profile`` and never come here."""
+    polar_mod._check_closed_forms(prof.m, prof.n, prof.r, prof.values)
+
+
 def _passes_closed_forms(prof) -> bool:
-    """Whether a cache entry passes ``polar._check_closed_forms``; a failing one is reported."""
-    cell = prof.m, prof.n, prof.r
+    """Whether a cache entry passes ``_check_served``; a failing one is reported."""
     try:
-        polar_mod._check_closed_forms(*cell, prof.values)
+        _check_served(prof)
     except ConsistencyError as exc:
-        report("warning", f"dropping cache entry {CacheFile.key(*cell)!r}: {exc}")
+        key = CacheFile.key(prof.m, prof.n, prof.r)
+        report("warning", f"dropping cache entry {key!r}: {exc}")
         return False
     return True
 
@@ -332,23 +346,28 @@ def cmd_betti(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cache(args) -> int:
-    path = cache_path()
+    if args.action == "show":
+        rows = [
+            (key, len(prof.values), str(prof.values[0]))
+            for key, prof in sorted(cache_load().entries.items())
+            if _passes_closed_forms(prof)
+        ]
+        _emit(_md_table(["entry (m,n,r)", "length", "multiplicity"], rows))
+        return 0
+    try:
+        path = cache_path()
+    except OSError as exc:
+        report("error", exc)
+        return 1
     if args.action == "path":
         _emit(str(path))
         return 0
-    if args.action == "clear":
-        try:
-            path.unlink(missing_ok=True)
-        except OSError as exc:
-            report("error", f"could not clear the cache: {exc}")
-            return 1
-        _emit(f"cleared {path}")
-        return 0
-    rows = [
-        (key, len(prof.values), str(prof.values[0]))
-        for key, prof in sorted(cache_load().entries.items()) if _passes_closed_forms(prof)
-    ]
-    _emit(_md_table(["entry (m,n,r)", "length", "multiplicity"], rows))
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        report("error", f"could not clear the cache: {exc}")
+        return 1
+    _emit(f"cleared {path}")
     return 0
 
 

@@ -157,7 +157,7 @@ def betti_smooth_complex_link(spec: DetSpec, i: int,
     chi = euler_complex_link(spec, i, profile)
     middle = spec.d - i - 1
     below = _below_middle(spec, i)
-    partial = sum((-1) ** k * b for k, b in enumerate(below))
+    partial = sum(below[0::2]) - sum(below[1::2])
     mid = (-1) ** middle * (chi - partial)
     if mid < 0:
         raise ConsistencyError(

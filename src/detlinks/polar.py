@@ -370,4 +370,4 @@ def euler_obstruction(m: int, n: int, r: int, i: int,
     if not 0 <= i <= d:
         raise DomainError(f"obstruction index i={i} outside 0..{d}")
     values = profile(m, n, r).values[: d - i + 1]
-    return sum((-1) ** k * v for k, v in enumerate(values))
+    return sum(values[0::2]) - sum(values[1::2])

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from detlinks import polar
+from detlinks import cli, polar
 from detlinks.grass_ring import GrassSpec, SparseElement
 from detlinks.partitions import partitions_in_box
 from detlinks.tensor_calculus import ProdSpec
@@ -17,8 +17,11 @@ from oracles import as_partition, fits_in_box  # noqa: E402
 @pytest.fixture(autouse=True)
 def fresh_polar_memos():
     """Each test starts with no memoized Bott sums, so a test that patches a
-    step of the sum (``_reweight``, ``_revolving_door``) sees the sum run."""
+    step of the sum (``_reweight``, ``_revolving_door``) sees the sum run,
+    and with no served profile checked, so a test that patches the closed
+    forms sees every served cell checked."""
     polar._bott_sums.cache_clear()
+    cli._check_served.cache_clear()
 
 
 def assert_canonical(cls):

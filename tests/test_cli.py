@@ -2,6 +2,7 @@ import argparse
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1169,6 +1170,117 @@ class TestKeyMemo:
         cache_store(cache)
         assert self.misses() == 2
         assert cache_load().entries == cache.entries
+
+
+class TestServedCheckMemo:
+    """``cli._check_served`` runs the closed forms once per process on each
+    distinct served profile; a profile that fails is dropped and named again
+    in every command, and the compute path checks every profile it builds."""
+
+    ARGV = ("polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The cells ``polar._check_closed_forms`` is called on, in order."""
+        seen = []
+        check = polar._check_closed_forms
+
+        def spy(m, n, r, values):
+            seen.append((m, n, r))
+            return check(m, n, r, values)
+
+        monkeypatch.setattr(polar, "_check_closed_forms", spy)
+        return seen
+
+    @staticmethod
+    def fail_the_alternating_sum():
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        # 4,5,2 is (50, 240, 595, 960, ...); 596 keeps the degree and the length
+        payload["entries"]["4,5,2"]["values"][2] = "596"
+        path.write_text(json.dumps(payload))
+
+    def test_failing_entry_is_dropped_in_every_command(self, capsys):
+        code, clean, err = run(capsys, *self.ARGV)
+        assert (code, err) == (0, "")
+        # served and checked once: the memo now holds the clean profile
+        assert run(capsys, *self.ARGV) == (0, clean, "")
+        for _ in range(2):
+            self.fail_the_alternating_sum()
+            code, out, err = run(capsys, *self.ARGV)
+            assert (code, out) == (0, clean)
+            assert err.startswith("detlinks: warning: dropping cache entry '4,5,2': ")
+            assert "alternating sum is not C(m, r) = 6" in err
+            assert err.count("\n") == 1
+        assert cache_load().get(4, 5, 2) == compute_polar_profile(4, 5, 2)
+
+    def test_identical_served_profile_is_checked_once(self, capsys, checks):
+        code, clean, _ = run(capsys, *self.ARGV)  # computed: checked by polar._profile
+        assert code == 0 and checks == [(4, 5, 2)]
+        assert run(capsys, *self.ARGV) == (0, clean, "")  # served: checked
+        assert checks == [(4, 5, 2)] * 2
+        for argv in (self.ARGV, ("cache", "show")):  # served again: no check
+            assert run(capsys, *argv)[0] == 0
+        assert checks == [(4, 5, 2)] * 2
+
+    def test_the_compute_path_checks_every_profile(self, monkeypatch):
+        # the closed forms compute the degree with math.comb; a repeated cell
+        # reads memoized Bott sums, so the check is all the comb calls it makes
+        calls = []
+        monkeypatch.setattr(polar, "comb", lambda a, b: calls.append((a, b)) or math.comb(a, b))
+        counts = []
+        for _ in range(3):
+            compute_polar_profile(4, 5, 2)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts == [counts[0], 2 * counts[0], 3 * counts[0]]
+
+
+class TestNoHomeDirectory:
+    """With no $DETLINKS_CACHE, no $XDG_CACHE_HOME and no home directory (a
+    uid with no passwd entry) there is no cache: commands warn and compute,
+    and ``cache path`` and ``cache clear`` fail with one error line."""
+
+    MESSAGE = "no cache directory: Could not determine home directory. Set $DETLINKS_CACHE."
+
+    @pytest.fixture(autouse=True)
+    def no_home(self, monkeypatch):
+        def home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("DETLINKS_CACHE")
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", classmethod(home))
+
+    def test_cache_dir_raises_only_without_a_setting(self, tmp_path, monkeypatch):
+        with pytest.raises(OSError, match="no cache directory"):
+            cache_dir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert cache_dir() == tmp_path / "xdg" / "detlinks"
+        monkeypatch.setenv("DETLINKS_CACHE", str(tmp_path / "own"))
+        assert cache_dir() == tmp_path / "own"
+
+    @pytest.mark.parametrize("argv", [
+        "polar --m 2 --n 3 --r 1",
+        "euler --m 3 --n 4 --s 3 --codim 0..6 --format json",
+        "betti --m 3 --n 4 --s 3 --codim 6..9 --format csv",
+    ])
+    def test_command_warns_computes_and_exits_0(self, capsys, tmp_path, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setenv("DETLINKS_CACHE", str(tmp_path))
+            code, expected, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv.split()) == (0, expected, (
+            f"detlinks: warning: ignoring the cache: {self.MESSAGE}\n"
+            f"detlinks: warning: could not write the cache: {self.MESSAGE}\n"))
+
+    def test_cache_show_is_empty(self, capsys):
+        assert run(capsys, "cache", "show") == (
+            0, "| entry (m,n,r) | length | multiplicity |\n| --- | --- | --- |\n",
+            f"detlinks: warning: ignoring the cache: {self.MESSAGE}\n")
+
+    @pytest.mark.parametrize("action", ["path", "clear"])
+    def test_cache_path_and_clear_exit_1(self, capsys, action):
+        assert run(capsys, "cache", action) == (1, "", f"detlinks: error: {self.MESSAGE}\n")
 
 
 class TestClosedStderr:

@@ -28,9 +28,11 @@ TRUSTING = ("grass_ring", "tensor_calculus")
 MEMOS = {
     "grass_ring._pieri", "grass_ring._h_monomials", "grass_ring._mul_basis",
     "partitions._box_weight", "polar.sign_record", "polar._bott_sums",
-    "tensor_calculus._lascoux", "cache._written", "cache._cell",
+    "tensor_calculus._lascoux", "cache._written", "cache._cell", "cli._check_served",
 }
 MEMO_DECORATORS = ("lru_cache", "cache")  # functools'
+CONTAINER_CALLS = ("dict", "list", "set")
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
 
 def imported_modules(path: Path) -> set:
@@ -81,12 +83,33 @@ def raise_statements(root: Path) -> list:
     return out
 
 
+def _is_container(value) -> bool:
+    """Whether an expression builds a mutable container: a dict, list or set
+    display, a comprehension of one, or a call of ``dict``, ``list`` or ``set``."""
+    if isinstance(value, CONTAINER_NODES):
+        return True
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in CONTAINER_CALLS
+
+
 def process_memos(root: Path) -> set:
     """``module.name`` for each function of the package under a functools
-    memo decorator and each module name rebound under ``global``."""
+    memo decorator, each module name rebound under ``global`` and each name
+    a module statement binds to a mutable container, which a function can
+    fill in place without ``global``."""
     out = set()
     for path in sorted((root / "src" / PACKAGE).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if _is_container(node.value):
+                out.update(f"{path.stem}.{target.id}"
+                           for target in targets if isinstance(target, ast.Name))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for deco in node.decorator_list:
                     target = deco.func if isinstance(deco, ast.Call) else deco
@@ -149,3 +172,12 @@ def test_every_process_memo_is_listed(tmp_path):
         "@staticmethod\ndef plain(m):\n    return m\n"
         "def warm():\n    global _sums\n    _sums = {}\n")
     assert process_memos(tmp_path) == {"links.euler", "links.betti", "links._sums"}
+    (package / "cli.py").write_text(
+        "FORMATS = ('csv', 'md')\nLIMIT = 3\nFLAGS = frozenset()\n_empty: dict\n"
+        "_seen = set()\n_verdicts = {}\n_log = []\n_by_key = dict()\n_order = list()\n"
+        "_a = _b = {0}\n_squares: dict = {k: k * k for k in range(3)}\n"
+        "_rows = [k for k in range(3)]\n_ranks = {k for k in range(3)}\n"
+        "def check(prof):\n    local = {}\n    local[prof] = True\n    _seen.add(prof)\n")
+    assert process_memos(tmp_path) - {"links.euler", "links.betti", "links._sums"} == {
+        "cli._seen", "cli._verdicts", "cli._log", "cli._by_key", "cli._order", "cli._a",
+        "cli._b", "cli._squares", "cli._rows", "cli._ranks"}

@@ -175,6 +175,20 @@ class TestBetti:
             "link not smooth at codimension 2 for DetSpec(m=3, n=4, s=3): "
             "smooth range is 6..9")
 
+    def test_middle_is_solved_from_chi_and_the_grassmannian(self):
+        # (-1)^middle (chi - sum_{k < middle} (-1)^k b_k(Grass(s-1, m)))
+        for m in range(2, 5):
+            for n in range(m, m + 3):
+                for s in range(2, m + 1):
+                    spec = DetSpec(m, n, s)
+                    gb = grass_betti(spec.r, m)
+                    for i in spec.smooth_range():
+                        prof = betti_smooth_complex_link(spec, i)
+                        below = sum((-1) ** k * gb[k]
+                                    for k in range(min(prof.middle, len(gb))))
+                        expected = (-1) ** prof.middle * (prof.chi - below)
+                        assert prof.betti[prof.middle] == expected, (spec, i)
+
     def test_euler_relation_and_nonnegative_middle(self):
         for m in range(2, 5):
             for n in range(m, 6):

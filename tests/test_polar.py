@@ -123,6 +123,18 @@ class TestEulerObstruction:
     def test_point_germ(self):
         assert euler_obstruction(1, 2, 0, 0) == 1
 
+    def test_every_window_is_the_documented_sum(self):
+        # sum_{j=i..d} (-1)^(d-j) values[d-j], zero beyond the profile
+        for m in range(1, 5):
+            for n in range(m, m + 3):
+                for r in range(m + 1):
+                    prof = compute_polar_profile(m, n, r)
+                    d = polar.germ_dim(m, n, r)
+                    for i in range(d + 1):
+                        expected = sum((-1) ** (d - j) * prof.value(d - j)
+                                       for j in range(i, d + 1))
+                        assert euler_obstruction(m, n, r, i) == expected, (m, n, r, i)
+
 
 class TestAgainstPublishedRows:
     @pytest.mark.parametrize("n", sorted(ref.POLAR_2N_R1))
