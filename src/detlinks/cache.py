@@ -15,11 +15,12 @@ non-negative decimal strings, or whose length is not
 ``polar.profile_length`` is dropped alone, with a warning naming it and its
 first bad value.  The command line checks every cell it serves from the
 cache against the closed forms of ``polar._check_closed_forms`` (the degree,
-the alternating sum C(m, r), the nonzero range, no negative value and the
-alternating first moment r(m - r) C(m, r)) and drops and recomputes an entry
-that fails, with a warning naming it; it checks each identical served
-profile once per process (``cli._check_served``), and a profile that fails
-is checked and named again in every command.  An edit that keeps every one
+the alternating sum C(m, r), the nonzero range, no negative value, the
+alternating first moment r(m - r) C(m, r) and, at 2r = m, the palindrome)
+and drops and recomputes an entry that fails, with a warning naming it; it
+checks each identical served profile once per process
+(``cli._check_served``), and a profile that fails is checked and named
+again in every command.  An edit that keeps every one
 of these invariants is caught only by a verify pass, which recomputes the
 digits through the independent Schubert route.  A served entry is trusted
 only within the command that served it: the command line passes it to that

@@ -18,9 +18,12 @@ error (for example a non-smooth link), 4 internal consistency failure (a
 computed profile failing a closed form or holding a negative value, an
 inexact Bott division, a --verify mismatch, a negative middle Betti number).
 A reader that closes stdout early does not change the exit code: the rest
-of the output is discarded.  A closed stderr drops the warning and error
-lines and changes neither the exit code nor stdout: ``errors.report``
-writes them all, and ``main`` opens /dev/null for a stderr closed at start.
+of the output is discarded.  An unwritable or closed stderr drops the
+warning and error lines and changes neither the exit code nor stdout,
+buffered or not: every write to either stream goes through
+``errors.write``, and ``main`` opens /dev/null for a stderr closed at start.
+A stream that refuses argparse's help or usage text does not change its
+exit code either: 0 for help, 2 for usage.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 from . import links as links_mod
 from . import polar as polar_mod
 from .cache import CacheFile, cache_load, cache_path, cache_store
-from .errors import ConsistencyError, DomainError, report
+from .errors import ConsistencyError, DomainError, report, write
 from .links import DetSpec, betti_smooth_complex_link, euler_complex_link
 from .polar import certify_polar_profile, compute_polar_profile
 
@@ -74,23 +77,15 @@ class _OutputError(Exception):
 
 
 def _emit(text: str):
-    """Write a command's output, flushed, so that a reader that closed the pipe
-    is seen here and not at interpreter exit.  Every store is done before a
-    command renders, so a closed stdout is no failure: the rest of the output
-    goes to /dev/null, and a stdout closed at start (``sys.stdout`` is None)
-    takes none.  Any other failed write (a full disk) sends the rest there
-    too, so that exit prints nothing more, and raises ``_OutputError``."""
-    if sys.stdout is None:
-        return
-    try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()
-    except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        if not isinstance(exc, BrokenPipeError):
-            raise _OutputError(exc)
+    """Write a command's output through ``errors.write``, so that a reader
+    that closed the pipe is seen here and not at interpreter exit.  Every
+    store is done before a command renders, so a closed stdout is no
+    failure: the rest of the output goes to /dev/null, and a stdout closed at
+    start takes none.  Any other failed write (a full disk) sends the rest
+    there too, so that exit prints nothing more, and raises ``_OutputError``."""
+    exc = write(sys.stdout, text if text.endswith("\n") else text + "\n")
+    if exc is not None and not isinstance(exc, BrokenPipeError):
+        raise _OutputError(exc)
 
 
 def _md_table(header: list, rows: list) -> str:
@@ -433,7 +428,14 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     if sys.stderr is None:  # argparse would print its usage errors to stdout
         sys.stderr = open(os.devnull, "w")
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit:
+        # argparse's help and usage text sits in the buffers; a stream that
+        # refuses it must not fail again at interpreter exit
+        write(sys.stdout, "")
+        write(sys.stderr, "")
+        raise
     try:
         return args.func(args)
     except _UsageError as exc:

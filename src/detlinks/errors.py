@@ -1,20 +1,34 @@
-"""Exception types and the one diagnostic writer shared across the package."""
+"""Exception types and the one guard on the command's two output streams."""
 
+import os
 import sys
 
 
-def report(kind: str, msg):
-    """Write the line ``detlinks: <kind>: <msg>`` to stderr, flushed.  A closed
-    stderr drops the line: ``sys.stderr`` is None when fd 2 was closed at
-    start, and a write raises OSError when fd 2 is not writable.  So a
-    diagnostic never changes a command's exit code or its stdout."""
-    if sys.stderr is None:
-        return
+def write(stream, text: str):
+    """Write ``text`` to ``stream``, flushed, and return the OSError that
+    refused it, or None.  A stream that is None (its fd was closed at start)
+    takes nothing.  After a failed write or flush the stream's fd points at
+    /dev/null, so whatever the buffer still holds goes there when the
+    interpreter flushes at exit, and a refused stream never turns a
+    command's exit code into 120, buffered or not."""
+    if stream is None:
+        return None
     try:
-        sys.stderr.write(f"detlinks: {kind}: {msg}\n")
-        sys.stderr.flush()
-    except OSError:
-        pass
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
+
+
+def report(kind: str, msg):
+    """Write the line ``detlinks: <kind>: <msg>`` to stderr through ``write``.
+    An unwritable or closed stderr drops the line, so a diagnostic never
+    changes a command's exit code or its stdout."""
+    write(sys.stderr, f"detlinks: {kind}: {msg}\n")
 
 
 class DomainError(ValueError):

@@ -294,15 +294,20 @@ def _check_closed_forms(m: int, n: int, r: int, values):
     """The zeroth value is the degree prod_i C(n+i, r) / C(r+i, r), i < m-r;
     the alternating sum is C(m, r); values[k] is nonzero exactly for
     k <= 2r(m - r); no value is negative; the alternating first moment
-    sum_k (-1)^k k values[k] is r(m - r) C(m, r).  Tested in that order; only
-    the first form that fails builds its message.
+    sum_k (-1)^k k values[k] is r(m - r) C(m, r); at 2r = m the values
+    k <= kappa read the same backwards.  Tested in that order; only the first
+    form that fails builds its message.
 
     The moment: Piene's formula inverted makes sum_k (-1)^k (d - k) values[k],
     d the germ's dimension, the top Chern-Mather degree of X = P(rank <= r),
     which is chi(Eu_X) (MacPherson), with Eu_X = C(m - p, r - p) on the rank-p
     stratum.  The torus fixes only the mn matrix units of P(C^(m x n)), all of
     rank 1, so only that stratum has chi != 0, namely mn: the degree is
-    mn C(m - 1, r - 1) = nr C(m, r), and the moment is (d - nr) C(m, r)."""
+    mn C(m - 1, r - 1) = nr C(m, r), and the moment is (d - nr) C(m, r).
+
+    The palindrome: the rank <= r locus is dual to the rank <= m - r locus
+    (Kleiman), and values[k] of the one is values[kappa - k] of the other, so
+    a rank that is its own dual reads the same backwards."""
     degree = prod(comb(n + i, r) for i in range(m - r)) // prod(
         comb(r + i, r) for i in range(m - r)
     )
@@ -319,6 +324,8 @@ def _check_closed_forms(m: int, n: int, r: int, values):
     elif (sum(map(mul, range(0, len(values), 2), evens))
           - sum(map(mul, range(1, len(values), 2), odds))) != r * (m - r) * alt:
         what = f"alternating first moment is not r(m - r) C(m, r) = {r * (m - r) * alt}"
+    elif 2 * r == m and values[:kappa + 1] != values[kappa::-1]:
+        what = "self-dual profile is not a palindrome"
     else:
         return
     raise ConsistencyError(f"polar profile of (m, n, r) = ({m}, {n}, {r}): {what}: {values}")

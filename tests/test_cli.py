@@ -57,10 +57,30 @@ def json_text(entries: dict) -> str:
 
 
 def edit_keeping_every_closed_form(values: list):
-    """Add (1, 2, 1) at k = 1..3 of a list of value strings: the degree, the
-    alternating sum, its first moment and, when kappa >= 3, the nonzero range
-    stay as they were."""
-    values[1:4] = [str(int(v) + d) for v, d in zip(values[1:4], (1, 2, 1))]
+    """Add (1, 2, 1) at k = 1..3 of a list of value strings, and at
+    k = kappa - 3..kappa - 1 as well when the values k <= kappa read the same
+    backwards (a self-dual rank): the degree, the alternating sum, its first
+    moment, the palindrome and, when kappa >= 3, the nonzero range stay as
+    they were.  The mirrored edit keeps the sum and the moment because kappa
+    is even."""
+    kappa = max(k for k, v in enumerate(values) if v != "0")
+    edits = [(1, 1), (2, 2), (3, 1)]
+    if values[:kappa + 1] == values[kappa::-1]:
+        edits += [(kappa - k, d) for k, d in edits]
+    for k, d in edits:
+        values[k] = str(int(values[k]) + d)
+
+
+def child_env(unbuffered: bool, **extra) -> dict:
+    """The environment of a ``detlinks.cli`` child process: this checkout's
+    src on PYTHONPATH, ``extra``, and PYTHONUNBUFFERED set only if
+    ``unbuffered``, whatever the caller exports."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def run(capsys, *argv):
@@ -265,11 +285,7 @@ class TestPolarCommand:
         # command has stored its profiles by then and exits 0
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
-        env.pop("PYTHONUNBUFFERED", None)
-        if stdout == "unbuffered":
-            env["PYTHONUNBUFFERED"] = "1"
+        env = child_env(stdout == "unbuffered", DETLINKS_CACHE=str(isolated_cache))
         closed = stdout == "closed"
         argv = "polar --m 2..5 --n 6..12 --r 1..2 --format json".split()
         try:
@@ -282,19 +298,29 @@ class TestPolarCommand:
         assert (result.returncode, result.stderr) == (0, "")
         assert len(cache_load().entries) == 4 * 7 * 2
 
+    @pytest.mark.parametrize("stdout", ["buffered", "unbuffered"])
+    def test_help_on_an_unwritable_stdout_exits_0(self, stdout):
+        # argparse drops a failed write of its help text; what a buffered
+        # stdout still holds must not fail again at interpreter exit (120)
+        with open(__file__, "rb") as unwritable:
+            result = subprocess.run([sys.executable, "-m", "detlinks.cli", "polar", "--help"],
+                                    env=child_env(stdout == "unbuffered"),
+                                    stdout=unwritable, stderr=subprocess.PIPE)
+        assert (result.returncode, result.stderr) == (0, b"")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_output_write_is_one_error_line(self, isolated_cache):
         # a full device refuses the write: one error line, exit 1, and no
-        # traceback when the interpreter flushes stdout at exit
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
-        with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "detlinks.cli", "polar", "--m", "2", "--n", "3",
-                 "--r", "1"], env=env, stdout=full, stderr=subprocess.PIPE, text=True)
-        assert (result.returncode, result.stderr) == (
-            1, "detlinks: error: could not write the output: "
-               "[Errno 28] No space left on device\n")
+        # traceback when the interpreter flushes stdout at exit, buffered or not
+        for unbuffered in (False, True):
+            env = child_env(unbuffered, DETLINKS_CACHE=str(isolated_cache))
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "detlinks.cli", "polar", "--m", "2", "--n", "3",
+                     "--r", "1"], env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+            assert (result.returncode, result.stderr) == (
+                1, "detlinks: error: could not write the output: "
+                   "[Errno 28] No space left on device\n")
         assert sorted(cache_load().entries) == ["2,3,1"]
 
     @pytest.mark.parametrize("error, raised", [
@@ -795,13 +821,31 @@ class TestCache:
         run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
         path = cache_path()
         payload = json.loads(path.read_text())
-        # (50, 240, 595, 960, ...) -> (50, 241, 597, 961, ...)
+        # (50, 240, 595, 960, 1116, 960, 595, 240, 50, 0, 0)
+        # -> (50, 241, 597, 961, 1116, 961, 597, 241, 50, 0, 0)
         edit_keeping_every_closed_form(payload["entries"]["4,5,2"]["values"])
         path.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2",
                            "--format", "csv")
         assert code == 0
-        assert "4,5,2,1,241" in out  # documented: trusted unless verifying
+        # documented: trusted unless verifying
+        assert "4,5,2,1,241" in out and "4,5,2,7,241" in out
+
+    def test_unmirrored_edit_of_a_self_dual_entry_is_recomputed(self, capsys):
+        # (1, 2, 1) at k = 1..3 alone keeps the five other forms of 4,5,2
+        argv = ("polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
+        code, clean, _ = run(capsys, *argv)
+        assert code == 0
+        path = cache_path()
+        payload = json.loads(path.read_text())
+        values = payload["entries"]["4,5,2"]["values"]
+        values[1:4] = ["241", "597", "961"]
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, clean)
+        assert err.startswith("detlinks: warning: dropping cache entry '4,5,2': ")
+        assert "self-dual profile is not a palindrome" in err
+        assert cache_load().get(4, 5, 2) == compute_polar_profile(4, 5, 2)
 
     def test_served_profile_stays_inside_its_command(self, capsys):
         run(capsys, "polar", "--m", "4", "--n", "5", "--r", "2", "--format", "csv")
@@ -1284,8 +1328,9 @@ class TestNoHomeDirectory:
 
 
 class TestClosedStderr:
-    """A closed stderr drops the warning and error lines and nothing else: the
-    exit code and the stdout bytes are those of the same run with stderr open."""
+    """A closed or unwritable stderr drops the warning and error lines and
+    nothing else, buffered or not: the exit code and the stdout bytes are those
+    of the same run with stderr open."""
 
     FAILING_ENTRY = json.dumps(
         {"version": cache_module.CACHE_VERSION,
@@ -1299,15 +1344,15 @@ class TestClosedStderr:
     }
 
     @staticmethod
-    def _run(argv: str, cache_text, cache_dir: Path, stderr: str):
-        """Run the command in a fresh process on a fresh cache.  ``stderr`` is
-        "open" (a pipe), "closed" (fd 2 closed at start, so ``sys.stderr`` is
-        None) or "read-only" (fd 2 open for reading, so every write fails)."""
+    def _run(argv: str, cache_text, cache_dir: Path, stderr: str, unbuffered: bool):
+        """Run the command in a fresh process on a fresh cache, with
+        ``child_env(unbuffered)``.  ``stderr`` is "open" (a pipe), "closed" (fd 2 closed at
+        start, so ``sys.stderr`` is None) or "read-only" (fd 2 open for
+        reading, so every write fails)."""
         cache_dir.mkdir()
         if cache_text is not None:
             (cache_dir / cache_module.CACHE_FILENAME).write_text(cache_text)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(cache_dir))
+        env = child_env(unbuffered, DETLINKS_CACHE=str(cache_dir))
         command = [sys.executable, "-m", "detlinks.cli", *argv.split()]
         if stderr == "read-only":
             with open(__file__, "rb") as unwritable:
@@ -1317,14 +1362,17 @@ class TestClosedStderr:
                               stderr=subprocess.PIPE if stderr == "open" else None,
                               preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
 
-    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("stderr, unbuffered", [
+        pytest.param(stderr, unbuffered, id=stderr + ("-unbuffered" if unbuffered else ""))
+        for unbuffered in (False, True) for stderr in ("closed", "read-only")
+    ])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_exit_code_and_stdout_unchanged(self, tmp_path, case, stderr):
+    def test_exit_code_and_stdout_unchanged(self, tmp_path, case, stderr, unbuffered):
         argv, cache_text, code, line = self.CASES[case]
-        opened = self._run(argv, cache_text, tmp_path / "open", "open")
+        opened = self._run(argv, cache_text, tmp_path / "open", "open", unbuffered)
         assert opened.returncode == code and opened.stderr  # each case writes a diagnostic
         assert line.encode() in opened.stdout and bool(line) == bool(opened.stdout)
-        shut = self._run(argv, cache_text, tmp_path / "shut", stderr)
+        shut = self._run(argv, cache_text, tmp_path / "shut", stderr, unbuffered)
         assert (shut.returncode, shut.stdout) == (code, opened.stdout)
 
 

@@ -46,6 +46,28 @@ class TestDetSpec:
             M343.check_codim(5, smooth=True)
 
 
+class TestLinkChiSum:
+    """The link Euler characteristics of a germ with s >= 2 sum to mn.
+
+    Let Y_i be the projectivized slice of the germ by a generic plane of
+    codimension i: a hyperplane section of Y_(i-1), and empty at i = d.  The
+    germ is a cone, so its codimension-i complex link, the Milnor fiber of a
+    generic linear function on the slice, is the affine part L^i = Y_i minus
+    Y_(i+1), and chi(L^i) = chi(Y_i) - chi(Y_(i+1)).  The sum over i < d
+    telescopes to chi(Y_0), Y_0 = P(rank <= s - 1 locus).  The torus fixes
+    only the mn matrix units of P(C^(m x n)), all of rank 1 <= s - 1, so
+    chi(Y_0) = mn."""
+
+    GERMS = [DetSpec(m, n, s) for m in range(2, 7) for n in range(m, m + 4)
+             for s in range(2, m + 1)]
+
+    def test_sum_over_the_codimensions_is_mn(self):
+        assert len(self.GERMS) == 60
+        wrong = [spec for spec in self.GERMS
+                 if sum(euler_complex_link(spec, i) for i in range(spec.d)) != spec.m * spec.n]
+        assert wrong == []
+
+
 class TestTransverseLinkFactors:
     def test_worked_factor(self):
         assert egz_factor(M343, 1) == -1

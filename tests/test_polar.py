@@ -273,6 +273,20 @@ class TestClosedFormChecks:
             polar._check_closed_forms(3, 4, 2, values)
         assert str(exc.value) == f"polar profile of (m, n, r) = (3, 4, 2): {what}: {values}"
 
+    def test_self_dual_profile_reads_the_same_backwards(self):
+        # (4,5,2) is (50, 240, 595, 960, 1116, 960, 595, 240, 50, 0, 0):
+        # (1, 2, 1) added at k = 1..3 keeps the five other forms, and the same
+        # edit mirrored at k = 5..7 keeps the palindrome as well
+        values = list(compute_polar_profile(4, 5, 2).values)
+        values[1:4] = [241, 597, 961]
+        with pytest.raises(ConsistencyError) as exc:
+            polar._check_closed_forms(4, 5, 2, tuple(values))
+        assert str(exc.value) == (
+            "polar profile of (m, n, r) = (4, 5, 2): self-dual profile is not a "
+            f"palindrome: {tuple(values)}")
+        values[5:8] = [961, 597, 241]
+        polar._check_closed_forms(4, 5, 2, tuple(values))
+
     def test_dual_integrals_not_reversed(self, monkeypatch):
         # (3,4,2) gets the rank-1 integrals (10, 24, 27, 16, 6) front to back:
         # same alternating sum and nonzero range, wrong degree
