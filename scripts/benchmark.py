@@ -10,11 +10,11 @@ on a current desktop core, and on the frontier cell (9,10,4), about a
 second.  Every time is cold.  The process memo of Bott sums, which both
 ranks of a dual pair share, is cleared before each compute, so (7,8,4)
 right after its dual (7,8,3) is summed again rather than read back.  The
-certifier's memos (the Lascoux class, the Schubert structure constants
-``_mul_basis``, the Pieri strips ``_pieri`` and the Giambelli expansions
-``_h_monomials``) are cleared before each certify, so a repeated --cell, or
-a cell sharing a factor box with an earlier one, builds its structure
-constants again.  A cell whose two routes disagree is reported,
+certifier's memos (every function of ``grass_ring`` and ``tensor_calculus``
+that has a ``cache_clear``, looked up at run time, so a memo added there
+later is cleared too) are cleared before each certify, so a repeated
+--cell, or a cell sharing a factor box with an earlier one, builds its
+structure constants again.  A cell whose two routes disagree is reported,
 and the script then exits 1.  A first line reports start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
 after another, the detlinks modules that import loads, and the other
@@ -41,13 +41,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from detlinks.grass_ring import _h_monomials, _mul_basis, _pieri  # noqa: E402
+from detlinks import grass_ring, tensor_calculus  # noqa: E402
 from detlinks.polar import (  # noqa: E402
     _bott_sums,
     certify_polar_profile,
     compute_polar_profile,
 )
-from detlinks.tensor_calculus import _lascoux  # noqa: E402
 
 
 HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3), (9, 10, 4)]
@@ -94,13 +93,21 @@ def startup():
           f"fresh interpreters), loads {' '.join(own)}; also loads {' '.join(other)}")
 
 
+def clear_certifier_memos():
+    """Empty every memo of the certifier: each attribute of ``grass_ring``
+    and ``tensor_calculus`` that has a ``cache_clear``."""
+    for module in (grass_ring, tensor_calculus):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def run_cell(m, n, r):
     """Time both routes on one cell; returns (compute seconds, certify
     seconds, whether the routes agree)."""
     _bott_sums.cache_clear()
     prof, compute_s = timed(compute_polar_profile, m, n, r)
-    for memo in (_lascoux, _mul_basis, _pieri, _h_monomials):
-        memo.cache_clear()
+    clear_certifier_memos()
     cert, certify_s = timed(certify_polar_profile, m, n, r)
     agree = cert == prof
     print(f"  ({m:2d},{n:2d},{r}) {compute_s * 1e3:9.1f}ms {certify_s * 1e3:9.1f}ms"

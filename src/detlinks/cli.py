@@ -154,7 +154,10 @@ def _gather_profiles(cells, verify: bool, jobs: int):
         else:
             need[cell] = cached if verify else None
     route = certify_polar_profile if verify else compute_polar_profile
-    workers = min(jobs, len(need), os.cpu_count() or 1)  # a fork pool starts all at once
+    workers = min(jobs, len(need))
+    if workers > 1:  # a fork pool starts all at once: one worker per CPU this process may use
+        workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
     if workers > 1:
         # imported here: it pulls in multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor

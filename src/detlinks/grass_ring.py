@@ -5,9 +5,9 @@ map from keys to nonzero integers.  Over a ``GrassSpec`` the keys are
 partitions inside the r x (m - r) box of H*(Grass(r, m)); over a
 ``tensor_calculus.ProdSpec`` they are pairs of partitions, one in each
 factor's box.  Multiplication is the function of the spec: ``mul`` here,
-by iterated Pieri steps (a general basis element is first expanded through
-single-row classes by the Giambelli determinant), and ``mul_prod`` in
-``tensor_calculus``.  Degrees are Chern degrees: the class indexed by a
+by one Pieri recursion on the last row of the shorter factor (``_pieri``
+adds a horizontal strip, ``_mul_basis`` peels rows off), and ``mul_prod``
+in ``tensor_calculus``.  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis, by powers of the total Chern
 classes of the tautological bundles, which are given in closed form.
@@ -18,7 +18,7 @@ two factors of ``mul`` share one spec, and every key is a partition inside
 the spec's box.  Nothing here checks that.  ``polar._profile`` checks
 (m, n, r) before the certifier builds any spec.
 
-The tests certify the Pieri/Giambelli products against the presentation
+The tests certify the Pieri products against the presentation
 Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every m <= 8 with one
 Hermite normal form per degree up to dim + r; neither side trusts the other.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .partitions import weight
 
@@ -102,13 +101,6 @@ class SparseElement:
         return f"{type(self).__name__}({self.spec!r}, {self.coords!r})"
 
 
-def _perm_sign(perm) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def _pieri(rows: int, cols: int, lam: tuple, k: int):
     """Partitions obtained from lam by adding a horizontal strip of k boxes
@@ -134,45 +126,36 @@ def _pieri(rows: int, cols: int, lam: tuple, k: int):
 
 
 @lru_cache(maxsize=None)
-def _h_monomials(mu: tuple):
-    """Signed expansion of the Giambelli row determinant for mu into products
-    of single-row degrees: returns ((k_1 >= k_2 >= ...), sign) pairs."""
-    ell = len(mu)
-    if ell == 0:
-        return (((), 1),)
-    acc = {}
-    for perm in permutations(range(ell)):
-        subs = tuple(mu[i] - i + perm[i] for i in range(ell))
-        if any(s < 0 for s in subs):
-            continue
-        key = tuple(sorted((s for s in subs if s > 0), reverse=True))
-        acc[key] = acc.get(key, 0) + _perm_sign(perm)
-    return tuple((ks, c) for ks, c in acc.items() if c)
-
-
-@lru_cache(maxsize=None)
 def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     """Structure constants of the product of two Schubert classes inside the
-    rows x cols box, as a tuple of (partition, coefficient).  Callers pass
-    the smaller partition second, so both orders share one cache entry."""
+    rows x cols box, as a tuple of (partition, coefficient).  ``mul`` passes
+    the smaller partition second, so both orders share one cache entry.
+
+    A Pieri recursion on the last row of the shorter factor: with
+    mu = head + (last,), the Pieri step of ``last`` on sigma_head is sigma_mu
+    plus sigma_nu for each other nu of ``_pieri(rows, cols, head, last)``, so
+    sigma_lam * sigma_mu is that step on sigma_lam * sigma_head minus each
+    sigma_lam * sigma_nu.  The identity holds in the box because truncation
+    to the box is a ring map.  Each such nu has nu_l < mu_l (l = len(mu)),
+    because nu_i >= mu_i for i < l at equal weight; so the pair (rows of mu,
+    last row of mu) falls lexicographically at every call, and the
+    recursion ends."""
     if weight(lam) + weight(mu) > rows * cols:
         return ()
     if len(mu) > len(lam):
         lam, mu = mu, lam
+    if not mu:
+        return ((lam, 1),)
+    head, last = mu[:-1], mu[-1]
     total = {}
-    for ks, sign in _h_monomials(mu):
-        cur = {lam: sign}
-        for k in ks:
-            nxt = {}
-            for nu, c in cur.items():
-                for nu2 in _pieri(rows, cols, nu, k):
-                    nxt[nu2] = nxt.get(nu2, 0) + c
-            cur = nxt
-            if not cur:
-                break
-        for nu, c in cur.items():
-            total[nu] = total.get(nu, 0) + c
-    return tuple((nu, c) for nu, c in sorted(total.items()) if c)
+    for nu, c in _mul_basis(rows, cols, lam, head):
+        for nu2 in _pieri(rows, cols, nu, last):
+            total[nu2] = total.get(nu2, 0) + c
+    for nu in _pieri(rows, cols, head, last):
+        if nu != mu:
+            for nu2, c in _mul_basis(rows, cols, lam, nu):
+                total[nu2] = total.get(nu2, 0) - c
+    return tuple((nu, c) for nu, c in total.items() if c)
 
 
 def mul(a: SparseElement, b: SparseElement) -> SparseElement:

@@ -13,7 +13,7 @@ served commands.
   Hermite normal form per degree, and verifies that the e-monomials of the
   partitions in the box are a Z-basis of it; that holds for every
   Grass(r, m) with m <= 8, the range the tests certify.  With
-  ``schubert_to_presentation`` it certifies the Pieri/Giambelli products
+  ``schubert_to_presentation`` it certifies the Pieri-recursion products
   of ``grass_ring.mul``, and its graded ranks certify the Grassmannian
   Betti numbers of ``links.grass_betti``.
 * ``euler_step`` computes one Morse step chi(L^i) - chi(L^(i+1)) of the
@@ -51,7 +51,6 @@ from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import (
     GrassSpec,
     SparseElement,
-    _perm_sign,
     mul,
     total_chern_quot,
     total_chern_sub,
@@ -209,6 +208,13 @@ def weighted_degree(poly: PresentationPoly) -> int | None:
 # ---------------------------------------------------------------------------
 # the brute-force quotient-ring oracle
 # ---------------------------------------------------------------------------
+
+def _perm_sign(perm) -> int:
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
 
 def schubert_to_presentation(spec: GrassSpec, lam) -> PresentationPoly:
     """Express a Schubert class as a polynomial in x_1..x_r.

@@ -353,6 +353,32 @@ class TestCriterion8Properties:
         assert module.main(["--max-hb", "2"]) == 1
         assert "ROUTES DISAGREE" in capsys.readouterr().out
 
+    def test_benchmark_certifies_with_every_certifier_memo_empty(self, monkeypatch, capsys):
+        # every certify time is cold, also for a memo the certifier gains later
+        import importlib.util
+
+        from detlinks import grass_ring, tensor_calculus
+
+        script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
+        spec = importlib.util.spec_from_file_location("benchmark", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        memos = [value for ring in (grass_ring, tensor_calculus)
+                 for value in vars(ring).values() if hasattr(value, "cache_clear")]
+        assert {memo.__name__ for memo in memos} >= {"_mul_basis", "_pieri", "_lascoux"}
+        certify = module.certify_polar_profile
+        certify(3, 4, 2)
+        assert all(memo.cache_info().currsize for memo in memos)
+        sizes = []
+
+        def spy(m, n, r):
+            sizes.append([memo.cache_info().currsize for memo in memos])
+            return certify(m, n, r)
+
+        monkeypatch.setattr(module, "certify_polar_profile", spy)
+        assert module.run_cell(3, 4, 2)[2]
+        assert sizes == [[0] * len(memos)]
+
     def test_benchmark_names_what_start_up_loads(self, capsys):
         import importlib.util
 

@@ -111,7 +111,9 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # pool sizes independent of the machine
+    # pool sizes independent of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return InlinePool
 
@@ -168,14 +170,35 @@ class TestPolarCommand:
         assert inline_pool.sizes == [2]
         assert "2,3,1,0,3" in out
 
-    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])], ids=["two", "unknown"])
-    def test_jobs_pool_capped_at_the_cpus(self, capsys, monkeypatch, inline_pool, cpus, sizes):
-        # --jobs 8 over four cells: one worker per CPU, serial if the count is unknown
+    @pytest.mark.parametrize("affinity, cpus, sizes", [
+        (None, 2, [2]), (None, None, []), ({0}, 2, []), ({0, 1}, 4, [2])],
+        ids=["two", "unknown", "affinity-one-of-two", "affinity-two-of-four"])
+    def test_jobs_pool_capped_at_the_cpus(self, capsys, monkeypatch, inline_pool,
+                                          affinity, cpus, sizes):
+        # --jobs 8 over four cells: one worker per CPU this process may run on,
+        # counted by the affinity mask where the platform has one, else by
+        # os.cpu_count(); serial if the count is unknown
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..5", "--r", "1",
                            "--jobs", "8", "--format", "csv")
         assert code == 0
         assert inline_pool.sizes == sizes
+        assert "2,5,1,0,5" in out
+
+    def test_serial_gather_counts_no_cpus(self, capsys, monkeypatch, inline_pool):
+        def counted(*args):
+            raise AssertionError("a serial gather needs no CPU count")
+
+        monkeypatch.setattr(os, "cpu_count", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", counted, raising=False)
+        code, out, _ = run(capsys, "polar", "--m", "2", "--n", "2..5", "--r", "1",
+                           "--format", "csv")
+        assert code == 0
+        assert inline_pool.sizes == []
         assert "2,5,1,0,5" in out
 
     def test_verify_through_the_pool(self, capsys, inline_pool, monkeypatch):
