@@ -10,11 +10,11 @@ on a current desktop core, and on the frontier cell (9,10,4), about a
 second.  Every time is cold.  The process memo of Bott sums, which both
 ranks of a dual pair share, is cleared before each compute, so (7,8,4)
 right after its dual (7,8,3) is summed again rather than read back.  The
-certifier's memos (every function of ``grass_ring`` and ``tensor_calculus``
-that has a ``cache_clear``, looked up at run time, so a memo added there
-later is cleared too) are cleared before each certify, so a repeated
---cell, or a cell sharing a factor box with an earlier one, builds its
-structure constants again.  A cell whose two routes disagree is reported,
+certifier's memos (every function of ``partitions``, ``grass_ring`` and
+``tensor_calculus`` that has a ``cache_clear``, looked up at run time, so a
+memo added there later is cleared too) are cleared before each certify, so
+a repeated --cell, or a cell sharing a factor box with an earlier one,
+builds its partitions and structure constants again.  A cell whose two routes disagree is reported,
 and the script then exits 1.  A first line reports start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
 after another, the detlinks modules that import loads, and the other
@@ -41,7 +41,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from detlinks import grass_ring, tensor_calculus  # noqa: E402
+from detlinks import grass_ring, partitions, tensor_calculus  # noqa: E402
 from detlinks.polar import (  # noqa: E402
     _bott_sums,
     certify_polar_profile,
@@ -94,9 +94,9 @@ def startup():
 
 
 def clear_certifier_memos():
-    """Empty every memo of the certifier: each attribute of ``grass_ring``
-    and ``tensor_calculus`` that has a ``cache_clear``."""
-    for module in (grass_ring, tensor_calculus):
+    """Empty every memo of the certifier: each attribute of ``partitions``,
+    ``grass_ring`` and ``tensor_calculus`` that has a ``cache_clear``."""
+    for module in (partitions, grass_ring, tensor_calculus):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

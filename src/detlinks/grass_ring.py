@@ -10,7 +10,8 @@ adds a horizontal strip, ``_mul_basis`` peels rows off), and ``mul_prod``
 in ``tensor_calculus``.  Degrees are Chern degrees: the class indexed by a
 partition of weight w lives in cohomological degree 2w.  The certifier in
 ``tensor_calculus`` multiplies in this basis, by powers of the total Chern
-classes of the tautological bundles, which are given in closed form.
+classes of the tautological bundles, each in closed form
+(``chern_quot_power``).
 
 This ring is an internal of the certifier, and it trusts its callers as
 ``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m, the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import weight
+from .partitions import conjugate, partitions_in_box, weight
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class SparseElement:
     """Sparse integer combination of keys over a ring spec.
 
     The constructor drops zero coefficients and checks no key: every
-    producer (``mul``, ``mul_prod``, the total Chern classes, the tensor
+    producer (``mul``, ``mul_prod``, ``chern_quot_power``, the tensor
     series) emits keys that are canonical and inside the box of its spec.
     ``*`` only scales by an integer; the spec's product is a function.
     Instances are immutable by convention: every operation returns a fresh
@@ -170,19 +171,23 @@ def mul(a: SparseElement, b: SparseElement) -> SparseElement:
     return SparseElement(a.spec, acc)
 
 
-def total_chern_sub(spec: GrassSpec) -> SparseElement:
-    """Total Chern class of the tautological subbundle: the sum over i <= r
-    of (-1)^i times the single-column class of height i.  On Grass(m, m)
-    the subbundle is trivial and the class is 1."""
-    if spec.cols == 0:
-        return SparseElement(spec, {(): 1})
-    return SparseElement(spec, {(1,) * i: (-1) ** i for i in range(spec.r + 1)})
+def chern_quot_power(spec: GrassSpec, e: int) -> SparseElement:
+    """c(Q)^e for any integer e, in closed form (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.4 (4.3) and I.3 Ex. 4).
 
-
-def total_chern_quot(spec: GrassSpec) -> SparseElement:
-    """Total Chern class of the tautological quotient bundle: the sum over
-    k <= m - r of the single-row classes of width k.  On Grass(0, m) the
-    quotient is trivial and the class is 1."""
-    if spec.r == 0:
-        return SparseElement(spec, {(): 1})
-    return SparseElement(spec, {(k,) if k else (): 1 for k in range(spec.cols + 1)})
+    sigma_lam = s_lam(a) for the roots a of S^v, so c(Q) = prod 1/(1 - a_i).
+    The Cauchy identity at y = 1^e gives c(Q)^e = sum over lam in the box of
+    s_lam(1^e) sigma_lam; truncation to the box is a ring map.  By the
+    hook-content formula s_lam(1^e) = prod over the boxes x of lam of
+    (e + c(x)) / h(x), an integer-valued polynomial in e.  c(S) = 1/c(Q),
+    so c(S)^e is that polynomial at -e; by the dual Cauchy identity it is
+    (-1)^|lam| s_lam'(1^e).  So each division is exact."""
+    coords = {}
+    for lam in partitions_in_box(spec.r, spec.cols):
+        conj, num, den = conjugate(lam), 1, 1
+        for i, row in enumerate(lam):
+            for j in range(row):
+                num *= e + j - i
+                den *= row - j + conj[j] - i - 1
+        coords[lam] = num // den
+    return SparseElement(spec, coords)

@@ -27,10 +27,11 @@ All four series come in closed form from two finite classes:
 
 * S + Q is trivial on each factor, so c(Q1 (x) Q2) = c(S1 (x) S2) c(Q1)^m
   c(Q2)^n, s(Q1 (x) Q2) = c(S1 (x) Q2) c(S2)^n and s(S1 (x) S2) =
-  c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor and multiplies each
-  distinct key of the Lascoux class on that factor once.  Nothing is
-  recursive, and the one memo keeps the last Lascoux class, which both Segre
-  series of one cell share.
+  c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor, comes in closed
+  form from ``grass_ring.chern_quot_power`` (c(S2)^n = c(Q2)^(-n)) and
+  multiplies each distinct key of the Lascoux class on that factor once.
+  Nothing is recursive, and the one memo keeps the last Lascoux class,
+  which both Segre series of one cell share.
 
 ``ProdSpec``, ``mul_prod``, ``pair_prod``, ``chern_tensor`` and
 ``segre_tensor`` trust their callers as ``grass_ring`` does: a spec has
@@ -51,14 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .grass_ring import (
-    GrassSpec,
-    SparseElement,
-    _mul_basis,
-    mul,
-    total_chern_quot,
-    total_chern_sub,
-)
+from .grass_ring import GrassSpec, SparseElement, _mul_basis, chern_quot_power, mul
 from .partitions import box_complement, conjugate, partitions_in_box, weight
 
 SUB_TENSOR = "sub_tensor"
@@ -191,12 +185,9 @@ def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     return SparseElement(spec, coords)
 
 
-def _times_power(coords: dict, factor: int, total: SparseElement, exponent: int) -> dict:
-    """coords times total^exponent, a class on one factor (0 or 1): each
-    distinct key of coords on that factor is multiplied by it once."""
-    power = SparseElement(total.spec, {(): 1})
-    for _ in range(exponent):
-        power = mul(power, total)
+def _times_power(coords: dict, factor: int, power: SparseElement) -> dict:
+    """coords times power, a class on one factor (0 or 1): each distinct
+    key of coords on that factor is multiplied by it once."""
     others = {}
     for key, c in coords.items():
         others.setdefault(key[factor], []).append((key[1 - factor], c))
@@ -221,8 +212,8 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     """Total Chern class of the tensor bundle through degree min(up_to, dim G)."""
     coords = _lascoux(spec, SUB_TENSOR).coords
     if bundle == QUOT_TENSOR:
-        coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
-        coords = _times_power(coords, 1, total_chern_quot(spec.factor2), spec.n)
+        coords = _times_power(coords, 0, chern_quot_power(spec.factor1, spec.m))
+        coords = _times_power(coords, 1, chern_quot_power(spec.factor2, spec.n))
     return _by_degree(spec, bundle, coords, up_to)
 
 
@@ -231,7 +222,7 @@ def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     min(up_to, dim G), built from c(S1 (x) Q2) without the Chern series."""
     coords = _lascoux(spec, QUOT_TENSOR).coords
     if bundle == QUOT_TENSOR:
-        coords = _times_power(coords, 1, total_chern_sub(spec.factor2), spec.n)
+        coords = _times_power(coords, 1, chern_quot_power(spec.factor2, -spec.n))
     else:
-        coords = _times_power(coords, 0, total_chern_quot(spec.factor1), spec.m)
+        coords = _times_power(coords, 0, chern_quot_power(spec.factor1, spec.m))
     return _by_degree(spec, bundle, coords, up_to)

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,14 @@ from detlinks.tensor_calculus import ProdSpec
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import as_partition, fits_in_box  # noqa: E402
+
+# hypothesis reports a failing example through hypothesis.extra._patching,
+# whose import raises a DeprecationWarning of mypy_extensions; under
+# filterwarnings = error that aborts the run with INTERNALERROR instead of
+# reporting the failure.  Import it once here, ignoring that warning only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

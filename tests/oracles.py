@@ -36,8 +36,10 @@ canonical key inside a box is, for the tests' key checks.  ``schubert``,
 ``schubert_pair``, ``prod_unit``, ``constant``, ``integrate`` and
 ``weighted_degree`` build and read single classes for the tests;
 ``SparseElement`` checks no key, so they take partitions inside the box.
-``chern_list_sub`` and ``chern_list_quot`` split the total Chern classes of
-``grass_ring`` into their degrees.
+``total_chern_sub`` and ``total_chern_quot`` are the total Chern classes of
+the tautological bundles, a single-column and a single-row sum; they are the
+reference for ``grass_ring.chern_quot_power``, and ``chern_list_sub`` and
+``chern_list_quot`` split them into their degrees.
 """
 
 from __future__ import annotations
@@ -48,13 +50,7 @@ from itertools import permutations
 from math import comb
 
 from detlinks.errors import ConsistencyError, DomainError
-from detlinks.grass_ring import (
-    GrassSpec,
-    SparseElement,
-    mul,
-    total_chern_quot,
-    total_chern_sub,
-)
+from detlinks.grass_ring import GrassSpec, SparseElement, mul
 from detlinks.links import DetSpec, egz_factor, link_strata
 from detlinks.partitions import conjugate, weight
 from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
@@ -409,6 +405,24 @@ def _by_degree(total: SparseElement, rank: int) -> list:
     """A total Chern class split into [1, c_1, ..., c_rank]."""
     return [SparseElement(total.spec, {lam: c for lam, c in total.coords.items() if weight(lam) == i})
             for i in range(rank + 1)]
+
+
+def total_chern_sub(spec: GrassSpec) -> SparseElement:
+    """Total Chern class of the tautological subbundle: the sum over i <= r
+    of (-1)^i times the single-column class of height i.  On Grass(m, m)
+    the subbundle is trivial and the class is 1."""
+    if spec.cols == 0:
+        return SparseElement(spec, {(): 1})
+    return SparseElement(spec, {(1,) * i: (-1) ** i for i in range(spec.r + 1)})
+
+
+def total_chern_quot(spec: GrassSpec) -> SparseElement:
+    """Total Chern class of the tautological quotient bundle: the sum over
+    k <= m - r of the single-row classes of width k.  On Grass(0, m) the
+    quotient is trivial and the class is 1."""
+    if spec.r == 0:
+        return SparseElement(spec, {(): 1})
+    return SparseElement(spec, {(k,) if k else (): 1 for k in range(spec.cols + 1)})
 
 
 def chern_list_sub(spec: GrassSpec) -> list:

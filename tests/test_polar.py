@@ -178,6 +178,8 @@ class TestRoutesAgree:
         (2, 20, 1), (4, 14, 2), (6, 8, 3), (6, 9, 3),
         # the hardest tabulated cells
         (7, 8, 3), (7, 8, 4), (6, 12, 3),
+        # wide cells, where the certifier's one-factor Chern powers are large
+        (4, 30, 2), (5, 25, 2),
     ]
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)
