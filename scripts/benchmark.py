@@ -14,7 +14,7 @@ certifier's memos (every function of ``partitions``, ``grass_ring`` and
 ``tensor_calculus`` that has a ``cache_clear``, looked up at run time, so a
 memo added there later is cleared too) are cleared before each certify, so
 a repeated --cell, or a cell sharing a factor box with an earlier one,
-builds its partitions and structure constants again.  A cell whose two routes disagree is reported,
+builds its partitions and Lascoux classes again.  A cell whose two routes disagree is reported,
 and the script then exits 1.  A first line reports start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
 after another, the detlinks modules that import loads, and the other

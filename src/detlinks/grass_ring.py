@@ -4,32 +4,33 @@ Every ring element of the certifier is a ``SparseElement``: a spec plus a
 map from keys to nonzero integers.  Over a ``GrassSpec`` the keys are
 partitions inside the r x (m - r) box of H*(Grass(r, m)); over a
 ``tensor_calculus.ProdSpec`` they are pairs of partitions, one in each
-factor's box.  Multiplication is the function of the spec: ``mul`` here,
-by one Pieri recursion on the last row of the shorter factor (``_pieri``
-adds a horizontal strip, ``_mul_basis`` peels rows off), and ``mul_prod``
-in ``tensor_calculus``.  Degrees are Chern degrees: the class indexed by a
-partition of weight w lives in cohomological degree 2w.  The certifier in
-``tensor_calculus`` multiplies in this basis, by powers of the total Chern
-classes of the tautological bundles, each in closed form
-(``chern_quot_power``).
+factor's box.  The Schubert structure constants come from one Pieri
+recursion on the last row of the shorter factor (``_pieri`` adds a
+horizontal strip, ``_mul_basis`` peels rows off); only
+``tensor_calculus.mul_prod`` reads them.  Degrees are Chern degrees: the
+class indexed by a partition of weight w lives in cohomological degree 2w.
+The certifier multiplies no two Schubert classes: ``chern_quot_power``
+gives a class times a power of c(Q) or c(S) in closed form, one skew
+Jacobi-Trudi determinant (``_det``) per partition.
 
 This ring is an internal of the certifier, and it trusts its callers as
-``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m, the
-two factors of ``mul`` share one spec, and every key is a partition inside
-the spec's box.  Nothing here checks that.  ``polar._profile`` checks
-(m, n, r) before the certifier builds any spec.
+``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m and
+every key is a partition inside the spec's box.  Nothing here checks that.
+``polar._profile`` checks (m, n, r) before the certifier builds any spec.
 
-The tests certify the Pieri products against the presentation
-Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every m <= 8 with one
-Hermite normal form per degree up to dim + r; neither side trusts the other.
+The tests certify the Pieri products (through ``mul_prod``) against the
+presentation Z[x_1..x_r]/J, which ``tests/oracles.py`` builds for every
+m <= 8 with one Hermite normal form per degree up to dim + r, and the closed
+form against repeated products; neither side trusts the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
-from .partitions import conjugate, partitions_in_box, weight
+from .partitions import partitions_in_box, weight
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SparseElement:
     """Sparse integer combination of keys over a ring spec.
 
     The constructor drops zero coefficients and checks no key: every
-    producer (``mul``, ``mul_prod``, ``chern_quot_power``, the tensor
+    producer (``mul_prod``, ``chern_quot_power``, the tensor
     series) emits keys that are canonical and inside the box of its spec.
     ``*`` only scales by an integer; the spec's product is a function.
     Instances are immutable by convention: every operation returns a fresh
@@ -129,8 +130,8 @@ def _pieri(rows: int, cols: int, lam: tuple, k: int):
 @lru_cache(maxsize=None)
 def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     """Structure constants of the product of two Schubert classes inside the
-    rows x cols box, as a tuple of (partition, coefficient).  ``mul`` passes
-    the smaller partition second, so both orders share one cache entry.
+    rows x cols box, as a tuple of (partition, coefficient).  ``mul_prod``
+    passes the smaller partition second, so both orders share one cache entry.
 
     A Pieri recursion on the last row of the shorter factor: with
     mu = head + (last,), the Pieri step of ``last`` on sigma_head is sigma_mu
@@ -159,35 +160,43 @@ def _mul_basis(rows: int, cols: int, lam: tuple, mu: tuple):
     return tuple((nu, c) for nu, c in total.items() if c)
 
 
-def mul(a: SparseElement, b: SparseElement) -> SparseElement:
-    """Product in H*(Grass(r, m)); terms leaving the box are truncated away."""
-    rows, cols = a.spec.r, a.spec.cols
-    acc = {}
-    for lam, c1 in a.coords.items():
-        for mu, c2 in b.coords.items():
-            c = c1 * c2
-            for nu, sc in _mul_basis(rows, cols, *((lam, mu) if lam >= mu else (mu, lam))):
-                acc[nu] = acc.get(nu, 0) + c * sc
-    return SparseElement(a.spec, acc)
+def _det(rows) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; each division is exact."""
+    a, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(a) - 1):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
-def chern_quot_power(spec: GrassSpec, e: int) -> SparseElement:
-    """c(Q)^e for any integer e, in closed form (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.4 (4.3) and I.3 Ex. 4).
+def chern_quot_power(spec: GrassSpec, lam: tuple, e: int) -> SparseElement:
+    """sigma_lam * c(Q)^e for any integer e, in closed form (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.4 (4.3) and I.5 (5.4)).
 
-    sigma_lam = s_lam(a) for the roots a of S^v, so c(Q) = prod 1/(1 - a_i).
-    The Cauchy identity at y = 1^e gives c(Q)^e = sum over lam in the box of
-    s_lam(1^e) sigma_lam; truncation to the box is a ring map.  By the
-    hook-content formula s_lam(1^e) = prod over the boxes x of lam of
-    (e + c(x)) / h(x), an integer-valued polynomial in e.  c(S) = 1/c(Q),
-    so c(S)^e is that polynomial at -e; by the dual Cauchy identity it is
-    (-1)^|lam| s_lam'(1^e).  So each division is exact."""
+    sigma_lam = s_lam(a) for the roots a of S^v, so c(Q) = prod 1/(1 - a_i),
+    and the Cauchy identity at y = 1^e gives c(Q)^e = sum over mu of
+    s_mu(a) s_mu(1^e).  Since s_{nu/lam} = sum over mu of c^nu_{lam mu} s_mu,
+    s_lam(a) sum_mu s_mu(a) s_mu(y) = sum over nu of s_{nu/lam}(y) s_nu(a);
+    truncation to the box is a ring map, so nu runs over lam <= nu <= box.
+    By the skew Jacobi-Trudi identity s_{nu/lam}(1^e) = det[h_{nu_i - i -
+    (lam_j - j)}(1^e)] over r rows, with h_k(1^e) = prod over t < k of
+    (e + t) / k! (zero for k < 0), an integer-valued polynomial in e.  A row
+    i > len(nu) >= len(lam) is 0 left of the diagonal and 1 on it, so the
+    leading len(nu) x len(nu) block has the same determinant.  1^e maps
+    sum h_k t^k to (1 - t)^(-e), a ring map for every integer e, so e = -n
+    gives c(S)^n = c(Q)^(-n) exactly."""
+    r, cols = spec.r, spec.cols
+    h = [prod(range(e, e + k)) // factorial(k) for k in range(spec.m)]
+    shifts = [p - j for j, p in enumerate(lam + (0,) * (r - len(lam)))]
+    rows = {v: [h[v - s] if v >= s else 0 for s in shifts] for v in range(1 - r, cols + 1)}
     coords = {}
-    for lam in partitions_in_box(spec.r, spec.cols):
-        conj, num, den = conjugate(lam), 1, 1
-        for i, row in enumerate(lam):
-            for j in range(row):
-                num *= e + j - i
-                den *= row - j + conj[j] - i - 1
-        coords[lam] = num // den
+    for nu in partitions_in_box(r, cols):
+        if len(nu) >= len(lam) and all(a >= b for a, b in zip(nu, lam)):
+            coords[nu] = _det([rows[p - i][:len(nu)] for i, p in enumerate(nu)])
     return SparseElement(spec, coords)

@@ -27,11 +27,12 @@ All four series come in closed form from two finite classes:
 
 * S + Q is trivial on each factor, so c(Q1 (x) Q2) = c(S1 (x) S2) c(Q1)^m
   c(Q2)^n, s(Q1 (x) Q2) = c(S1 (x) Q2) c(S2)^n and s(S1 (x) S2) =
-  c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor, comes in closed
-  form from ``grass_ring.chern_quot_power`` (c(S2)^n = c(Q2)^(-n)) and
-  multiplies each distinct key of the Lascoux class on that factor once.
-  Nothing is recursive, and the one memo keeps the last Lascoux class,
-  which both Segre series of one cell share.
+  c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor, and
+  ``grass_ring.chern_quot_power`` gives each distinct key of the Lascoux
+  class on that factor times the power in closed form (c(S2)^n =
+  c(Q2)^(-n)), so no Schubert classes are multiplied.  Nothing is
+  recursive, and the one memo keeps the last Lascoux class, which both
+  Segre series of one cell share.
 
 ``ProdSpec``, ``mul_prod``, ``pair_prod``, ``chern_tensor`` and
 ``segre_tensor`` trust their callers as ``grass_ring`` does: a spec has
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .grass_ring import GrassSpec, SparseElement, _mul_basis, chern_quot_power, mul
+from .grass_ring import GrassSpec, SparseElement, _det, _mul_basis, chern_quot_power
 from .partitions import box_complement, conjugate, partitions_in_box, weight
 
 SUB_TENSOR = "sub_tensor"
@@ -145,21 +146,6 @@ class CharSeries:
         return self.terms[k]
 
 
-def _det(rows) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; each division is exact."""
-    a, sign, prev = [list(row) for row in rows], 1, 1
-    for k in range(len(a) - 1):
-        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot], sign = a[pivot], a[k], -sign
-        for i in range(k + 1, len(a)):
-            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
-        prev = a[k][k]
-    return sign * a[-1][-1] if a else 1
-
-
 @lru_cache(maxsize=1)
 def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
@@ -185,15 +171,16 @@ def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     return SparseElement(spec, coords)
 
 
-def _times_power(coords: dict, factor: int, power: SparseElement) -> dict:
-    """coords times power, a class on one factor (0 or 1): each distinct
-    key of coords on that factor is multiplied by it once."""
+def _times_power(coords: dict, factor: int, spec: GrassSpec, e: int) -> dict:
+    """coords times c(Q)^e of one factor (0 or 1, with ring spec ``spec``):
+    each distinct key of coords on that factor is expanded once by
+    ``chern_quot_power``."""
     others = {}
     for key, c in coords.items():
         others.setdefault(key[factor], []).append((key[1 - factor], c))
     out = {}
     for lam, rest in others.items():
-        for nu, cn in mul(SparseElement(power.spec, {lam: 1}), power).coords.items():
+        for nu, cn in chern_quot_power(spec, lam, e).coords.items():
             for other, c in rest:
                 key = (nu, other) if factor == 0 else (other, nu)
                 out[key] = out.get(key, 0) + cn * c
@@ -212,8 +199,8 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     """Total Chern class of the tensor bundle through degree min(up_to, dim G)."""
     coords = _lascoux(spec, SUB_TENSOR).coords
     if bundle == QUOT_TENSOR:
-        coords = _times_power(coords, 0, chern_quot_power(spec.factor1, spec.m))
-        coords = _times_power(coords, 1, chern_quot_power(spec.factor2, spec.n))
+        coords = _times_power(coords, 0, spec.factor1, spec.m)
+        coords = _times_power(coords, 1, spec.factor2, spec.n)
     return _by_degree(spec, bundle, coords, up_to)
 
 
@@ -222,7 +209,7 @@ def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     min(up_to, dim G), built from c(S1 (x) Q2) without the Chern series."""
     coords = _lascoux(spec, QUOT_TENSOR).coords
     if bundle == QUOT_TENSOR:
-        coords = _times_power(coords, 1, chern_quot_power(spec.factor2, -spec.n))
+        coords = _times_power(coords, 1, spec.factor2, -spec.n)
     else:
-        coords = _times_power(coords, 0, chern_quot_power(spec.factor1, spec.m))
+        coords = _times_power(coords, 0, spec.factor1, spec.m)
     return _by_degree(spec, bundle, coords, up_to)

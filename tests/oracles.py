@@ -14,8 +14,8 @@ served commands.
   partitions in the box are a Z-basis of it; that holds for every
   Grass(r, m) with m <= 8, the range the tests certify.  With
   ``schubert_to_presentation`` it certifies the Pieri-recursion products
-  of ``grass_ring.mul``, and its graded ranks certify the Grassmannian
-  Betti numbers of ``links.grass_betti``.
+  of ``grass_ring._mul_basis`` through ``mul``, and its graded ranks
+  certify the Grassmannian Betti numbers of ``links.grass_betti``.
 * ``euler_step`` computes one Morse step chi(L^i) - chi(L^(i+1)) of the
   complex links as a single term per stratum.  It certifies the Euler
   characteristics of ``links.euler_complex_link``, whose stratum sums
@@ -37,9 +37,12 @@ canonical key inside a box is, for the tests' key checks.  ``schubert``,
 ``weighted_degree`` build and read single classes for the tests;
 ``SparseElement`` checks no key, so they take partitions inside the box.
 ``total_chern_sub`` and ``total_chern_quot`` are the total Chern classes of
-the tautological bundles, a single-column and a single-row sum; they are the
-reference for ``grass_ring.chern_quot_power``, and ``chern_list_sub`` and
-``chern_list_quot`` split them into their degrees.
+the tautological bundles, a single-column and a single-row sum; their
+repeated products, times a Schubert class, are the reference for
+``grass_ring.chern_quot_power``, and ``chern_list_sub`` and
+``chern_list_quot`` split them into their degrees.  ``mul`` is the product
+of one Grassmannian: ``tensor_calculus.mul_prod``, the one Schubert product
+that ships, with a point, Grass(r, r), as the second factor.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from itertools import permutations
 from math import comb
 
 from detlinks.errors import ConsistencyError, DomainError
-from detlinks.grass_ring import GrassSpec, SparseElement, mul
+from detlinks.grass_ring import GrassSpec, SparseElement
 from detlinks.links import DetSpec, egz_factor, link_strata
 from detlinks.partitions import conjugate, weight
 from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
@@ -59,6 +62,7 @@ from detlinks.tensor_calculus import (
     SUB_TENSOR,
     CharSeries,
     ProdSpec,
+    mul_prod,
 )
 
 
@@ -171,6 +175,14 @@ def fits_in_box(p: tuple, rows: int, cols: int) -> bool:
 def schubert(spec: GrassSpec, lam) -> SparseElement:
     """The Schubert class of the partition lam; ``schubert(spec, ())`` is the unit."""
     return SparseElement(spec, {as_partition(lam): 1})
+
+
+def mul(a: SparseElement, b: SparseElement) -> SparseElement:
+    """Product in H*(Grass(r, m)), read off ``mul_prod`` on Grass(r, m) x
+    Grass(r, r): the second factor is a point, so its key is always ()."""
+    spec = ProdSpec(a.spec.r, a.spec.m, a.spec.r)
+    a2, b2 = (SparseElement(spec, {(lam, ()): c for lam, c in x.coords.items()}) for x in (a, b))
+    return SparseElement(a.spec, {lam: c for (lam, _), c in mul_prod(a2, b2).coords.items()})
 
 
 def integrate(a: SparseElement) -> int:

@@ -141,9 +141,10 @@ class TestPolarCommand:
         assert payload["entries"][0]["e"] == ["6", "16", "27", "24", "10", "0", "0"]
 
     def test_empty_range_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["polar", "--m", "3", "--n", "5..2", "--r", "1"])
-        assert exc.value.code == 2
+        for text in ("5..2", "3..2"):  # 3..2 is one short of the one-cell 3..3
+            with pytest.raises(SystemExit) as exc:
+                main(["polar", "--m", "3", "--n", text, "--r", "1"])
+            assert exc.value.code == 2
 
     def test_bad_domain_is_exit_3(self, capsys):
         code, _, err = run(capsys, "polar", "--m", "3", "--n", "2", "--r", "1")
@@ -539,7 +540,9 @@ class TestRejectedLinkRequests:
          "codimension -3 outside 0..11 for DetSpec(m=3, n=5, s=3)"),
         (("euler", "--m", "1", "--n", "2", "--s", "1", "--codim", "0"),
          "the germ of DetSpec(m=1, n=2, s=1) is a point and has no complex links"),
-    ], ids=["below_smooth", "range_starting_below_smooth", "negative", "point_germ"])
+        (("euler", "--hilbert-burch", "--max-m", "0"), "max_m must be at least 1"),
+    ], ids=["below_smooth", "range_starting_below_smooth", "negative", "point_germ",
+            "hilbert_burch_max_m_0"])
     @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
     def test_rejected_before_any_profile_is_gathered(
             self, capsys, monkeypatch, inline_pool, argv, err, verify):
@@ -936,6 +939,17 @@ class TestCache:
                            "--format", "csv", "--verify")
         assert code == 0
         assert "3,4,2,2,27" in out
+
+    def test_verify_over_cached_cells_stores_nothing(self, capsys, monkeypatch):
+        # every entry is read and checked, none is new: the file is not rewritten
+        run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2", "--format", "csv")
+        stores = []
+        monkeypatch.setattr(cli, "cache_store", stores.append)
+        code, out, _ = run(capsys, "polar", "--m", "3", "--n", "4", "--r", "1..2",
+                           "--format", "csv", "--verify")
+        assert code == 0
+        assert "3,4,2,2,27" in out
+        assert stores == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "jobs2"])
     def test_verify_on_a_miss_runs_both_routes(self, capsys, monkeypatch, inline_pool, jobs):

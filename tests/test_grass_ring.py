@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from detlinks.errors import ConsistencyError, DomainError
-from detlinks.grass_ring import GrassSpec, chern_quot_power, mul
+from detlinks.grass_ring import GrassSpec, chern_quot_power
 from detlinks.links import grass_betti
 from detlinks.partitions import box_complement, partitions_in_box, weight
 
@@ -13,6 +13,7 @@ from oracles import (
     QuotientRingOracle,
     grassmann_relations,
     integrate,
+    mul,
     presentation_h,
     quotient_ring,
     schubert,
@@ -64,44 +65,46 @@ class TestMul:
 
 
 class TestChern:
-    # c(Q) = chern_quot_power(spec, 1) and c(S) = chern_quot_power(spec, -1)
+    # c(Q) = chern_quot_power(spec, (), 1) and c(S) = chern_quot_power(spec, (), -1)
     def test_sub_on_projective_space(self):
         for m in range(2, 6):
             spec = GrassSpec(1, m)
-            assert chern_quot_power(spec, -1).coords == {(): 1, (1,): -1}
+            assert chern_quot_power(spec, (), -1).coords == {(): 1, (1,): -1}
 
     def test_quot_single_row(self):
-        assert chern_quot_power(GrassSpec(1, 3), 1).coords == {(): 1, (1,): 1, (2,): 1}
+        assert chern_quot_power(GrassSpec(1, 3), (), 1).coords == {(): 1, (1,): 1, (2,): 1}
 
     @pytest.mark.parametrize("m", range(0, 5))
     def test_trivial_bundles_have_total_class_one(self, m):
         # S on Grass(m, m) and Q on Grass(0, m) are trivial; no key may
         # leave the empty box
-        assert chern_quot_power(GrassSpec(m, m), -1).coords == {(): 1}
-        assert chern_quot_power(GrassSpec(0, m), 1).coords == {(): 1}
+        assert chern_quot_power(GrassSpec(m, m), (), -1).coords == {(): 1}
+        assert chern_quot_power(GrassSpec(0, m), (), 1).coords == {(): 1}
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_whitney_all_degrees(self, m):
         # S + Q is the trivial rank-m bundle: c(S) c(Q) = 1 in every degree
         for r in range(m + 1):
             spec = GrassSpec(r, m)
-            product = mul(chern_quot_power(spec, -1), chern_quot_power(spec, 1))
+            product = mul(chern_quot_power(spec, (), -1), chern_quot_power(spec, (), 1))
             assert product == schubert(spec, ()), spec
 
     @pytest.mark.parametrize("m", range(0, 7))
     def test_power_is_the_repeated_product_of_the_total_classes(self, m):
-        # c(Q)^e for e >= 0 and c(S)^(-e) for e < 0, as e-fold products of
-        # the oracle's single-row and single-column sums; e = 0 is the unit
+        # sigma_lam times c(Q)^e for e >= 0 and c(S)^(-e) for e < 0, the
+        # powers as e-fold products of the oracle's single-row and
+        # single-column sums; e = 0 is the unit
         for r in range(m + 1):
             spec = GrassSpec(r, m)
             for e in range(-4, 7):
                 total = (oracles.total_chern_quot if e >= 0 else oracles.total_chern_sub)(spec)
-                expected = schubert(spec, ())
+                power = schubert(spec, ())
                 for _ in range(abs(e)):
-                    expected = mul(expected, total)
-                got = chern_quot_power(spec, e)
-                assert got == expected, (spec, e)
-                assert_canonical(got)
+                    power = mul(power, total)
+                for lam in partitions_in_box(r, m - r):
+                    got = chern_quot_power(spec, lam, e)
+                    assert got == mul(schubert(spec, lam), power), (spec, lam, e)
+                    assert_canonical(got)
 
 
 class TestIntegrate:

@@ -179,7 +179,7 @@ class TestRoutesAgree:
         # the hardest tabulated cells
         (7, 8, 3), (7, 8, 4), (6, 12, 3),
         # wide cells, where the certifier's one-factor Chern powers are large
-        (4, 30, 2), (5, 25, 2),
+        (4, 30, 2), (5, 25, 2), (6, 16, 3),
     ]
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d,%d,%d" % c)

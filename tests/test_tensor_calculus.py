@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from detlinks import tensor_calculus
 from detlinks.errors import DomainError
-from detlinks.grass_ring import GrassSpec, SparseElement, mul
+from detlinks.grass_ring import GrassSpec, SparseElement
 from detlinks.polar import certify_polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
@@ -22,6 +22,7 @@ from oracles import (
     chern_list_quot,
     chern_list_sub,
     chern_tensor_via_roots,
+    mul,
     prod_unit,
     schubert,
     schubert_pair,
