@@ -15,11 +15,12 @@ certifier's memos (every function of ``partitions``, ``grass_ring`` and
 memo added there later is cleared too) are cleared before each certify, so
 a repeated --cell, or a cell sharing a factor box with an earlier one,
 builds its partitions and Lascoux classes again.  A cell whose two routes disagree is reported,
-and the script then exits 1.  A first line reports start-up: the median
+and the script then exits 1.  Two first lines report start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
-after another, the detlinks modules that import loads, and the other
-modules it adds to those of a bare interpreter, so that a new heavy import
-shows up by name.
+after another, then that of ``import detlinks.tensor_calculus`` on top of
+it in the same interpreters (what --verify adds), each with the detlinks
+modules it loads and the other modules it adds to those already loaded, so
+that a new heavy import shows up by name.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -50,9 +51,15 @@ from detlinks.polar import (  # noqa: E402
 
 
 HARD_CELLS = [(7, 8, 3), (7, 8, 4), (6, 12, 3), (9, 10, 4)]
-IMPORT_CLI = ("import sys, time; bare = set(sys.modules); started = time.perf_counter(); "
-              "import detlinks.cli; print(time.perf_counter() - started, "
-              "*sorted(set(sys.modules) - bare))")
+STARTUP = ("detlinks.cli", "detlinks.tensor_calculus")
+IMPORT_STARTUP = f"""\
+import sys, time
+for name in {STARTUP!r}:
+    loaded = set(sys.modules)
+    started = time.perf_counter()
+    __import__(name)
+    print(time.perf_counter() - started, *sorted(set(sys.modules) - loaded))
+"""
 
 
 def cell(text):
@@ -78,19 +85,21 @@ def timed(route, m, n, r):
 
 
 def startup():
-    """Print the median ``import detlinks.cli`` time over five fresh
-    interpreters, the detlinks modules it loaded and the other modules it
-    added to a bare interpreter's."""
+    """Print, for each import of ``STARTUP`` in turn, its median time over
+    five fresh interpreters, the detlinks modules it loaded and the other
+    modules it added to those loaded before it."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    outputs = [subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, check=True,
-                              capture_output=True, text=True).stdout.split()
+    outputs = [subprocess.run([sys.executable, "-c", IMPORT_STARTUP], env=env, check=True,
+                              capture_output=True, text=True).stdout.splitlines()
                for _ in range(5)]
-    seconds = statistics.median(float(out[0]) for out in outputs)
-    added = outputs[-1][1:]
-    own = [name for name in added if name.split(".")[0] == "detlinks"]
-    other = [name for name in added if name.split(".")[0] != "detlinks"]
-    print(f"start-up: import detlinks.cli {seconds * 1e3:.1f} ms (median of 5 "
-          f"fresh interpreters), loads {' '.join(own)}; also loads {' '.join(other)}")
+    for i, module in enumerate(STARTUP):
+        seconds = statistics.median(float(out[i].split()[0]) for out in outputs)
+        added = outputs[-1][i].split()[1:]
+        own = [name for name in added if name.split(".")[0] == "detlinks"]
+        other = [name for name in added if name.split(".")[0] != "detlinks"] or ["nothing more"]
+        after = f" after {STARTUP[i - 1]}" if i else ""
+        print(f"start-up: import {module}{after} {seconds * 1e3:.1f} ms (median of 5 "
+              f"fresh interpreters), loads {' '.join(own)}; also loads {' '.join(other)}")
 
 
 def clear_certifier_memos():

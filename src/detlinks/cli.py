@@ -190,14 +190,6 @@ def _gather_profiles(cells, verify: bool, jobs: int):
 # polar
 # ---------------------------------------------------------------------------
 
-def _nonzero_width(profiles) -> int:
-    width = 1
-    for prof in profiles:
-        nz = [k for k, v in enumerate(prof.values) if v]
-        width = max(width, nz[-1] + 1)
-    return width
-
-
 def cmd_polar(args) -> int:
     order = sorted((m, n, r) for r in args.r for m in args.m for n in args.n)
     for cell in order:  # a rejected request does no work
@@ -224,7 +216,9 @@ def cmd_polar(args) -> int:
         chunks = []
         for r in sorted({c[2] for c in order}):
             group = [c for c in order if c[2] == r]
-            width = _nonzero_width(profile(*c) for c in group)
+            # every rendered profile passed _check_closed_forms, so it is
+            # nonzero exactly at k <= 2r(m - r)
+            width = 2 * r * max(m - r for m, _, _ in group) + 1
             header = [f"size \\ k (r={r})"] + list(range(width))
             rows = []
             for m, n, _ in group:

@@ -26,19 +26,17 @@ form against repeated products; neither side trusts the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
 from .partitions import partitions_in_box, weight
 
 
-@dataclass(frozen=True)
-class GrassSpec:
+class GrassSpec(namedtuple("GrassSpec", "r m")):
     """Ring spec for H*(Grass(r, m)): r-planes in an m-dimensional space."""
 
-    r: int
-    m: int
+    __slots__ = ()
 
     @property
     def cols(self) -> int:

@@ -49,7 +49,7 @@ at small scale because it blows up with the ranks.  The Bott route in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -60,13 +60,10 @@ SUB_TENSOR = "sub_tensor"
 QUOT_TENSOR = "quot_tensor"
 
 
-@dataclass(frozen=True)
-class ProdSpec:
+class ProdSpec(namedtuple("ProdSpec", "r n m")):
     """Spec for the product ring H*(Grass(r, n) x Grass(r, m)), r <= m <= n."""
 
-    r: int
-    n: int
-    m: int
+    __slots__ = ()
 
     @property
     def factor1(self) -> GrassSpec:
@@ -127,17 +124,18 @@ def pair_prod(a: SparseElement, b: SparseElement) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class CharSeries:
-    """Truncated characteristic-class series of one tensor bundle.
+    """Truncated characteristic-class series of one tensor bundle (SUB_TENSOR
+    or QUOT_TENSOR).
 
     ``terms[k]`` is the homogeneous degree-k part, fully reduced; term 0 is
     the unit class.
     """
 
-    spec: ProdSpec
-    bundle: str  # SUB_TENSOR | QUOT_TENSOR
-    terms: tuple
+    __slots__ = ("spec", "bundle", "terms")
+
+    def __init__(self, spec: ProdSpec, bundle: str, terms: tuple):
+        self.spec, self.bundle, self.terms = spec, bundle, terms
 
     def __len__(self):
         return len(self.terms)

@@ -388,10 +388,14 @@ class TestCriterion8Properties:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module.startup()
-        line = capsys.readouterr().out
-        own, other = line.split("; also loads ")
+        cli_line, certifier_line = capsys.readouterr().out.splitlines()
+        own, other = cli_line.split("; also loads ")
         assert "detlinks.cli detlinks.errors" in own and "argparse" not in own
         assert "argparse" in other.split() and "dataclasses" not in other.split()
+        # what --verify adds on top: the certifier, and no dataclasses
+        own, other = certifier_line.split("; also loads ")
+        assert own.endswith("loads detlinks.grass_ring detlinks.tensor_calculus")
+        assert "dataclasses" not in other.split() and "inspect" not in other.split()
 
     @pytest.mark.parametrize("text", ["7,8", "9,8,3"])
     def test_benchmark_rejects_a_bad_cell(self, capsys, text):

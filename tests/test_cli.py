@@ -378,36 +378,40 @@ class TestPolarCommand:
 
     def test_served_commands_load_no_schubert_calculus(self, isolated_cache):
         # the certifier (tensor_calculus) and the Schubert ring (grass_ring)
-        # load only for --verify; every other command runs without them
+        # load only for --verify; every other command runs without them, and
+        # neither path builds a dataclass
         code = textwrap.dedent("""
             import json, sys
             from detlinks import cli
             def run(*argvs):
                 return [cli.main(argv.split()) for argv in argvs]
-            def loaded():
-                return [name for name in ("detlinks.grass_ring", "detlinks.tensor_calculus")
-                        if name in sys.modules]
+            def loaded(*names):
+                return [name for name in names if name in sys.modules]
+            ring = ("detlinks.grass_ring", "detlinks.tensor_calculus")
             served = run("polar --m 3 --n 4..5 --r 1..2",
                          "euler --m 3 --n 4 --s 3 --codim 5..6",
                          "betti --m 3 --n 4 --s 3 --codim 6",
                          "euler --hilbert-burch --max-m 3",
                          "cache show")
-            before = loaded()
-            startup = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+            before = loaded(*ring)
+            startup = loaded("dataclasses", "inspect")
             verified = run("polar --m 3 --n 4 --r 2 --verify")
-            print(json.dumps([served, before, startup, verified, loaded()]))
+            print(json.dumps([served, before, startup, verified, loaded(*ring),
+                              loaded("dataclasses", "inspect")]))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), DETLINKS_CACHE=str(isolated_cache))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        served, before, startup, verified, after = json.loads(result.stdout.splitlines()[-1])
+        served, before, startup, verified, after, certifier = json.loads(
+            result.stdout.splitlines()[-1])
         assert served == [0] * 5
         assert before == []
-        assert startup == []  # the served path builds no dataclass
+        assert startup == []
         assert verified == [0]
         assert after == ["detlinks.grass_ring", "detlinks.tensor_calculus"]
+        assert certifier == []
 
     def test_ring_is_no_longer_a_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark command: perfbench's self-test, then one
-short run of every workload BENCHMARK.json lists, each on a copy of the
-checkout in a temporary directory so that ``.perfbench_runs/`` lands
-there.  A program change that breaks the benchmark run itself fails here.
+short run of every workload BENCHMARK.json lists, and one traced run of the
+hand-run ``hard_cells``, each on a copy of the checkout in a temporary
+directory so that ``.perfbench_runs/`` lands there.  A program change that
+breaks the benchmark run itself fails here.
 """
 
 import json
@@ -15,6 +16,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# (workload, --trace); traced hard_cells is the only run that drives ProdSpec,
+# chern_tensor, segre_tensor, mul_prod, integrate_prod and CharSeries.bundle
+RUNS = [pytest.param(w, "0", id=w) for w in WORKLOADS] + [
+    pytest.param("hard_cells", "1", id="hard_cells-traced")]
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +47,10 @@ def test_selftest_passes(checkout):
     assert done.stdout.splitlines()[-1] == "selftest passed"
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_runs_correct(checkout, workload):
+@pytest.mark.parametrize("workload, trace", RUNS)
+def test_workload_runs_correct(checkout, workload, trace):
     done = run(checkout, "perfbench/run.py", "--workload", workload, "--seed", "1",
-               "--seconds", "1", "--trace", "0")
+               "--seconds", "1", "--trace", trace)
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stdout
