@@ -3,24 +3,27 @@
 
 Times compute_polar_profile (Bott localization: a revolving-door walk over
 the torus fixed points, halved by their mirror symmetry) and, next to it,
-certify_polar_profile (the Schubert route behind --verify: Lascoux classes
-paired by box complement) on the (m, m+1, m-1) family and on the hardest
-tabulated cells (7,8,3), (7,8,4) and (6,12,3), each a fraction of a second
-on a current desktop core, and on the frontier cell (9,10,4), about a
-second.  Every time is cold.  The process memo of Bott sums, which both
+certify_polar_profile (the Schubert route behind --verify: the Segre classes
+of both tensor bundles paired by box complement) on the (m, m+1, m-1)
+family and on the hardest tabulated cells (7,8,3), (7,8,4) and (6,12,3),
+each a fraction of a second on a current desktop core, and on the frontier
+cell (9,10,4), about a second.  Every time is cold.  The process memo of Bott sums, which both
 ranks of a dual pair share, is cleared before each compute, so (7,8,4)
 right after its dual (7,8,3) is summed again rather than read back.  The
 certifier's memos (every function of ``partitions``, ``grass_ring`` and
 ``tensor_calculus`` that has a ``cache_clear``, looked up at run time, so a
 memo added there later is cleared too) are cleared before each certify, so
 a repeated --cell, or a cell sharing a factor box with an earlier one,
-builds its partitions and Lascoux classes again.  A cell whose two routes disagree is reported,
+builds its partitions again.  A cell whose two routes disagree is reported,
 and the script then exits 1.  Two first lines report start-up: the median
 time of ``import detlinks.cli`` over five fresh interpreters, started one
 after another, then that of ``import detlinks.tensor_calculus`` on top of
 it in the same interpreters (what --verify adds), each with the detlinks
 modules it loads and the other modules it adds to those already loaded, so
-that a new heavy import shows up by name.
+that a new heavy import shows up by name.  The interpreters import a
+temporary copy of ``src/detlinks`` without ``__pycache__``, under
+``PYTHONDONTWRITEBYTECODE=1``, so every one compiles the package, as a
+fresh checkout does, whatever bytecode the working tree holds.
 Costs depend entirely on the host; nothing here gates the test suite.  This
 script just records what the current machine does.  perfbench/ is the
 checked benchmark.
@@ -33,9 +36,11 @@ Usage:
 
 import argparse
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -87,11 +92,15 @@ def timed(route, m, n, r):
 def startup():
     """Print, for each import of ``STARTUP`` in turn, its median time over
     five fresh interpreters, the detlinks modules it loaded and the other
-    modules it added to those loaded before it."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    outputs = [subprocess.run([sys.executable, "-c", IMPORT_STARTUP], env=env, check=True,
-                              capture_output=True, text=True).stdout.splitlines()
-               for _ in range(5)]
+    modules it added to those loaded before it.  Each interpreter compiles
+    the package: it imports a copy with no bytecode and writes none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(SRC / "detlinks", Path(tmp, "detlinks"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        outputs = [subprocess.run([sys.executable, "-c", IMPORT_STARTUP], env=env, check=True,
+                                  capture_output=True, text=True).stdout.splitlines()
+                   for _ in range(5)]
     for i, module in enumerate(STARTUP):
         seconds = statistics.median(float(out[i].split()[0]) for out in outputs)
         added = outputs[-1][i].split()[1:]
@@ -99,7 +108,8 @@ def startup():
         other = [name for name in added if name.split(".")[0] != "detlinks"] or ["nothing more"]
         after = f" after {STARTUP[i - 1]}" if i else ""
         print(f"start-up: import {module}{after} {seconds * 1e3:.1f} ms (median of 5 "
-              f"fresh interpreters), loads {' '.join(own)}; also loads {' '.join(other)}")
+              f"fresh interpreters, each compiling the package from source), "
+              f"loads {' '.join(own)}; also loads {' '.join(other)}")
 
 
 def clear_certifier_memos():

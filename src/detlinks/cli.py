@@ -16,7 +16,9 @@ output (a full disk, say), or no cache directory for ``cache path`` and
 other commands then warn, compute and store nothing), 2 usage, 3 domain
 error (for example a non-smooth link), 4 internal consistency failure (a
 computed profile failing a closed form or holding a negative value, an
-inexact Bott division, a --verify mismatch, a negative middle Betti number).
+inexact Bott division, a --verify mismatch, a negative middle Betti number,
+link Euler characteristics over a germ's full ``euler --codim 0..d-1`` range
+not summing to mn).
 A reader that closes stdout early does not change the exit code: the rest
 of the output is discarded.  An unwritable or closed stderr drops the
 warning and error lines and changes neither the exit code nor stdout,
@@ -271,6 +273,13 @@ def cmd_euler(args) -> int:
     spec = DetSpec(args.m, args.n, args.s)
     profile = _gather_strata(spec, args.codim, args.verify, args.jobs)
     values = [(i, euler_complex_link(spec, i, profile)) for i in args.codim]
+    # over a germ's full range (s >= 2: at s = 1 there is none) the link Euler
+    # characteristics telescope to chi(P(rank < s locus)) = mn, the torus-fixed
+    # matrix units; tests/test_links.py::TestLinkChiSum derives it
+    total = sum(chi for _, chi in values)
+    if args.codim == range(spec.d) and total != spec.m * spec.n:
+        raise ConsistencyError(f"the link Euler characteristics of {spec} over codimensions "
+                               f"0..{spec.d - 1} sum to {total}, not mn = {spec.m * spec.n}")
     if args.format == "csv":
         rows = [(spec.m, spec.n, spec.s, i, chi) for i, chi in values]
         _emit(_csv(["m", "n", "s", "i", "chi"], rows))

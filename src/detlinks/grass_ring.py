@@ -9,9 +9,12 @@ recursion on the last row of the shorter factor (``_pieri`` adds a
 horizontal strip, ``_mul_basis`` peels rows off); only
 ``tensor_calculus.mul_prod`` reads them.  Degrees are Chern degrees: the
 class indexed by a partition of weight w lives in cohomological degree 2w.
-The certifier multiplies no two Schubert classes: ``chern_quot_power``
-gives a class times a power of c(Q) or c(S) in closed form, one skew
-Jacobi-Trudi determinant (``_det``) per partition.
+The certifier multiplies no two Schubert classes: a class times a power
+of c(Q) or c(S) has the skew values s_{nu/lam}(1^e) as coefficients
+(``chern_quot_power``), each one skew Jacobi-Trudi determinant
+(``skew_at_ones``, through ``_det``), the one skew-determinant code path for
+both a whole power and the single coefficients the certifier's pairing
+reads.
 
 This ring is an internal of the certifier, and it trusts its callers as
 ``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m and
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial, prod
 
 from .partitions import partitions_in_box, weight
 
@@ -173,6 +175,23 @@ def _det(rows) -> int:
     return sign * a[-1][-1] if a else 1
 
 
+def skew_at_ones(nu: tuple, lam: tuple, e: int) -> int:
+    """s_{nu/lam}(1^e) for any integer e: 0 unless lam <= nu, else by the skew
+    Jacobi-Trudi identity det[h_{nu_i - i - (lam_j - j)}(1^e)] (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5 (5.4)), with h_k(1^e) =
+    prod over t < k of (e + t) / k! (zero for k < 0), an integer-valued
+    polynomial in e.  A row i > len(nu) >= len(lam) would be 0 left of the
+    diagonal and 1 on it, so the leading len(nu) x len(nu) block has the same
+    determinant."""
+    if len(nu) < len(lam) or not all(a >= b for a, b in zip(nu, lam)):
+        return 0
+    h = [1]  # h_k(1^e) = h_(k-1)(1^e) (e + k - 1) / k, exactly
+    for k in range(1, sum(nu[:1]) + len(nu)):
+        h.append(h[-1] * (e + k - 1) // k)
+    shifts = [q - j for j, q in enumerate(lam + (0,) * (len(nu) - len(lam)))]
+    return _det([[h[p - i - s] if p - i >= s else 0 for s in shifts] for i, p in enumerate(nu)])
+
+
 def chern_quot_power(spec: GrassSpec, lam: tuple, e: int) -> SparseElement:
     """sigma_lam * c(Q)^e for any integer e, in closed form (Macdonald,
     Symmetric Functions and Hall Polynomials, I.4 (4.3) and I.5 (5.4)).
@@ -181,20 +200,9 @@ def chern_quot_power(spec: GrassSpec, lam: tuple, e: int) -> SparseElement:
     and the Cauchy identity at y = 1^e gives c(Q)^e = sum over mu of
     s_mu(a) s_mu(1^e).  Since s_{nu/lam} = sum over mu of c^nu_{lam mu} s_mu,
     s_lam(a) sum_mu s_mu(a) s_mu(y) = sum over nu of s_{nu/lam}(y) s_nu(a);
-    truncation to the box is a ring map, so nu runs over lam <= nu <= box.
-    By the skew Jacobi-Trudi identity s_{nu/lam}(1^e) = det[h_{nu_i - i -
-    (lam_j - j)}(1^e)] over r rows, with h_k(1^e) = prod over t < k of
-    (e + t) / k! (zero for k < 0), an integer-valued polynomial in e.  A row
-    i > len(nu) >= len(lam) is 0 left of the diagonal and 1 on it, so the
-    leading len(nu) x len(nu) block has the same determinant.  1^e maps
-    sum h_k t^k to (1 - t)^(-e), a ring map for every integer e, so e = -n
-    gives c(S)^n = c(Q)^(-n) exactly."""
-    r, cols = spec.r, spec.cols
-    h = [prod(range(e, e + k)) // factorial(k) for k in range(spec.m)]
-    shifts = [p - j for j, p in enumerate(lam + (0,) * (r - len(lam)))]
-    rows = {v: [h[v - s] if v >= s else 0 for s in shifts] for v in range(1 - r, cols + 1)}
-    coords = {}
-    for nu in partitions_in_box(r, cols):
-        if len(nu) >= len(lam) and all(a >= b for a, b in zip(nu, lam)):
-            coords[nu] = _det([rows[p - i][:len(nu)] for i, p in enumerate(nu)])
-    return SparseElement(spec, coords)
+    truncation to the box is a ring map, so nu runs over the box, and each
+    coefficient is ``skew_at_ones(nu, lam, e)``.  1^e maps sum h_k t^k to
+    (1 - t)^(-e), a ring map for every integer e, so e = -n gives
+    c(S)^n = c(Q)^(-n) exactly."""
+    return SparseElement(spec, {nu: skew_at_ones(nu, lam, e)
+                                for nu in partitions_in_box(spec.r, spec.cols)})

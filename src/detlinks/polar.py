@@ -11,13 +11,15 @@ and d = (m+n)r - r^2 the dimension of the germ,
 with Segre classes s(E) = c(-E).  Two independent routes evaluate the
 integrals and share one normalizer: ``compute_polar_profile`` (production)
 sums Bott's residue formula over the torus fixed points of G in exact
-integers; ``certify_polar_profile`` (certifier) pairs the Segre series of
-both tensor bundles in the Schubert basis by box complement.  Those series
+integers; ``certify_polar_profile`` (certifier) pairs the Segre classes of
+both tensor bundles in the Schubert basis by box complement.  Those classes
 come in closed form from Lascoux's class c(S1 (x) Q2) times a power of one
-factor's Chern class (``tensor_calculus``), with no torus weights and no
-fixed points, so the routes share nothing but the normalizer ``_profile``,
-which checks (m, n, r) before either route runs; the certifier's modules
-import nothing from this one.
+factor's Chern class (``tensor_calculus``), and the pairing reads the
+second only at the complements of the first's keys, so apart from
+integer sizes the certifier's work does not grow with n.  It uses no torus
+weights and no fixed points, so the routes share nothing but the
+normalizer ``_profile``, which checks (m, n, r) before either route runs;
+the certifier's modules import nothing from this one.
 ``_schubert_integrals`` imports ``tensor_calculus`` on the certifier's first
 call, so loading this module and running production load no Schubert
 calculus.
@@ -279,15 +281,11 @@ def _bott_sums(m: int, n: int, r: int) -> tuple:
 
 
 def _schubert_integrals(m: int, n: int, r: int) -> list:
-    """The same integrals from the Lascoux Segre series of both tensor
-    bundles in the Schubert basis, paired by box complement."""
-    from .tensor_calculus import QUOT_TENSOR, SUB_TENSOR, ProdSpec, pair_prod, segre_tensor
+    """The same integrals by the Schubert route: the Segre classes of both
+    tensor bundles paired by box complement (``tensor_calculus.segre_integrals``)."""
+    from .tensor_calculus import ProdSpec, segre_integrals
 
-    spec = ProdSpec(r, n, m)
-    big_k = spec.dim
-    s_quot = segre_tensor(spec, QUOT_TENSOR, big_k)
-    s_sub = segre_tensor(spec, SUB_TENSOR, big_k)
-    return [pair_prod(s_quot[k], s_sub[big_k - k]) for k in range(big_k + 1)]
+    return segre_integrals(ProdSpec(r, n, m))
 
 
 def _check_closed_forms(m: int, n: int, r: int, values):

@@ -9,7 +9,9 @@ subbundles (rank r^2) and the product of the quotient bundles (rank
 (n-r)(m-r)).
 Polar profiles are computed by torus localization in ``polar``; this
 module is the Schubert route that certifies them
-(``polar.certify_polar_profile``, ``--verify``).
+(``polar.certify_polar_profile``, ``--verify``): ``segre_integrals`` pairs
+the two Segre classes by box complement and builds only the coordinates
+that pairing reads.
 
 All four series come in closed form from two finite classes:
 
@@ -31,10 +33,13 @@ All four series come in closed form from two finite classes:
   ``grass_ring.chern_quot_power`` gives each distinct key of the Lascoux
   class on that factor times the power in closed form (c(S2)^n =
   c(Q2)^(-n)), so no Schubert classes are multiplied.  Nothing is
-  recursive, and the one memo keeps the last Lascoux class, which both
-  Segre series of one cell share.
+  recursive and nothing is memoized: the certifier builds c(S1 (x) Q2)
+  once per cell.  ``chern_tensor`` and ``segre_tensor`` build whole series;
+  the certifier reads s(S1 (x) S2) only at the box complements of
+  s(Q1 (x) Q2)'s keys, one skew value (``grass_ring.skew_at_ones``) per
+  column and Lascoux key.
 
-``ProdSpec``, ``mul_prod``, ``pair_prod``, ``chern_tensor`` and
+``ProdSpec``, ``mul_prod``, ``segre_integrals``, ``chern_tensor`` and
 ``segre_tensor`` trust their callers as ``grass_ring`` does: a spec has
 0 <= r <= m <= n, the operands of a product share one spec, every key is a
 pair of partitions inside the factor boxes, a bundle is SUB_TENSOR or
@@ -50,10 +55,9 @@ at small scale because it blows up with the ranks.  The Bott route in
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import comb
 
-from .grass_ring import GrassSpec, SparseElement, _det, _mul_basis, chern_quot_power
+from .grass_ring import GrassSpec, SparseElement, _det, _mul_basis, chern_quot_power, skew_at_ones
 from .partitions import box_complement, conjugate, partitions_in_box, weight
 
 SUB_TENSOR = "sub_tensor"
@@ -107,21 +111,39 @@ def integrate_prod(a: SparseElement) -> int:
     return a.coords.get(a.spec.box, 0)
 
 
-def pair_prod(a: SparseElement, b: SparseElement) -> int:
-    """integrate_prod(mul_prod(a, b)) by the box-complement pairing.
+def segre_integrals(spec: ProdSpec) -> list:
+    """integral over G of s_k(Q1 (x) Q2) * s_(K-k)(S1 (x) S2), k = 0..K, by
+    the box-complement pairing, reading the second series only where the
+    pairing looks.
 
-    The Schubert basis of each factor is self-dual up to box complement, so
-    only b's coefficient at the factorwise complement of each key of a
-    contributes.
+    With L = c(S1 (x) Q2) = sum L[mu, nu] sigma_mu (x) sigma_nu
+    (``_lascoux``), A = s(Q1 (x) Q2) = L c(Q2)^(-n) and B = s(S1 (x) S2) =
+    L c(Q1)^m (module docstring).  L's factor-1 keys mu lie in the small
+    r x (m - r) box, since mu <= lam <= ((m - r)^r) in Lascoux's sum, and A
+    has L's factor-1 keys, since its power acts on factor 2 only.  The
+    Schubert basis of each factor is self-dual up to box complement, so
+    integral_(|mu| + |beta|) gains A[mu, beta] B[mu^c, beta^c], a term of
+    B of degree K - |mu| - |beta|, and no other coordinate of B is read: B
+    is needed only on the columns alpha = mu^c, at most C(m, r) of them, not
+    on the C(n, r) partitions of Grass(r, n)'s box.  There B[alpha, beta'] =
+    sum over L's keys (mu', beta') of L[mu', beta'] s_{alpha/mu'}(1^m), the
+    coefficient ``chern_quot_power`` would give sigma_alpha in
+    sigma_mu' c(Q1)^m.  Each skew value is computed once per (alpha, mu'),
+    and each coordinate of B is read once, so apart from integer sizes the
+    cost does not depend on n.
     """
-    r = a.spec.r
-    cols1, cols2 = a.spec.n - r, a.spec.m - r
-    total = 0
-    for (lam, mu), c in a.coords.items():
-        c2 = b.coords.get((box_complement(lam, r, cols1), box_complement(mu, r, cols2)))
-        if c2:
-            total += c * c2
-    return total
+    r, cols1, cols2 = spec.r, spec.n - spec.r, spec.m - spec.r
+    lascoux = _lascoux(spec, QUOT_TENSOR).coords
+    seconds = _split(lascoux, 1)
+    # skews[mu][mu'] = s_{mu^c/mu'}(1^m), for every pair of L's factor-1 keys
+    alphas = {mu: box_complement(mu, r, cols1) for mu, _ in lascoux}
+    skews = {mu: {lam: skew_at_ones(alpha, lam, spec.m) for lam in alphas}
+             for mu, alpha in alphas.items()}
+    out = [0] * (spec.dim + 1)
+    for (mu, beta), c in _times_power(lascoux, 1, spec.factor2, -spec.n).items():
+        column, rest = skews[mu], seconds.get(box_complement(beta, r, cols2), ())
+        out[weight(mu) + weight(beta)] += c * sum(column[lam] * c2 for lam, c2 in rest)
+    return out
 
 
 class CharSeries:
@@ -144,7 +166,6 @@ class CharSeries:
         return self.terms[k]
 
 
-@lru_cache(maxsize=1)
 def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
     by Lascoux's finite formula in the conventions of the module docstring."""
@@ -169,15 +190,21 @@ def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
     return SparseElement(spec, coords)
 
 
+def _split(coords: dict, factor: int) -> dict:
+    """coords grouped by their key on one factor (0 or 1): that key ->
+    [(key on the other factor, coefficient)]."""
+    out = {}
+    for key, c in coords.items():
+        out.setdefault(key[factor], []).append((key[1 - factor], c))
+    return out
+
+
 def _times_power(coords: dict, factor: int, spec: GrassSpec, e: int) -> dict:
     """coords times c(Q)^e of one factor (0 or 1, with ring spec ``spec``):
     each distinct key of coords on that factor is expanded once by
     ``chern_quot_power``."""
-    others = {}
-    for key, c in coords.items():
-        others.setdefault(key[factor], []).append((key[1 - factor], c))
     out = {}
-    for lam, rest in others.items():
+    for lam, rest in _split(coords, factor).items():
         for nu, cn in chern_quot_power(spec, lam, e).coords.items():
             for other, c in rest:
                 key = (nu, other) if factor == 0 else (other, nu)

@@ -96,14 +96,11 @@ def _prod_class(draw, spec, deg, max_coeff):
 
 
 @st.composite
-def prod_spec_with_classes(draw, count=2, complementary=False, max_n=5, max_coeff=4):
-    """A product-ring spec plus ``count`` random homogeneous classes on it;
-    with ``complementary`` the two classes have degrees adding up to dim."""
+def prod_spec_with_classes(draw, count=2, max_n=5, max_coeff=4):
+    """A product-ring spec plus ``count`` random homogeneous classes on it."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     m = draw(st.integers(min_value=1, max_value=n))
     r = draw(st.integers(min_value=0, max_value=m))
     spec = ProdSpec(r, n, m)
     degs = [draw(st.integers(min_value=0, max_value=spec.dim)) for _ in range(count)]
-    if complementary:
-        degs = [degs[0], spec.dim - degs[0]]
     return spec, [_prod_class(draw, spec, d, max_coeff) for d in degs]

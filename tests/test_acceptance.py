@@ -364,7 +364,7 @@ class TestCriterion8Properties:
         memos = [value for ring in (partitions, grass_ring, tensor_calculus)
                  for value in vars(ring).values() if hasattr(value, "cache_clear")]
         assert {memo.__name__ for memo in memos} >= {
-            "_box_weight", "_mul_basis", "_pieri", "_lascoux"}
+            "_box_weight", "_mul_basis", "_pieri"}
         certify = module.certify_polar_profile
         certify(3, 4, 2)
         a = schubert_pair(ProdSpec(2, 4, 3), (1,), (1,))
@@ -396,6 +396,29 @@ class TestCriterion8Properties:
         own, other = certifier_line.split("; also loads ")
         assert own.endswith("loads detlinks.grass_ring detlinks.tensor_calculus")
         assert "dataclasses" not in other.split() and "inspect" not in other.split()
+
+    def test_benchmark_start_up_compiles_the_package(self, monkeypatch, capsys):
+        # every probe imports a copy with no bytecode and writes none, so a
+        # tree's leftover .pyc files do not change the line
+        import importlib.util
+
+        script = Path(__file__).parent.parent / "scripts" / "benchmark.py"
+        spec = importlib.util.spec_from_file_location("benchmark", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        envs = []
+
+        def spy(*args, env, _real=module.subprocess.run, **kwargs):
+            path = env["PYTHONPATH"].split(os.pathsep)
+            envs.append((env.get("PYTHONDONTWRITEBYTECODE"),
+                         [str(p) for entry in path for p in Path(entry).rglob("__pycache__")],
+                         Path(path[0], "detlinks", "cli.py").is_file()))
+            return _real(*args, env=env, **kwargs)
+
+        monkeypatch.setattr(module.subprocess, "run", spy)
+        module.startup()
+        assert envs == [("1", [], True)] * 5
+        assert "each compiling the package from source" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", ["7,8", "9,8,3"])
     def test_benchmark_rejects_a_bad_cell(self, capsys, text):

@@ -13,6 +13,7 @@ import pytest
 
 from detlinks import cache as cache_module
 from detlinks import cli, polar
+from detlinks import links as links_mod
 from detlinks.cache import CacheFile, cache_dir, cache_load, cache_path, cache_store
 from detlinks.cli import main
 from detlinks.links import (
@@ -476,6 +477,25 @@ class TestEulerCommand:
         assert code == 0
         assert computed == [(4, 5, 2), (4, 5, 3)]
         assert f"| 11 | {euler_complex_link(DetSpec(4, 5, 4), 11)} |" in out
+
+    def test_full_range_checks_the_sum_of_the_links(self, capsys, monkeypatch):
+        # over codimensions 0..d-1 the Euler characteristics sum to mn
+        # (TestLinkChiSum); a partial range is not checked
+        code, out, _ = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                           "--codim", "0..9", "--format", "csv")
+        assert code == 0
+        assert sum(int(line.split(",")[-1]) for line in out.split()[1:]) == 12
+        real = links_mod.egz_factor
+        monkeypatch.setattr(links_mod, "egz_factor", lambda spec, rank: -real(spec, rank))
+        code, out, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                             "--codim", "0..9")
+        assert (code, out) == (4, "")
+        assert err == ("detlinks: consistency failure: the link Euler characteristics of "
+                       "DetSpec(m=3, n=4, s=3) over codimensions 0..9 sum to -12, "
+                       "not mn = 12\n")
+        code, _, _ = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",
+                         "--codim", "0..8")
+        assert code == 0
 
     def test_codim_out_of_range_is_exit_3(self, capsys):
         code, _, err = run(capsys, "euler", "--m", "3", "--n", "4", "--s", "3",

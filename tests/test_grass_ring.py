@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from detlinks.errors import ConsistencyError, DomainError
-from detlinks.grass_ring import GrassSpec, chern_quot_power
+from detlinks.grass_ring import GrassSpec, chern_quot_power, skew_at_ones
 from detlinks.links import grass_betti
 from detlinks.partitions import box_complement, partitions_in_box, weight
 
@@ -93,18 +93,25 @@ class TestChern:
     def test_power_is_the_repeated_product_of_the_total_classes(self, m):
         # sigma_lam times c(Q)^e for e >= 0 and c(S)^(-e) for e < 0, the
         # powers as e-fold products of the oracle's single-row and
-        # single-column sums; e = 0 is the unit
+        # single-column sums; e = 0 is the unit.  The skew value
+        # s_{nu/lam}(1^e) is each coefficient, and 0 where lam is not inside nu
         for r in range(m + 1):
             spec = GrassSpec(r, m)
+            box = partitions_in_box(r, m - r)
             for e in range(-4, 7):
                 total = (oracles.total_chern_quot if e >= 0 else oracles.total_chern_sub)(spec)
                 power = schubert(spec, ())
                 for _ in range(abs(e)):
                     power = mul(power, total)
-                for lam in partitions_in_box(r, m - r):
+                for lam in box:
                     got = chern_quot_power(spec, lam, e)
                     assert got == mul(schubert(spec, lam), power), (spec, lam, e)
                     assert_canonical(got)
+                    for nu in box:
+                        skew = skew_at_ones(nu, lam, e)
+                        assert skew == got.coords.get(nu, 0), (spec, nu, lam, e)
+                        inside = len(lam) <= len(nu) and all(map(int.__ge__, nu, lam))
+                        assert inside or skew == 0, (spec, nu, lam, e)
 
 
 class TestIntegrate:

@@ -32,7 +32,7 @@ TRUSTING = ("grass_ring", "tensor_calculus")
 MEMOS = {
     "grass_ring._pieri", "grass_ring._mul_basis",
     "partitions._box_weight", "polar.sign_record", "polar._bott_sums",
-    "tensor_calculus._lascoux", "cache._written", "cache._cell", "cli._check_served",
+    "cache._written", "cache._cell", "cli._check_served",
 }
 MEMO_DECORATORS = ("lru_cache", "cache")  # functools'
 CONTAINER_CALLS = ("dict", "list", "set")

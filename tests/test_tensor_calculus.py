@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from detlinks import tensor_calculus
+from detlinks import grass_ring, tensor_calculus
 from detlinks.errors import DomainError
 from detlinks.grass_ring import GrassSpec, SparseElement
+from detlinks.partitions import box_complement, partitions_in_box
 from detlinks.polar import certify_polar_profile
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
@@ -13,7 +14,7 @@ from detlinks.tensor_calculus import (
     chern_tensor,
     integrate_prod,
     mul_prod,
-    pair_prod,
+    segre_integrals,
     segre_tensor,
 )
 
@@ -77,15 +78,6 @@ class TestProductRing:
         assert built == []
         certify_polar_profile(2, 3, 1)
         assert built == [(1, 3, 2)]
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.one_of(
-        prod_spec_with_classes(count=2, complementary=True),
-        prod_spec_with_classes(count=2),
-    ))
-    def test_pair_prod_matches_integral(self, data):
-        _, (a, b) = data
-        assert pair_prod(a, b) == integrate_prod(mul_prod(a, b))
 
 
 class TestTrustedResults:
@@ -155,6 +147,38 @@ class TestSegreTensor:
                     for j in range(k + 1):
                         acc = acc + mul_prod(c[j], s[k - j])
                     assert not acc.coords, (spec, bundle, k)
+
+
+class TestPairing:
+    CELLS = [(m, n, r) for m in range(7) for n in range(m, m + 4) for r in range(m + 1)]
+    WIDE = [(4, 30, 2), (5, 25, 2), (6, 16, 3)]
+
+    def test_equals_the_whole_series_paired_by_box_complement(self):
+        # segre_integrals reads s(S1 (x) S2) only at the complements of
+        # s(Q1 (x) Q2)'s keys; pair the two whole series instead
+        for m, n, r in self.CELLS + self.WIDE:
+            spec = ProdSpec(r, n, m)
+            big_k, cols1, cols2 = spec.dim, n - r, m - r
+            s_quot = segre_tensor(spec, QUOT_TENSOR, big_k)
+            s_sub = segre_tensor(spec, SUB_TENSOR, big_k)
+            whole = [sum(c * s_sub[big_k - k].coords.get(
+                (box_complement(lam, r, cols1), box_complement(mu, r, cols2)), 0)
+                for (lam, mu), c in s_quot[k].coords.items()) for k in range(big_k + 1)]
+            assert segre_integrals(spec) == whole, (m, n, r)
+
+    def test_certifier_work_does_not_depend_on_n(self, monkeypatch):
+        # every box the certifier scans is a factor of Grass(r, m)'s, never
+        # Grass(2, 40)'s 2 x 38 box
+        boxes = []
+
+        def spy(rows, cols, *weight, _real=partitions_in_box):
+            boxes.append((rows, cols))
+            return _real(rows, cols, *weight)
+
+        for module in (grass_ring, tensor_calculus):
+            monkeypatch.setattr(module, "partitions_in_box", spy)
+        certify_polar_profile(4, 40, 2)
+        assert boxes and all(rows == 2 and cols <= 2 for rows, cols in boxes), boxes
 
 
 class TestPullbackDegeneration:
@@ -230,17 +254,15 @@ class TestLascoux:
         assert all(sum(a) + sum(b) <= r * (m - r) for a, b in lascoux.coords)
 
     def test_certifier_builds_the_class_once_per_cell(self, monkeypatch):
-        # both Segre series of one cell start from c(S1 (x) Q2); count the
-        # determinants of one certification against those of one class
+        # the pairing reads c(S1 (x) Q2) and no other Lascoux class; count the
+        # Lascoux determinants of one certification against those of one class
         dets = []
         det = tensor_calculus._det
         monkeypatch.setattr(
             tensor_calculus, "_det", lambda rows: dets.append(None) or det(rows)
         )
-        _lascoux.cache_clear()
         certify_polar_profile(4, 6, 2)
         per_cell = len(dets)
-        _lascoux.cache_clear()
         dets.clear()
         _lascoux(ProdSpec(2, 6, 4), QUOT_TENSOR)
         assert per_cell == len(dets) > 0
