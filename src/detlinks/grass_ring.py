@@ -1,22 +1,24 @@
 """Integral cohomology of a Grassmannian in the Schubert basis.
 
-Every ring element of the certifier is a ``SparseElement``: a spec plus a
-map from keys to nonzero integers.  Over a ``GrassSpec`` the keys are
-partitions inside the r x (m - r) box of H*(Grass(r, m)); over a
-``tensor_calculus.ProdSpec`` they are pairs of partitions, one in each
-factor's box.  The Schubert structure constants come from one Pieri
-recursion on the last row of the shorter factor (``_pieri`` adds a
-horizontal strip, ``_mul_basis`` peels rows off); only
+A ``SparseElement`` is a spec plus a map from keys to nonzero integers.
+Over a ``GrassSpec`` the keys are partitions inside the r x (m - r) box of
+H*(Grass(r, m)); over a ``tensor_calculus.ProdSpec`` they are pairs of
+partitions, one in each factor's box.  Only the whole-series API returns
+ring elements (``tensor_calculus.mul_prod`` and the ``CharSeries`` terms);
+the certifier (``tensor_calculus.segre_integrals``) works on bare
+coefficient dicts and builds none.  The Schubert structure constants come
+from one Pieri recursion on the last row of the shorter factor (``_pieri``
+adds a horizontal strip, ``_mul_basis`` peels rows off); only
 ``tensor_calculus.mul_prod`` reads them.  Degrees are Chern degrees: the
 class indexed by a partition of weight w lives in cohomological degree 2w.
 The certifier multiplies no two Schubert classes: a class times a power
 of c(Q) or c(S) has the skew values s_{nu/lam}(1^e) as coefficients
-(``chern_quot_power``), each one skew Jacobi-Trudi determinant
+(``tensor_calculus._times_power``), each one skew Jacobi-Trudi determinant
 (``skew_at_ones``, through ``_det``), the one skew-determinant code path for
 both a whole power and the single coefficients the certifier's pairing
 reads.
 
-This ring is an internal of the certifier, and it trusts its callers as
+This module is an internal of the Schubert route, and it trusts its callers as
 ``SparseElement`` trusts its keys: a ``GrassSpec`` has 0 <= r <= m and
 every key is a partition inside the spec's box.  Nothing here checks that.
 ``polar._profile`` checks (m, n, r) before the certifier builds any spec.
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .partitions import partitions_in_box, weight
+from .partitions import weight
 
 
 class GrassSpec(namedtuple("GrassSpec", "r m")):
@@ -58,9 +60,9 @@ class GrassSpec(namedtuple("GrassSpec", "r m")):
 class SparseElement:
     """Sparse integer combination of keys over a ring spec.
 
-    The constructor drops zero coefficients and checks no key: every
-    producer (``mul_prod``, ``chern_quot_power``, the tensor
-    series) emits keys that are canonical and inside the box of its spec.
+    The constructor drops zero coefficients and checks no key: both
+    producers (``mul_prod`` and the tensor series of ``tensor_calculus``)
+    emit keys that are canonical and inside the box of their spec.
     ``*`` only scales by an integer; the spec's product is a function.
     Instances are immutable by convention: every operation returns a fresh
     element.
@@ -191,18 +193,3 @@ def skew_at_ones(nu: tuple, lam: tuple, e: int) -> int:
     shifts = [q - j for j, q in enumerate(lam + (0,) * (len(nu) - len(lam)))]
     return _det([[h[p - i - s] if p - i >= s else 0 for s in shifts] for i, p in enumerate(nu)])
 
-
-def chern_quot_power(spec: GrassSpec, lam: tuple, e: int) -> SparseElement:
-    """sigma_lam * c(Q)^e for any integer e, in closed form (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.4 (4.3) and I.5 (5.4)).
-
-    sigma_lam = s_lam(a) for the roots a of S^v, so c(Q) = prod 1/(1 - a_i),
-    and the Cauchy identity at y = 1^e gives c(Q)^e = sum over mu of
-    s_mu(a) s_mu(1^e).  Since s_{nu/lam} = sum over mu of c^nu_{lam mu} s_mu,
-    s_lam(a) sum_mu s_mu(a) s_mu(y) = sum over nu of s_{nu/lam}(y) s_nu(a);
-    truncation to the box is a ring map, so nu runs over the box, and each
-    coefficient is ``skew_at_ones(nu, lam, e)``.  1^e maps sum h_k t^k to
-    (1 - t)^(-e), a ring map for every integer e, so e = -n gives
-    c(S)^n = c(Q)^(-n) exactly."""
-    return SparseElement(spec, {nu: skew_at_ones(nu, lam, e)
-                                for nu in partitions_in_box(spec.r, spec.cols)})

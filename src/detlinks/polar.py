@@ -14,9 +14,10 @@ sums Bott's residue formula over the torus fixed points of G in exact
 integers; ``certify_polar_profile`` (certifier) pairs the Segre classes of
 both tensor bundles in the Schubert basis by box complement.  Those classes
 come in closed form from Lascoux's class c(S1 (x) Q2) times a power of one
-factor's Chern class (``tensor_calculus``), and the pairing reads the
-second only at the complements of the first's keys, so apart from
-integer sizes the certifier's work does not grow with n.  It uses no torus
+factor's Chern class (``tensor_calculus``), as bare coefficient dicts with
+no ring element built, and the pairing reads the second only at the
+complements of the first's keys, so apart from integer sizes the
+certifier's work does not grow with n.  It uses no torus
 weights and no fixed points, so the routes share nothing but the
 normalizer ``_profile``, which checks (m, n, r) before either route runs;
 the certifier's modules import nothing from this one.

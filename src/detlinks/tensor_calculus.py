@@ -1,12 +1,12 @@
 """Characteristic classes of tensor bundles on a product of two Grassmannians.
 
 The product ring H*(Grass(r, n) x Grass(r, m)) is handled factorwise in the
-Schubert basis; its elements are the ``grass_ring.SparseElement`` over a
-``ProdSpec``, keyed by pairs of partitions and multiplied by ``mul_prod``.
-The classes the polar integrals consume are the Segre classes of the two
-tensor bundles built from the tautological pairs: the product of the
-subbundles (rank r^2) and the product of the quotient bundles (rank
-(n-r)(m-r)).
+Schubert basis, its classes keyed by pairs of partitions: bare coefficient
+dicts on the certifier's path, ``grass_ring.SparseElement``s over a
+``ProdSpec`` where the whole-series API returns them (``mul_prod`` and
+the ``CharSeries`` terms).  The polar integrals consume the Segre classes
+of the two tensor bundles built from the tautological pairs: the product of
+the subbundles (rank r^2) and of the quotient bundles (rank (n-r)(m-r)).
 Polar profiles are computed by torus localization in ``polar``; this
 module is the Schubert route that certifies them
 (``polar.certify_polar_profile``, ``--verify``): ``segre_integrals`` pairs
@@ -30,14 +30,13 @@ All four series come in closed form from two finite classes:
 * S + Q is trivial on each factor, so c(Q1 (x) Q2) = c(S1 (x) S2) c(Q1)^m
   c(Q2)^n, s(Q1 (x) Q2) = c(S1 (x) Q2) c(S2)^n and s(S1 (x) S2) =
   c(S1 (x) Q2) c(Q1)^m.  Each power lives on one factor, and
-  ``grass_ring.chern_quot_power`` gives each distinct key of the Lascoux
-  class on that factor times the power in closed form (c(S2)^n =
-  c(Q2)^(-n)), so no Schubert classes are multiplied.  Nothing is
-  recursive and nothing is memoized: the certifier builds c(S1 (x) Q2)
-  once per cell.  ``chern_tensor`` and ``segre_tensor`` build whole series;
-  the certifier reads s(S1 (x) S2) only at the box complements of
-  s(Q1 (x) Q2)'s keys, one skew value (``grass_ring.skew_at_ones``) per
-  column and Lascoux key.
+  ``_times_power`` expands each distinct key of the Lascoux class on that
+  factor times the power in closed form (c(S2)^n = c(Q2)^(-n)), so no
+  Schubert classes are multiplied.  Nothing is recursive and nothing is
+  memoized: the certifier builds c(S1 (x) Q2) once per cell.
+  ``chern_tensor`` and ``segre_tensor`` build whole series; the certifier
+  reads s(S1 (x) S2) only at the box complements of s(Q1 (x) Q2)'s keys,
+  one skew value (``grass_ring.skew_at_ones``) per column and Lascoux key.
 
 ``ProdSpec``, ``mul_prod``, ``segre_integrals``, ``chern_tensor`` and
 ``segre_tensor`` trust their callers as ``grass_ring`` does: a spec has
@@ -57,7 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .grass_ring import GrassSpec, SparseElement, _det, _mul_basis, chern_quot_power, skew_at_ones
+from .grass_ring import GrassSpec, SparseElement, _det, _mul_basis, skew_at_ones
 from .partitions import box_complement, conjugate, partitions_in_box, weight
 
 SUB_TENSOR = "sub_tensor"
@@ -127,13 +126,13 @@ def segre_integrals(spec: ProdSpec) -> list:
     is needed only on the columns alpha = mu^c, at most C(m, r) of them, not
     on the C(n, r) partitions of Grass(r, n)'s box.  There B[alpha, beta'] =
     sum over L's keys (mu', beta') of L[mu', beta'] s_{alpha/mu'}(1^m), the
-    coefficient ``chern_quot_power`` would give sigma_alpha in
+    coefficient ``_times_power`` would give sigma_alpha in
     sigma_mu' c(Q1)^m.  Each skew value is computed once per (alpha, mu'),
     and each coordinate of B is read once, so apart from integer sizes the
     cost does not depend on n.
     """
     r, cols1, cols2 = spec.r, spec.n - spec.r, spec.m - spec.r
-    lascoux = _lascoux(spec, QUOT_TENSOR).coords
+    lascoux = _lascoux(spec, QUOT_TENSOR)
     seconds = _split(lascoux, 1)
     # skews[mu][mu'] = s_{mu^c/mu'}(1^m), for every pair of L's factor-1 keys
     alphas = {mu: box_complement(mu, r, cols1) for mu, _ in lascoux}
@@ -166,9 +165,10 @@ class CharSeries:
         return self.terms[k]
 
 
-def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
-    """c(S1 (x) F) for F = S2 (bundle SUB_TENSOR) or F = Q2 (QUOT_TENSOR),
-    by Lascoux's finite formula in the conventions of the module docstring."""
+def _lascoux(spec: ProdSpec, bundle: str) -> dict:
+    """The nonzero coefficients of c(S1 (x) F) for F = S2 (bundle SUB_TENSOR)
+    or F = Q2 (QUOT_TENSOR), by Lascoux's finite formula in the conventions
+    of the module docstring, keyed by pairs of partitions."""
     r, cols1, cols2 = spec.r, spec.n - spec.r, spec.m - spec.r
     f = r if bundle == SUB_TENSOR else cols2
     coords = {}
@@ -185,9 +185,9 @@ def _lascoux(spec: ProdSpec, bundle: str) -> SparseElement:
         for mu in partitions_in_box(r, min(padded[0] if r else 0, cols1)):
             if all(a <= b for a, b in zip(mu, padded)):
                 cols = [p + r - j for j, p in enumerate(mu + (0,) * (r - len(mu)), 1)]
-                d = _det([[comb(a, b) for b in cols] for a in rows])
-                coords[(mu, nu)] = (-1) ** weight(mu) * sign * d
-    return SparseElement(spec, coords)
+                if d := _det([[comb(a, b) for b in cols] for a in rows]):
+                    coords[(mu, nu)] = (-1) ** weight(mu) * sign * d
+    return coords
 
 
 def _split(coords: dict, factor: int) -> dict:
@@ -200,15 +200,26 @@ def _split(coords: dict, factor: int) -> dict:
 
 
 def _times_power(coords: dict, factor: int, spec: GrassSpec, e: int) -> dict:
-    """coords times c(Q)^e of one factor (0 or 1, with ring spec ``spec``):
-    each distinct key of coords on that factor is expanded once by
-    ``chern_quot_power``."""
-    out = {}
+    """coords times c(Q)^e of one factor (0 or 1, with ring spec ``spec``),
+    for any integer e, in closed form (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.4 (4.3) and I.5 (5.4)).
+
+    sigma_lam = s_lam(a) for the roots a of S^v, so c(Q) = prod 1/(1 - a_i),
+    and the Cauchy identity at y = 1^e gives c(Q)^e = sum over mu of
+    s_mu(a) s_mu(1^e).  Since s_{nu/lam} = sum over mu of c^nu_{lam mu} s_mu,
+    s_lam(a) sum_mu s_mu(a) s_mu(y) = sum over nu of s_{nu/lam}(y) s_nu(a);
+    truncation to the box is a ring map, so nu runs over the box, and
+    sigma_lam c(Q)^e has the coefficient ``skew_at_ones(nu, lam, e)`` at
+    sigma_nu.  1^e maps sum h_k t^k to (1 - t)^(-e), a ring map for every
+    integer e, so e = -n gives c(S)^n = c(Q)^(-n) exactly.  Each distinct
+    key lam of coords on the factor is expanded once; zeros are skipped."""
+    box, out = partitions_in_box(spec.r, spec.cols), {}
     for lam, rest in _split(coords, factor).items():
-        for nu, cn in chern_quot_power(spec, lam, e).coords.items():
-            for other, c in rest:
-                key = (nu, other) if factor == 0 else (other, nu)
-                out[key] = out.get(key, 0) + cn * c
+        for nu in box:
+            if cn := skew_at_ones(nu, lam, e):
+                for other, c in rest:
+                    key = (nu, other) if factor == 0 else (other, nu)
+                    out[key] = out.get(key, 0) + cn * c
     return out
 
 
@@ -222,7 +233,7 @@ def _by_degree(spec: ProdSpec, bundle: str, coords: dict, up_to: int) -> CharSer
 
 def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     """Total Chern class of the tensor bundle through degree min(up_to, dim G)."""
-    coords = _lascoux(spec, SUB_TENSOR).coords
+    coords = _lascoux(spec, SUB_TENSOR)
     if bundle == QUOT_TENSOR:
         coords = _times_power(coords, 0, spec.factor1, spec.m)
         coords = _times_power(coords, 1, spec.factor2, spec.n)
@@ -232,7 +243,7 @@ def chern_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
 def segre_tensor(spec: ProdSpec, bundle: str, up_to: int) -> CharSeries:
     """Segre series s = c(-E) of the tensor bundle through degree
     min(up_to, dim G), built from c(S1 (x) Q2) without the Chern series."""
-    coords = _lascoux(spec, QUOT_TENSOR).coords
+    coords = _lascoux(spec, QUOT_TENSOR)
     if bundle == QUOT_TENSOR:
         coords = _times_power(coords, 1, spec.factor2, -spec.n)
     else:

@@ -23,12 +23,17 @@ served commands.
 * ``duality_check`` compares a polar profile with its complementary-rank
   mirror entry by entry (``DualityReport``).  It certifies the rank
   duality of the polar multiplicities of ``polar.compute_polar_profile``.
+* ``segre_profile`` gives the whole rank-1 and corank-1 profiles from the
+  Chern classes of the Segre variety P^(m-1) x P^(n-1) by Piene's formula.
+  It certifies both routes of ``polar`` on those families with no Segre
+  class of a tensor bundle, no torus weight and no Schubert class.
 * ``chern_tensor_via_roots`` expands the product of (1 + a_i + b_j) over
   formal Chern roots into universal polynomials in the factor Chern
   classes (``universal_tensor_chern``) and evaluates them on the two
   factors.  It certifies the Lascoux series of
-  ``tensor_calculus.chern_tensor`` and ``tensor_calculus._lascoux``.  It
-  blows up with the ranks, so it runs at small scale only.
+  ``tensor_calculus.chern_tensor`` and the coefficient dict of
+  ``tensor_calculus._lascoux``.  It blows up with the ranks, so it runs at
+  small scale only.
 
 Neither side trusts the other: each reference reaches its numbers without
 the route it certifies.  ``as_partition`` and ``fits_in_box`` state what a
@@ -38,8 +43,9 @@ canonical key inside a box is, for the tests' key checks.  ``schubert``,
 ``SparseElement`` checks no key, so they take partitions inside the box.
 ``total_chern_sub`` and ``total_chern_quot`` are the total Chern classes of
 the tautological bundles, a single-column and a single-row sum; their
-repeated products, times a Schubert class, are the reference for
-``grass_ring.chern_quot_power``, and ``chern_list_sub`` and
+repeated products, times a Schubert class, are the reference for the skew
+values of ``grass_ring.skew_at_ones`` and their expansion
+``tensor_calculus._times_power``, and ``chern_list_sub`` and
 ``chern_list_quot`` split them into their degrees.  ``mul`` is the product
 of one Grassmannian: ``tensor_calculus.mul_prod``, the one Schubert product
 that ships, with a point, Grass(r, r), as the second factor.
@@ -56,7 +62,7 @@ from detlinks.errors import ConsistencyError, DomainError
 from detlinks.grass_ring import GrassSpec, SparseElement
 from detlinks.links import DetSpec, egz_factor, link_strata
 from detlinks.partitions import conjugate, weight
-from detlinks.polar import _validate_params, compute_polar_profile, germ_dim
+from detlinks.polar import _validate_params, compute_polar_profile, germ_dim, profile_length
 from detlinks.tensor_calculus import (
     QUOT_TENSOR,
     SUB_TENSOR,
@@ -572,6 +578,29 @@ def chern_tensor_via_roots(spec: ProdSpec, bundle: str, up_to: int) -> CharSerie
 # ---------------------------------------------------------------------------
 # link and polar certifiers
 # ---------------------------------------------------------------------------
+
+def segre_profile(m: int, n: int, r: int) -> tuple:
+    """The (m, n, r) polar profile for r = 1 or r = m - 1 >= 1, from the
+    polar degrees of the Segre variety X = P^(m-1) x P^(n-1) (Piene, Ann.
+    Sci. ENS 11, 1978; Holme, Manuscripta Math. 61, 1988).
+
+    X is the projectivized rank-1 germ, smooth of dimension d = m + n - 2,
+    with c(X) = (1 + h1)^m (1 + h2)^n, h = h1 + h2 and deg h1^(m-1) h2^(n-1)
+    = 1, so deg_j = deg c_j(X) h^(d-j) = sum over a of C(m, a) C(n, j - a)
+    C(d - j, m - 1 - a).  Piene's formula gives values[k] = sum over j <= k
+    of (-1)^j C(d - j + 1, d - k + 1) deg_j for k <= 2(m - 1), and 0 beyond.
+    Rank m - 1 is the dual (Kleiman): those first 2(m - 1) + 1 values read
+    backwards, padded with zeros.  No Segre class of a tensor bundle, no
+    torus weight and no Schubert class enters."""
+    d, kappa = m + n - 2, 2 * (m - 1)
+    deg = [sum(comb(m, a) * comb(n, j - a) * comb(d - j, m - 1 - a)
+               for a in range(max(0, j - n), min(m - 1, j) + 1)) for j in range(d + 1)]
+    values = [sum((-1) ** j * comb(d - j + 1, d - k + 1) * deg[j] for j in range(k + 1))
+              for k in range(kappa + 1)]
+    if r != 1:
+        values.reverse()
+    return tuple(values) + (0,) * (profile_length(m, n, r) - len(values))
+
 
 def euler_step(spec: DetSpec, i: int) -> int:
     """Single Morse-theoretic step chi(L^i) - chi(L^(i+1)).

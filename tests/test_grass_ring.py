@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from detlinks.errors import ConsistencyError, DomainError
-from detlinks.grass_ring import GrassSpec, chern_quot_power, skew_at_ones
+from detlinks.grass_ring import GrassSpec, SparseElement, skew_at_ones
 from detlinks.links import grass_betti
 from detlinks.partitions import box_complement, partitions_in_box, weight
+from detlinks.tensor_calculus import _times_power
 
 import oracles
 from conftest import assert_canonical, spec_with_classes
@@ -64,29 +65,35 @@ class TestMul:
         assert_canonical(mul(a, b))
 
 
+def quot_power(spec, lam, e):
+    """sigma_lam c(Q)^e: the skew value s_{nu/lam}(1^e) at each nu of the box."""
+    box = partitions_in_box(spec.r, spec.cols)
+    return SparseElement(spec, {nu: skew_at_ones(nu, lam, e) for nu in box})
+
+
 class TestChern:
-    # c(Q) = chern_quot_power(spec, (), 1) and c(S) = chern_quot_power(spec, (), -1)
+    # c(Q) = quot_power(spec, (), 1) and c(S) = quot_power(spec, (), -1)
     def test_sub_on_projective_space(self):
         for m in range(2, 6):
             spec = GrassSpec(1, m)
-            assert chern_quot_power(spec, (), -1).coords == {(): 1, (1,): -1}
+            assert quot_power(spec, (), -1).coords == {(): 1, (1,): -1}
 
     def test_quot_single_row(self):
-        assert chern_quot_power(GrassSpec(1, 3), (), 1).coords == {(): 1, (1,): 1, (2,): 1}
+        assert quot_power(GrassSpec(1, 3), (), 1).coords == {(): 1, (1,): 1, (2,): 1}
 
     @pytest.mark.parametrize("m", range(0, 5))
     def test_trivial_bundles_have_total_class_one(self, m):
         # S on Grass(m, m) and Q on Grass(0, m) are trivial; no key may
         # leave the empty box
-        assert chern_quot_power(GrassSpec(m, m), (), -1).coords == {(): 1}
-        assert chern_quot_power(GrassSpec(0, m), (), 1).coords == {(): 1}
+        assert quot_power(GrassSpec(m, m), (), -1).coords == {(): 1}
+        assert quot_power(GrassSpec(0, m), (), 1).coords == {(): 1}
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_whitney_all_degrees(self, m):
         # S + Q is the trivial rank-m bundle: c(S) c(Q) = 1 in every degree
         for r in range(m + 1):
             spec = GrassSpec(r, m)
-            product = mul(chern_quot_power(spec, (), -1), chern_quot_power(spec, (), 1))
+            product = mul(quot_power(spec, (), -1), quot_power(spec, (), 1))
             assert product == schubert(spec, ()), spec
 
     @pytest.mark.parametrize("m", range(0, 7))
@@ -104,9 +111,12 @@ class TestChern:
                 for _ in range(abs(e)):
                     power = mul(power, total)
                 for lam in box:
-                    got = chern_quot_power(spec, lam, e)
+                    got = quot_power(spec, lam, e)
                     assert got == mul(schubert(spec, lam), power), (spec, lam, e)
                     assert_canonical(got)
+                    # the certifier's expansion of one key on the first factor
+                    expanded = _times_power({(lam, ()): 1}, 0, spec, e)
+                    assert expanded == {(nu, ()): c for nu, c in got.coords.items()}, (spec, lam, e)
                     for nu in box:
                         skew = skew_at_ones(nu, lam, e)
                         assert skew == got.coords.get(nu, 0), (spec, nu, lam, e)

@@ -12,7 +12,7 @@ from detlinks.polar import (
 )
 
 import reference_tables as ref
-from oracles import duality_check
+from oracles import duality_check, segre_profile
 
 
 class TestProfiles:
@@ -247,6 +247,17 @@ class TestRoutesAgree:
             dual = certify_polar_profile(m, n, m - r).values
             assert here[: kappa + 1] == dual[kappa::-1]
             assert not any(here[kappa + 1:])
+
+
+class TestSegreVariety:
+    # a third route on the rank-1 and corank-1 families: 199 cells
+    CELLS = [(m, n, r) for m in range(1, 8) for n in range(m, 21) for r in {1, m - 1} - {0}]
+
+    def test_both_routes_equal_the_polar_degrees_of_the_segre_variety(self):
+        for m, n, r in self.CELLS:
+            expected = segre_profile(m, n, r)
+            assert compute_polar_profile(m, n, r).values == expected, (m, n, r)
+            assert certify_polar_profile(m, n, r).values == expected, (m, n, r)
 
 
 class TestClosedFormChecks:

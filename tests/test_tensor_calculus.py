@@ -175,10 +175,26 @@ class TestPairing:
             boxes.append((rows, cols))
             return _real(rows, cols, *weight)
 
-        for module in (grass_ring, tensor_calculus):
-            monkeypatch.setattr(module, "partitions_in_box", spy)
+        monkeypatch.setattr(tensor_calculus, "partitions_in_box", spy)
         certify_polar_profile(4, 40, 2)
         assert boxes and all(rows == 2 and cols <= 2 for rows, cols in boxes), boxes
+
+    @pytest.mark.parametrize("m, n, r", [(3, 4, 2), (6, 12, 3)])
+    def test_certifier_builds_no_ring_element(self, monkeypatch, m, n, r):
+        # the whole --verify route works on coefficient dicts: only the
+        # whole-series API (mul_prod, CharSeries terms) builds SparseElements
+        built = []
+        init = grass_ring.SparseElement.__init__
+
+        def spy(self, spec, coords):
+            built.append(spec)
+            init(self, spec, coords)
+
+        monkeypatch.setattr(grass_ring.SparseElement, "__init__", spy)
+        assert certify_polar_profile(m, n, r).values
+        assert built == []
+        segre_tensor(ProdSpec(r, n, m), QUOT_TENSOR, 1)
+        assert built, "the spy sees the whole-series API"
 
 
 class TestPullbackDegeneration:
@@ -238,7 +254,7 @@ class TestLascoux:
         spec = ProdSpec(r, n, m)
         c1, c2 = chern_list_sub(spec.factor1), chern_list_quot(spec.factor2)
         lascoux = _lascoux(spec, QUOT_TENSOR)
-        assert lascoux.coords[((), ())] == 1
+        assert lascoux[((), ())] == 1 and all(lascoux.values())
         for k in range(r * (m - r) + 1):
             expected = SparseElement(spec, {})
             for alpha, beta, coeff in universal_tensor_chern(r, m - r, k):
@@ -248,10 +264,9 @@ class TestLascoux:
                 for idx in beta:
                     right = mul(right, c2[idx])
                 expected = expected + coeff * tensor(spec, left, right)
-            got = {key: c for key, c in lascoux.coords.items()
-                   if sum(key[0]) + sum(key[1]) == k}
+            got = {key: c for key, c in lascoux.items() if sum(key[0]) + sum(key[1]) == k}
             assert got == expected.coords, k
-        assert all(sum(a) + sum(b) <= r * (m - r) for a, b in lascoux.coords)
+        assert all(sum(a) + sum(b) <= r * (m - r) for a, b in lascoux)
 
     def test_certifier_builds_the_class_once_per_cell(self, monkeypatch):
         # the pairing reads c(S1 (x) Q2) and no other Lascoux class; count the
